@@ -14,7 +14,8 @@ from .bounds import (BoundValue, DecayParams, Ellipse, Interval, SpectralRegion,
 from .densefun import (EigenDecomposition, FunctionSpec, eigen_decompose,
                        eval_matrix_function, expm_dense, function_from_name,
                        is_hermitian, scalar_derivative, scalar_values, spectral_norm)
-from .errors import DomainError, MatrixMarketError, OracleScaleError
+from .errors import (DomainError, MatrixMarketError, NonFiniteOperatorError,
+                     OracleScaleError)
 from .krylov import (ArnoldiProcess, DiagonalAccumulator, FullAccumulator,
                      KrylovDecomposition, LanczosProcess, arnoldi, as_operator,
                      lanczos, lanczos_twopass)

@@ -5,7 +5,8 @@ Subcommands: ``update`` (one low-rank solve against a Matrix Market file),
 ``bounds`` (tabulate a-priori bounds from a JSON description), and ``demo``
 (synthetic experiments emitting CSV bundles). Everything machine-readable
 lands as CSV plus a JSON report. Exit codes: 0 success, 2 usage or input
-error, 3 non-convergence, 4 numeric-domain error.
+error, 3 non-convergence, 4 numeric-domain error or non-finite operator
+output.
 """
 
 from __future__ import annotations
@@ -23,14 +24,15 @@ import numpy as np
 from . import bounds as bnd
 from .densefun import (FunctionSpec, eval_matrix_function, function_from_name,
                        scalar_derivative, spectral_norm)
-from .errors import DomainError, MatrixMarketError, OracleScaleError
+from .errors import (DomainError, MatrixMarketError, NonFiniteOperatorError,
+                     OracleScaleError)
 from .krylov import ArnoldiProcess, LanczosProcess
 from .oracle import DENSE_UPDATE_LIMIT, dense_update_reference
 from .sparse import (Graph, SparseMatrix, gen_convdiff1d, gen_laplace2d,
                      graph_distances, load_matrix_market)
-from .update import (LowRankModification, SolveOptions, build_block_compression,
-                     error_estimate, extract_diagonal, general_update,
-                     hermitian_update, rank_k_update, xm_hermitian)
+from .update import (LowRankModification, SolveOptions, _general_x, error_estimate,
+                     extract_diagonal, general_update, hermitian_update,
+                     rank_k_update, xm_hermitian)
 
 _EXP = FunctionSpec.exp()
 
@@ -386,14 +388,6 @@ def _norm2_implicit(ref, u, x, v, iters=80) -> float:
     return float(sigma)
 
 
-def _general_x_public(pu, pv, m, b_vec, f):
-    g = pu.compressed(m)
-    h = pv.compressed(m)
-    vtb = pv.basis_matrix(m).conj().T @ b_vec
-    blk = build_block_compression(g, h, pu.start_norm, pv.start_norm, vtb)
-    return eval_matrix_function(blk, f)[:m, m:]
-
-
 def _demo_reorth(outdir, rng, size, max_m):
     """Plain vs fully reorthogonalized Lanczos on diagonal spectra that are
     benign (equispaced) and adversarial (logarithmically spaced)."""
@@ -450,7 +444,7 @@ def _demo_estimator_invsqrt(outdir, rng, size, max_m):
     pu.advance(m_cap + 3)
     pv.advance(m_cap + 3)
     top = min(pu.dimension, pv.dimension)
-    xs = {m: _general_x_public(pu, pv, m, b, f) for m in range(1, top + 1)}
+    xs = {m: _general_x(pu, pv, m, m, b, f) for m in range(1, top + 1)}
     rows = []
     for m in range(1, top - 3 + 1):
         u = pu.basis_matrix(m)
@@ -516,7 +510,7 @@ def _demo_exp_wedge(outdir, rng, size, max_m):
     top = min(pu.dimension, pv.dimension)
     rows = []
     for m in range(max(1, m_lo - 10), min(m_hi, top) + 1):
-        x = _general_x_public(pu, pv, m, -b, _EXP)
+        x = _general_x(pu, pv, m, m, -b, _EXP)
         err = _norm2_implicit(ref, pu.basis_matrix(m), x, pv.basis_matrix(m))
         r = bnd.bound_exp_wedge(region, m)
         rows.append((m, err, r.value if r.applicable else "NA", r.rate))
@@ -584,7 +578,7 @@ def _demo_convdiff(outdir, rng, size, max_m):
         pv = ArnoldiProcess(at.matvec, c_vec)
         pu.advance(m_cap + 2)
         pv.advance(m_cap + 2)
-        xs = {m: _general_x_public(pu, pv, m, b, f) for m in range(1, m_cap + 3)}
+        xs = {m: _general_x(pu, pv, m, m, b, f) for m in range(1, m_cap + 3)}
         counts_stiff[str(int(c_tilde))] = last_crossing(
             {m: error_estimate(xs[m], xs[m + 2]) for m in range(1, m_cap + 1)})
 
@@ -595,7 +589,7 @@ def _demo_convdiff(outdir, rng, size, max_m):
         pv = ArnoldiProcess(lambda x: h2 * at.matvec(x), c_s)
         pu.advance(m_cap + 2)
         pv.advance(m_cap + 2)
-        xs = {m: _general_x_public(pu, pv, m, b_s, f) for m in range(1, m_cap + 3)}
+        xs = {m: _general_x(pu, pv, m, m, b_s, f) for m in range(1, m_cap + 3)}
         ests, errs = [], []
         for m in range(1, m_cap + 1):
             ests.append(error_estimate(xs[m], xs[m + 2]))
@@ -748,6 +742,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (DomainError, OracleScaleError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except NonFiniteOperatorError as exc:
+        print(f"error: NonFiniteOperatorError: {exc}", file=sys.stderr)
         return 4
     except (MatrixMarketError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

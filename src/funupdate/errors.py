@@ -15,3 +15,16 @@ class OracleScaleError(ValueError):
     """Raised when a dense reference computation is requested beyond its
     hard size guard. The guards exist so tests cannot silently run at an
     unintended scale."""
+
+
+class NonFiniteOperatorError(ArithmeticError):
+    """Raised when a Krylov recurrence meets a non-finite coefficient: the
+    operator returned NaN or inf, or entries so large (beyond ~1e154) that
+    the vector norm overflows. ``process`` names the process class and
+    ``step`` the 1-based step, i.e. the matvec that produced it."""
+
+    def __init__(self, process, step):
+        super().__init__(f"{process} step {step}: operator output is not finite "
+                         "or overflows")
+        self.process = process
+        self.step = step

@@ -1,10 +1,12 @@
 """Orthonormal Krylov bases and compressed matrices.
 
-Lanczos serves Hermitian operators (tridiagonal compression, optional full
-reorthogonalization), Arnoldi serves general ones (Hessenberg compression,
-modified Gram-Schmidt with one reorthogonalization pass). Both are exposed
-as single-shot functions and as incrementally extensible processes so that
-callers can grow a decomposition while monitoring convergence.
+Lanczos serves Hermitian operators (tridiagonal compression), Arnoldi
+serves general ones (Hessenberg compression). Both share one basis kernel:
+a growable column-major store and classical Gram-Schmidt applied twice
+(CGS2); only plain Lanczos (``reorth="none"``) keeps its own three-term
+recurrence. Both are exposed as single-shot functions and as incrementally
+extensible processes so that callers can grow a decomposition while
+monitoring convergence.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import NonFiniteOperatorError
 
 _EPS = np.finfo(np.float64).eps
 
@@ -54,7 +58,10 @@ class KrylovDecomposition:
 
 
 class _ProcessBase:
-    def __init__(self, apply_a, b):
+    """Basis kernel of both processes. The basis is one Fortran-ordered
+    buffer that grows by doubling and promotes its dtype, never re-stacked."""
+
+    def __init__(self, apply_a, b, store_basis=True):
         self._apply = as_operator(apply_a)
         b = np.asarray(b)
         if b.ndim != 1:
@@ -65,6 +72,12 @@ class _ProcessBase:
             raise ValueError("starting vector must be nonzero and finite")
         self.breakdown = False
         self._scale = 0.0  # largest recurrence coefficient magnitude seen
+        self._u = b / self.start_norm
+        self._q = None  # (n, capacity) basis buffer when the basis is stored
+        self._size = 0  # columns of _q filled
+        if store_basis:
+            self._q = np.zeros((self.n, 0))
+            self._store(self._u)
 
     @property
     def dimension(self) -> int:
@@ -72,6 +85,50 @@ class _ProcessBase:
 
     def _breakdown_tol(self) -> float:
         return self.n * _EPS * max(self._scale, 1e-300)
+
+    def _check_finite(self, step, *coefficients) -> None:
+        # every entry of the operator output reaches the residual norm, so
+        # this O(1) check catches any NaN or inf it holds
+        if not all(np.isfinite(c).all() for c in coefficients):
+            raise NonFiniteOperatorError(type(self).__name__, step + 1)
+
+    def _reserve(self, dtype) -> None:
+        """Makes column ``_size`` of the buffer writable at ``dtype``."""
+        cap = self._q.shape[1]
+        dtype = np.result_type(self._q, dtype)
+        if self._size >= cap or dtype != self._q.dtype:
+            grown = cap if self._size < cap else max(32, 2 * cap)
+            q = np.empty((self.n, grown), dtype=dtype, order="F")
+            q[:, : self._size] = self._q[:, : self._size]
+            self._q = q
+
+    def _store(self, u) -> None:
+        self._reserve(u.dtype)
+        self._q[:, self._size] = u
+        self._size += 1
+
+    def _extend(self, step, w):
+        """Classical Gram-Schmidt applied twice (CGS2, "twice is enough":
+        Giraud, Langou and Rozloznik, 2005) of ``w`` against the basis as
+        matrix-vector products, then the breakdown test. Returns the summed
+        coefficients h = Q^* w and the residual norm beta."""
+        self._reserve(w.dtype)
+        q = self._q[:, : self._size]
+        r = self._q[:, self._size]
+        r[:] = w
+        h = 0
+        for _ in range(2):
+            c = (r.conj() @ q).conj()
+            r -= q @ c
+            h = h + c
+        beta = float(np.linalg.norm(r))
+        self._check_finite(step, h, beta)
+        self._scale = max(self._scale, float(np.abs(h).max()), beta)
+        self.breakdown = beta <= self._breakdown_tol()
+        if not self.breakdown:
+            r /= beta
+            self._size += 1
+        return h, beta
 
     def advance(self, steps: int) -> None:
         for _ in range(max(0, int(steps))):
@@ -82,65 +139,75 @@ class _ProcessBase:
     def _step(self) -> None:
         raise NotImplementedError
 
+    def basis_matrix(self, m=None) -> np.ndarray:
+        if self._q is None:
+            raise ValueError("basis was not stored")
+        return self._q[:, : self.dimension if m is None else m]
+
+    def decomposition(self, m=None) -> KrylovDecomposition:
+        m = self.dimension if m is None else m
+        if not 1 <= m <= self.dimension:
+            raise ValueError("invalid decomposition size")
+        if self._q is not None:
+            basis = self._q[:, :m]
+            next_vector = self._q[:, m] if m < self._size else None
+        else:
+            basis = np.empty((self.n, 0))
+            next_vector = self._u if m == self.dimension else None
+        broke = self.breakdown and m == self.dimension
+        return KrylovDecomposition(basis, self.compressed(m), self._next_norm(m),
+                                   next_vector, self.start_norm, broke)
+
 
 class LanczosProcess(_ProcessBase):
-    """Three-term Lanczos recurrence for a Hermitian operator.
+    """Lanczos process for a Hermitian operator.
 
-    ``reorth`` is "full" (basis stored, two orthogonalization sweeps per
-    step) or "none" (three live vectors). With ``store_basis=False`` only
-    the recurrence coefficients are retained, which is the first sweep of
-    the two-pass strategy.
+    ``reorth="full"`` is the Hermitian case of the CGS2 basis kernel, with
+    the tridiagonal read off its coefficients. ``reorth="none"`` runs the
+    three-term recurrence on three live vectors; with ``store_basis=False``
+    only its coefficients are kept, the first sweep of the two-pass strategy.
     """
 
     def __init__(self, apply_a, b, reorth="full", store_basis=True):
-        super().__init__(apply_a, b)
+        super().__init__(apply_a, b, store_basis)
         if reorth not in ("full", "none"):
             raise ValueError("reorth must be 'full' or 'none'")
         if reorth == "full" and not store_basis:
             raise ValueError("full reorthogonalization requires a stored basis")
         self.reorth = reorth
-        self._store = store_basis
         self.alphas: list[float] = []
         self.betas: list[float] = []  # betas[j] produced at step j+1
         self._u_prev = None
-        self._u = b / self.start_norm
-        self._columns = [self._u] if store_basis else None
-        self._stack = None  # cached column_stack of _columns
 
     @property
     def dimension(self) -> int:
         return len(self.alphas)
 
-    def _basis_array(self, upto) -> np.ndarray:
-        if self._stack is None or self._stack.shape[1] < upto:
-            self._stack = np.column_stack(self._columns)
-        return self._stack[:, :upto]
-
     def _step(self) -> None:
-        j = len(self.alphas)
+        j = self.dimension
+        if self.reorth == "full":
+            h, beta = self._extend(j, self._apply(self._q[:, j]))
+            self.alphas.append(float(np.real(h[j])))
+            self.betas.append(beta)
+            return
         w = self._apply(self._u)
         if j > 0:
             w = w - self.betas[j - 1] * self._u_prev
         alpha = float(np.real(np.vdot(self._u, w)))
         w = w - alpha * self._u
-        if self.reorth == "full" and j > 0:
-            basis = self._basis_array(j + 1)
-            for _ in range(2):
-                w = w - basis @ (basis.conj().T @ w)
         beta = float(np.linalg.norm(w))
+        self._check_finite(j, alpha, beta)
         self.alphas.append(alpha)
+        self.betas.append(beta)
         self._scale = max(self._scale, abs(alpha), beta)
         if beta <= self._breakdown_tol():
-            self.betas.append(beta)
             self.breakdown = True
             self._u_prev, self._u = self._u, None
             return
-        self.betas.append(beta)
         u_next = w / beta
+        if self._q is not None:
+            self._store(u_next)
         self._u_prev, self._u = self._u, u_next
-        if self._store:
-            self._columns.append(u_next)
-            self._stack = None
 
     def compressed(self, m=None) -> np.ndarray:
         m = self.dimension if m is None else m
@@ -150,96 +217,36 @@ class LanczosProcess(_ProcessBase):
             g += np.diag(off, 1) + np.diag(off, -1)
         return g
 
-    def basis_matrix(self, m=None) -> np.ndarray:
-        if not self._store:
-            raise ValueError("basis was not stored")
-        m = self.dimension if m is None else m
-        return self._basis_array(m)
-
-    def decomposition(self, m=None) -> KrylovDecomposition:
-        m = self.dimension if m is None else m
-        if not 1 <= m <= self.dimension:
-            raise ValueError("invalid decomposition size")
-        next_norm = self.betas[m - 1]
-        if self._store:
-            basis = self._basis_array(m)
-            next_vector = self._columns[m] if m < len(self._columns) else None
-        else:
-            basis = np.empty((self.n, 0))
-            next_vector = self._u if m == self.dimension else None
-        broke = self.breakdown and m == self.dimension
-        return KrylovDecomposition(basis, self.compressed(m), next_norm,
-                                   next_vector, self.start_norm, broke)
+    def _next_norm(self, m) -> float:
+        return self.betas[m - 1]
 
 
 class ArnoldiProcess(_ProcessBase):
-    """Arnoldi recurrence with modified Gram-Schmidt and one
-    reorthogonalization pass; stores the full basis."""
-
-    _GROW = 32
+    """Arnoldi process for a general operator: CGS2 against the stored
+    basis, with the summed coefficients forming the Hessenberg matrix."""
 
     def __init__(self, apply_a, b):
         super().__init__(apply_a, b)
-        self._m = 0
-        dtype = np.result_type(np.asarray(b).dtype, np.float64)
-        self._v = np.zeros((self.n, self._GROW), dtype=dtype)
-        self._h = np.zeros((self._GROW + 1, self._GROW), dtype=dtype)
-        self._v[:, 0] = np.asarray(b) / self.start_norm
+        self._hcols: list[np.ndarray] = []  # _hcols[j] = H[: j + 2, j]
 
     @property
     def dimension(self) -> int:
-        return self._m
-
-    def _ensure_capacity(self, cols, dtype):
-        grown = max(cols, self._v.shape[1])
-        dtype = np.result_type(self._v.dtype, dtype)
-        if grown > self._v.shape[1] or dtype != self._v.dtype:
-            cap = max(grown, 2 * self._v.shape[1])
-            v = np.zeros((self.n, cap), dtype=dtype)
-            v[:, : self._m + 1] = self._v[:, : self._m + 1]
-            h = np.zeros((cap + 1, cap), dtype=dtype)
-            h[: self._m + 1, : self._m] = self._h[: self._m + 1, : self._m]
-            self._v, self._h = v, h
+        return len(self._hcols)
 
     def _step(self) -> None:
-        j = self._m
-        w = self._apply(self._v[:, j])
-        self._ensure_capacity(j + 2, w.dtype)
-        w = w.astype(self._v.dtype, copy=True)
-        for i in range(j + 1):
-            hij = np.vdot(self._v[:, i], w)
-            self._h[i, j] += hij
-            w -= hij * self._v[:, i]
-        for i in range(j + 1):  # one reorthogonalization pass
-            corr = np.vdot(self._v[:, i], w)
-            self._h[i, j] += corr
-            w -= corr * self._v[:, i]
-        beta = float(np.linalg.norm(w))
-        self._h[j + 1, j] = beta
-        self._scale = max(self._scale, float(np.abs(self._h[: j + 2, j]).max()))
-        self._m = j + 1
-        if beta <= self._breakdown_tol():
-            self.breakdown = True
-            return
-        self._v[:, j + 1] = w / beta
+        j = self.dimension
+        h, beta = self._extend(j, self._apply(self._q[:, j]))
+        self._hcols.append(np.append(h, beta))
 
     def compressed(self, m=None) -> np.ndarray:
-        m = self._m if m is None else m
-        return self._h[:m, :m].copy()
+        m = self.dimension if m is None else m
+        g = np.zeros((m, m), dtype=self._q.dtype)
+        for j, col in enumerate(self._hcols[:m]):
+            g[: j + 2, j] = col[:m]
+        return g
 
-    def basis_matrix(self, m=None) -> np.ndarray:
-        m = self._m if m is None else m
-        return self._v[:, :m]
-
-    def decomposition(self, m=None) -> KrylovDecomposition:
-        m = self._m if m is None else m
-        if not 1 <= m <= self._m:
-            raise ValueError("invalid decomposition size")
-        next_norm = float(np.real(self._h[m, m - 1]))
-        broke = self.breakdown and m == self._m
-        next_vector = None if broke else self._v[:, m].copy() if m < self._v.shape[1] else None
-        return KrylovDecomposition(self._v[:, :m].copy(), self.compressed(m),
-                                   next_norm, next_vector, self.start_norm, broke)
+    def _next_norm(self, m) -> float:
+        return float(np.real(self._hcols[m - 1][m]))
 
 
 def lanczos(apply_a, b, m, reorth="full") -> KrylovDecomposition:
@@ -306,7 +313,28 @@ def lanczos_twopass(apply_a, b, m, consume) -> KrylovDecomposition:
     return decomp
 
 
-class DiagonalAccumulator:
+class _ColumnAccumulator:
+    """Two-pass consumer collecting the streamed columns against which
+    ``finish`` contracts X = ``make_x(decomposition)``."""
+
+    def __init__(self, make_x):
+        self._make_x = make_x
+        self.x = None
+        self._cols = None
+
+    def start(self, decomp: KrylovDecomposition) -> None:
+        self.x = np.asarray(self._make_x(decomp))
+        self._m = decomp.m
+        self._cols = None
+
+    def __call__(self, j, u):
+        if self._cols is None:
+            dtype = np.result_type(u.dtype, self.x.dtype)
+            self._cols = np.zeros((u.shape[0], self._m), dtype=dtype)
+        self._cols[:, j] = u
+
+
+class DiagonalAccumulator(_ColumnAccumulator):
     """Streams diag(U X U^*) out of a two-pass run.
 
     ``make_x`` receives the basis-free decomposition and returns the small
@@ -314,47 +342,17 @@ class DiagonalAccumulator:
     columns; the recurrence itself stays at three live vectors.
     """
 
-    def __init__(self, make_x):
-        self._make_x = make_x
-        self.x = None
-        self._cols = None
-        self.diagonal = None
-
-    def start(self, decomp: KrylovDecomposition) -> None:
-        self.x = np.asarray(self._make_x(decomp))
-        self._m = decomp.m
-        self._cols = None
-
-    def __call__(self, j, u):
-        if self._cols is None:
-            dtype = np.result_type(u.dtype, self.x.dtype)
-            self._cols = np.zeros((u.shape[0], self._m), dtype=dtype)
-        self._cols[:, j] = u
+    diagonal = None
 
     def finish(self) -> None:
         w = self._cols @ self.x
         self.diagonal = np.sum(w * self._cols.conj(), axis=1)
 
 
-class FullAccumulator:
+class FullAccumulator(_ColumnAccumulator):
     """Materializes U X U^* from a two-pass run; testing at small n only."""
 
-    def __init__(self, make_x):
-        self._make_x = make_x
-        self.x = None
-        self._cols = None
-        self.matrix = None
-
-    def start(self, decomp: KrylovDecomposition) -> None:
-        self.x = np.asarray(self._make_x(decomp))
-        self._m = decomp.m
-        self._cols = None
-
-    def __call__(self, j, u):
-        if self._cols is None:
-            dtype = np.result_type(u.dtype, self.x.dtype)
-            self._cols = np.zeros((u.shape[0], self._m), dtype=dtype)
-        self._cols[:, j] = u
+    matrix = None
 
     def finish(self) -> None:
         self.matrix = self._cols @ self.x @ self._cols.conj().T

@@ -95,6 +95,14 @@ class TestUpdateCommand:
                      "--output-dir", str(tmp_path / "o")])
         assert code == 4
 
+    def test_non_finite_operator_output_exits_4(self, tmp_path, capsys):
+        (tmp_path / "a.mtx").write_text(GENERAL3.replace("2 2 2.0", "2 2 nan"))
+        code = main(["update", "--matrix", str(tmp_path / "a.mtx"), "--function", "exp",
+                     "--b", "ones", "--output-dir", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "NonFiniteOperatorError" in err and "ArnoldiProcess step 1" in err
+
     def test_general_against_dense_check(self, tmp_path):
         (tmp_path / "a.mtx").write_text(GENERAL3)
         out = tmp_path / "out"

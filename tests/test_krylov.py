@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from funupdate import (DiagonalAccumulator, FullAccumulator, FunctionSpec,
-                       arnoldi, as_operator, dense_update_reference, lanczos,
-                       lanczos_twopass, spectral_norm, xm_hermitian)
-from funupdate.krylov import LanczosProcess
+                       NonFiniteOperatorError, arnoldi, as_operator,
+                       dense_update_reference, lanczos, lanczos_twopass,
+                       spectral_norm, xm_hermitian)
+from funupdate.krylov import ArnoldiProcess, LanczosProcess
 from helpers import make_hermitian, tridiag_sparse, unit
 
 
@@ -187,6 +188,120 @@ class TestTwoPass:
         dec = lanczos_twopass(lambda x: a @ x, b, 10, lambda j, u: seen.append(j))
         assert dec.breakdown
         assert len(seen) == dec.m
+
+
+def banded_operator(n, hermitian, complex_):
+    """Sparse banded operator with a log-spaced diagonal, a spectrum on
+    which Krylov bases lose orthogonality quickly without reorthogonalization."""
+    d = np.logspace(-3, 1, n)
+    c = 0.4 + 0.3j if complex_ else 0.4
+    if hermitian:
+        return lambda x: d * x + c * np.roll(x, 1) + np.conj(c) * np.roll(x, -1)
+    e = 0.2 - 0.5j if complex_ else -0.7
+    return lambda x: d * x + c * np.roll(x, 1) + e * np.roll(x, -3)
+
+
+KERNEL_CASES = [(h, c) for h in (True, False) for c in (False, True)]
+
+
+class TestBasisKernel:
+    @pytest.mark.parametrize("hermitian,complex_", KERNEL_CASES)
+    def test_orthogonality_at_scale(self, hermitian, complex_):
+        n, m = 2000, 150
+        rng = np.random.default_rng(51)
+        op = banded_operator(n, hermitian, complex_)
+        b = unit(rng, n, complex_=complex_)
+        runs = [arnoldi(op, b, m)] + ([lanczos(op, b, m)] if hermitian else [])
+        for dec in runs:
+            u = dec.basis
+            assert dec.m == m
+            assert spectral_norm(u.conj().T @ u - np.eye(m)) <= 1e-12
+            assert relation_residual(op, dec) <= 1e-10
+
+    @pytest.mark.parametrize("m", [31, 32, 33, 65])
+    def test_growth_across_capacity_boundaries(self, m):
+        rng = np.random.default_rng(52)
+        a = make_hermitian(rng, 120)
+        b = rng.standard_normal(120)
+        for run in (lambda k: lanczos(lambda x: a @ x, b, k),
+                    lambda k: arnoldi(lambda x: a @ x, b, k)):
+            dec, longer = run(m), run(70)
+            assert np.array_equal(dec.basis, longer.basis[:, :m])
+            assert np.array_equal(dec.compressed, longer.compressed[:m, :m])
+            assert np.array_equal(dec.next_vector, longer.basis[:, m])
+            assert spectral_norm(dec.basis.T @ dec.basis - np.eye(m)) <= 1e-12
+            assert relation_residual(lambda x: a @ x, dec) <= 1e-10
+
+    def test_real_start_promotes_to_complex_mid_run(self):
+        # a real tridiagonal operator with one imaginary Hermitian coupling
+        # between nodes 6 and 7: the Krylov vectors of e_1 stay real for the
+        # first six steps and turn complex after that
+        n = 40
+        a = np.diag(np.linspace(1.0, 3.0, n)).astype(complex)
+        a += np.diag(np.full(n - 1, 0.5), 1) + np.diag(np.full(n - 1, 0.5), -1)
+        a[6, 7], a[7, 6] = 0.5j, -0.5j
+        b = np.zeros(n)
+        b[0] = 1.0
+        for run in (lanczos, arnoldi):
+            dec = run(lambda x: a @ x, b, 20)
+            ref = run(lambda x: a @ x, b.astype(complex), 20)
+            u = dec.basis
+            assert np.iscomplexobj(u)
+            assert not np.any(u[:, :6].imag) and np.any(u[:, 10].imag)
+            assert spectral_norm(u.conj().T @ u - np.eye(20)) <= 1e-12
+            assert relation_residual(lambda x: a @ x, dec) <= 1e-10
+            assert spectral_norm(u - ref.basis) <= 1e-12
+            assert spectral_norm(dec.compressed - ref.compressed) <= 1e-12
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_lanczos_matches_arnoldi_on_hermitian(self, complex_):
+        rng = np.random.default_rng(53)
+        n, m = 500, 60
+        op = banded_operator(n, True, complex_)
+        b = unit(rng, n, complex_=complex_)
+        t = lanczos(op, b, m).compressed
+        h = arnoldi(op, b, m).compressed
+        for k in (-1, 0, 1):
+            assert np.max(np.abs(np.diagonal(h, k) - np.diagonal(t, k))) <= 1e-12
+        assert spectral_norm(np.triu(h, 2)) <= 1e-12
+
+
+def nan_at_matvec(k, bad=np.nan):
+    """Diagonal operator whose k-th application returns a non-finite entry."""
+    calls = [0]
+    d = np.linspace(1.0, 2.0, 50)
+
+    def apply(x):
+        calls[0] += 1
+        y = d * x
+        if calls[0] == k:
+            y[7] = bad
+        return y
+
+    return apply
+
+
+class TestNonFiniteOperator:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("make", [
+        lambda op, b: LanczosProcess(op, b, reorth="none", store_basis=False),
+        lambda op, b: LanczosProcess(op, b, reorth="full"),
+        lambda op, b: ArnoldiProcess(op, b),
+    ], ids=["lanczos-none", "lanczos-full", "arnoldi"])
+    def test_names_process_and_step(self, make, bad):
+        proc = make(nan_at_matvec(4, bad), np.ones(50))
+        with pytest.raises(NonFiniteOperatorError) as info, np.errstate(invalid="ignore"):
+            proc.advance(10)
+        assert info.value.step == 4
+        assert info.value.process == type(proc).__name__
+        assert f"{type(proc).__name__} step 4" in str(info.value)
+        assert proc.dimension == 3
+
+    def test_plain_lanczos_and_two_pass_fail_fast(self):
+        with pytest.raises(NonFiniteOperatorError):
+            lanczos(nan_at_matvec(4), np.ones(50), 10, reorth="none")
+        with pytest.raises(NonFiniteOperatorError):
+            lanczos_twopass(nan_at_matvec(4), np.ones(50), 10, lambda j, u: None)
 
 
 class TestOperatorAdapter:
