@@ -22,8 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bnd
-from .densefun import (FunctionSpec, eval_matrix_function, function_from_name,
-                       scalar_derivative, spectral_norm)
+from . import densefun
+from .densefun import (FunctionSpec, function_from_name,
+                       scalar_derivative, scalar_values, spectral_norm)
 from .errors import (DomainError, MatrixMarketError, NonFiniteOperatorError,
                      OracleScaleError)
 from .krylov import ArnoldiProcess, LanczosProcess
@@ -208,10 +209,13 @@ def read_edits_csv(path) -> list:
 
 
 def subgraph_centrality_baseline(graph: Graph) -> np.ndarray:
-    """diag(exp(A)) by a dense evaluation; guarded to the oracle scale."""
+    """diag(exp(A)) = (Q o Q) exp(lambda) from one dense symmetric
+    eigendecomposition A = Q diag(lambda) Q^T; guarded to the oracle scale."""
     if graph.n > DENSE_UPDATE_LIMIT:
         raise OracleScaleError(f"baseline restricted to n <= {DENSE_UPDATE_LIMIT}")
-    return np.diag(eval_matrix_function(graph.adjacency.to_dense(), _EXP)).copy()
+    dec = densefun.eigen_decompose(graph.adjacency.to_dense(), hermitian=True)
+    q = dec.eigenvectors
+    return (q * q) @ scalar_values(_EXP, dec.eigenvalues)
 
 
 def update_subgraph_centrality(graph: Graph, edits, opts: SolveOptions) -> dict:

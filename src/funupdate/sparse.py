@@ -346,20 +346,45 @@ class Graph:
         mask = (a.values != 0) & (rows < a.col_idx)
         return list(zip(rows[mask].tolist(), a.col_idx[mask].tolist()))
 
+    def _check_nodes(self, i, j) -> None:
+        for node in (i, j):
+            if not 0 <= node < self.n:
+                raise ValueError(f"node {node} outside 0..{self.n - 1} (n = {self.n})")
+
     def has_edge(self, i, j) -> bool:
+        self._check_nodes(i, j)
         return bool(self.adjacency.entry(i, j) == 1.0)
 
     def with_edge(self, i, j, present: bool) -> "Graph":
-        """Copy of the graph with edge (i, j) set or cleared."""
+        """Copy of the graph with edge (i, j) set or cleared.
+
+        Splices entries (i, j) and (j, i) into or out of copies of the CSR
+        arrays, so an edit costs O(nnz) copying; the source graph is left
+        untouched. A stored zero counts as absent: setting the edge stores
+        1 in its place, clearing it deletes the entry.
+        """
+        self._check_nodes(i, j)
         if i == j:
             raise ValueError("self loops are not allowed")
-        edges = set(self.edges())
-        key = (min(i, j), max(i, j))
-        if present:
-            edges.add(key)
-        else:
-            edges.discard(key)
-        return Graph.from_edges(self.n, sorted(edges))
+        a = self.adjacency
+        row_ptr, col_idx, values = a.row_ptr, a.col_idx, a.values
+        for r, c in ((i, j), (j, i)):
+            lo, hi = row_ptr[r], row_ptr[r + 1]
+            pos = lo + int(np.searchsorted(col_idx[lo:hi], c))
+            stored = pos < hi and col_idx[pos] == c
+            if present and stored:
+                if values[pos] != 1.0:
+                    values = values.copy()
+                    values[pos] = 1.0
+            elif present:
+                col_idx = np.insert(col_idx, pos, c)
+                values = np.insert(values, pos, 1.0)
+                row_ptr = np.concatenate((row_ptr[:r + 1], row_ptr[r + 1:] + 1))
+            elif stored:
+                col_idx = np.delete(col_idx, pos)
+                values = np.delete(values, pos)
+                row_ptr = np.concatenate((row_ptr[:r + 1], row_ptr[r + 1:] - 1))
+        return Graph(SparseMatrix(a.n, row_ptr, col_idx, values, symmetry_flag=True))
 
 
 # -----------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from funupdate.cli import main
+from funupdate import FunctionSpec, Graph, OracleScaleError, SparseMatrix, densefun
+from funupdate.cli import main, subgraph_centrality_baseline
+from funupdate.densefun import eval_matrix_function
 
 IDENTITY3 = """%%MatrixMarket matrix coordinate real symmetric
 3 3 3
@@ -173,6 +175,39 @@ class TestCentralityCommand:
         assert main(["centrality", "--graph", str(tmp_path / "g.mtx"),
                      "--edits", str(tmp_path / "edits.csv"),
                      "--output-dir", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("row", ["add,0,5", "remove,7,1"])
+    def test_out_of_range_node_is_input_error(self, tmp_path, capsys, row):
+        (tmp_path / "g.mtx").write_text(P3)
+        (tmp_path / "edits.csv").write_text(row + "\n")
+        assert main(["centrality", "--graph", str(tmp_path / "g.mtx"),
+                     "--edits", str(tmp_path / "edits.csv"),
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        bad = max(int(v) for v in row.split(",")[1:])
+        assert f"node {bad} " in capsys.readouterr().err
+
+
+class TestCentralityBaseline:
+    def test_matches_dense_exponential_diagonal(self):
+        rng = np.random.default_rng(7)
+        # nodes 250..299 stay isolated
+        pairs = {tuple(sorted(p)) for p in rng.integers(0, 250, size=(900, 2)) if p[0] != p[1]}
+        graph = Graph.from_edges(300, sorted(pairs))
+        ref = np.diag(eval_matrix_function(graph.adjacency.to_dense(), FunctionSpec.exp()))
+        got = subgraph_centrality_baseline(graph)
+        assert got.shape == (300,) and got.dtype == np.float64
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * ref.max())
+
+    def test_oracle_scale_guard_precedes_dense_work(self, monkeypatch):
+        graph = Graph.from_edges(2001, [(0, 1), (5, 2000), (17, 42)])
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense work before the scale guard")
+
+        monkeypatch.setattr(SparseMatrix, "to_dense", no_dense)
+        monkeypatch.setattr(densefun, "eigen_decompose", no_dense)
+        with pytest.raises(OracleScaleError):
+            subgraph_centrality_baseline(graph)
 
 
 def test_edge_op_validation():

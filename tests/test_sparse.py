@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funupdate import (Graph, MatrixMarketError, SparseMatrix, gen_convdiff1d,
                        gen_laplace2d, graph_distance, graph_distances, lanczos,
@@ -243,6 +245,74 @@ class TestGraphType:
         g3 = g2.with_edge(0, 1, False)
         assert not g3.has_edge(0, 1)
         assert sorted(g3.edges()) == [(1, 2), (2, 3)]
+
+    def test_stored_zero_counts_as_absent(self):
+        adj = SparseMatrix.from_coo(3, [0, 1, 1, 2], [1, 0, 2, 1], [0.0, 0.0, 1.0, 1.0],
+                                    symmetry_flag=True)
+        g = Graph(adj)
+        assert not g.has_edge(0, 1)
+        added = g.with_edge(1, 0, True)
+        assert added.adjacency.nnz == 4
+        assert_same_csr(added, Graph.from_edges(3, [(0, 1), (1, 2)]))
+        removed = g.with_edge(0, 1, False)
+        assert removed.adjacency.nnz == 2
+        assert_same_csr(removed, Graph.from_edges(3, [(1, 2)]))
+        np.testing.assert_array_equal(g.adjacency.values, [0.0, 0.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("i, j", [(0, 5), (7, 1), (-1, 2)])
+    def test_out_of_range_node_names_it(self, i, j):
+        g = Graph.from_edges(3, [(0, 1)])
+        bad = i if not 0 <= i < 3 else j
+        with pytest.raises(ValueError, match=rf"node {bad} .*n = 3"):
+            g.has_edge(i, j)
+        for present in (True, False):
+            with pytest.raises(ValueError, match=rf"node {bad} .*n = 3"):
+                g.with_edge(i, j, present)
+
+
+def csr_arrays(g):
+    a = g.adjacency
+    return a.row_ptr, a.col_idx, a.values
+
+
+def assert_same_csr(got, want):
+    for x, y in zip(csr_arrays(got), csr_arrays(want)):
+        np.testing.assert_array_equal(x, y)
+        assert x.dtype == y.dtype
+
+
+@st.composite
+def graphs_and_edits(draw):
+    n = draw(st.integers(2, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs)))
+    edits = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans(), st.booleans()),
+                          max_size=12))
+    return n, edges, edits
+
+
+@settings(deadline=None)
+@given(graphs_and_edits())
+def test_with_edge_matches_rebuild(case):
+    """Every splice equals the canonical rebuild from the edited edge set
+    and leaves its source graph as it was."""
+    n, edges, edits = case
+    edge_set = set(edges)
+    g = Graph.from_edges(n, sorted(edge_set))
+    for (i, j), present, flip in edits:
+        if flip:
+            i, j = j, i
+        source = [x.copy() for x in csr_arrays(g)]
+        was_present = g.has_edge(i, j)
+        edited = g.with_edge(i, j, present)
+        for x, y in zip(csr_arrays(g), source):
+            np.testing.assert_array_equal(x, y)
+        if was_present == present:
+            assert_same_csr(edited, g)
+        (edge_set.add if present else edge_set.discard)((min(i, j), max(i, j)))
+        assert_same_csr(edited, Graph.from_edges(n, sorted(edge_set)))
+        assert edited.has_edge(i, j) == present
+        g = edited
 
 
 def test_from_coo_sums_duplicates():
