@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import shutil
 import sys
 import time
 from dataclasses import dataclass
@@ -59,11 +60,31 @@ def write_rows_csv(path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+# Rows formatted per write; bounds the Python lists alive at once.
+_CSV_CHUNK_ROWS = 256
+# The dtype each numeric kind is written as; ``tolist`` of these yields
+# Python int, float and complex, whose ``repr`` is what ``_fmt`` writes.
+_CSV_DTYPES = {"b": np.int64, "i": np.int64, "u": np.uint64,
+               "f": np.float64, "c": np.complex128}
+
+
 def write_matrix_csv(path, m) -> None:
-    """Writes a dense block with one CSV column per matrix column."""
+    """Writes a dense block with one CSV column per matrix column.
+
+    The header is ``c0,...,c{k-1}`` and every line ends in CRLF. Values are
+    the shortest round-trip ``repr`` of a float, int or complex, the latter
+    as ``(a+bj)``, so the file is byte for byte what ``write_rows_csv``
+    writes for ``m.tolist()``. A 1-D vector is written as one row.
+    """
     m = np.atleast_2d(np.asarray(m))
-    header = [f"c{j}" for j in range(m.shape[1])]
-    write_rows_csv(path, header, m.tolist())
+    if m.ndim != 2 or m.dtype.kind not in _CSV_DTYPES:
+        raise ValueError(f"numeric block required, got {m.dtype} of shape {m.shape}")
+    m = m.astype(_CSV_DTYPES[m.dtype.kind], copy=False)
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        fh.write(",".join(f"c{j}" for j in range(m.shape[1])) + "\r\n")
+        for s in range(0, m.shape[0], _CSV_CHUNK_ROWS):
+            fh.write("".join(",".join(map(repr, row)) + "\r\n"
+                             for row in m[s:s + _CSV_CHUNK_ROWS].tolist()))
 
 
 def write_report(path, report: dict) -> None:
@@ -136,7 +157,10 @@ def _cmd_update(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(outdir / "U.csv", fac.U)
     write_matrix_csv(outdir / "X.csv", fac.X)
-    write_matrix_csv(outdir / "V.csv", fac.V)
+    if fac.V is fac.U:
+        shutil.copyfile(outdir / "U.csv", outdir / "V.csv")
+    else:
+        write_matrix_csv(outdir / "V.csv", fac.V)
     report = {
         "function": f.label(),
         "algorithm": algorithm,
@@ -647,8 +671,7 @@ def _demo_decay(outdir, rng, size, max_m):
     outside_max = float(np.abs(fmat[~level]).max()) if np.any(~level) else 0.0
     half = 40
     window = np.abs(fmat[k - half:k + half + 1, l - half:l + half + 1])
-    write_rows_csv(outdir / "decay_window.csv",
-                   [f"c{j}" for j in range(window.shape[1])], window.tolist())
+    write_matrix_csv(outdir / "decay_window.csv", window)
     rows = []
     for s in range(0, 61):
         mask = (dist_k[:, None] + dist_l[None, :]) == s

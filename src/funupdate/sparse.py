@@ -100,11 +100,18 @@ class SparseMatrix:
 
     def entry(self, i, j):
         """Stored value at (i, j); zero if not stored."""
+        _check_range("index", (i, j), self.n)
         lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
         pos = np.searchsorted(self.col_idx[lo:hi], j)
         if pos < hi - lo and self.col_idx[lo + pos] == j:
             return self.values[lo + pos]
         return self.values.dtype.type(0)
+
+
+def _check_range(what, indices, n) -> None:
+    for k in indices:
+        if not 0 <= k < n:
+            raise ValueError(f"{what} {k} outside 0..{n - 1} (n = {n})")
 
 
 def spmv(a: SparseMatrix, x) -> np.ndarray:
@@ -346,13 +353,8 @@ class Graph:
         mask = (a.values != 0) & (rows < a.col_idx)
         return list(zip(rows[mask].tolist(), a.col_idx[mask].tolist()))
 
-    def _check_nodes(self, i, j) -> None:
-        for node in (i, j):
-            if not 0 <= node < self.n:
-                raise ValueError(f"node {node} outside 0..{self.n - 1} (n = {self.n})")
-
     def has_edge(self, i, j) -> bool:
-        self._check_nodes(i, j)
+        _check_range("node", (i, j), self.n)
         return bool(self.adjacency.entry(i, j) == 1.0)
 
     def with_edge(self, i, j, present: bool) -> "Graph":
@@ -363,7 +365,7 @@ class Graph:
         untouched. A stored zero counts as absent: setting the edge stores
         1 in its place, clearing it deletes the entry.
         """
-        self._check_nodes(i, j)
+        _check_range("node", (i, j), self.n)
         if i == j:
             raise ValueError("self loops are not allowed")
         a = self.adjacency

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from funupdate import FunctionSpec, Graph, OracleScaleError, SparseMatrix, densefun
-from funupdate.cli import main, subgraph_centrality_baseline
+from funupdate.cli import (_CSV_CHUNK_ROWS, _fmt, main, subgraph_centrality_baseline,
+                           write_matrix_csv)
 from funupdate.densefun import eval_matrix_function
 
 IDENTITY3 = """%%MatrixMarket matrix coordinate real symmetric
@@ -129,6 +130,74 @@ class TestUpdateCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["algorithm"] == "general"
         assert report["true_error"] <= 1e-9
+
+    def test_hermitian_v_file_equals_u_file(self, tmp_path):
+        n = 8
+        lines = ["%%MatrixMarket matrix coordinate real symmetric", f"{n} {n} {2 * n - 1}"]
+        for i in range(1, n + 1):
+            lines.append(f"{i} {i} 2.0")
+            if i < n:
+                lines.append(f"{i + 1} {i} -1.0")
+        (tmp_path / "a.mtx").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = main(["update", "--matrix", str(tmp_path / "a.mtx"), "--function", "invsqrt",
+                     "--b", "randn", "--seed", "3", "--tol", "1e-10", "--output-dir", str(out)])
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["algorithm"] == "hermitian"
+        u_bytes = (out / "U.csv").read_bytes()
+        assert u_bytes.count(b"\r\n") == n + 1
+        assert (out / "V.csv").read_bytes() == u_bytes
+
+
+def reference_matrix_csv(path, m):
+    """The csv-module writer that ``write_matrix_csv`` must match byte for byte."""
+    m = np.atleast_2d(np.asarray(m))
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"c{j}" for j in range(m.shape[1])])
+        for row in m.tolist():
+            writer.writerow([_fmt(v) for v in row])
+
+
+def _special_floats():
+    return np.array([[np.nan, np.inf, -np.inf], [-0.0, 5e-324, 1e308], [0.1, 1.0, -2.5e-17]])
+
+
+def _long_block():
+    rng = np.random.default_rng(4)
+    return rng.standard_normal((2 * _CSV_CHUNK_ROWS + 7, 3)) * 10.0 ** rng.integers(-30, 30, 3)
+
+
+class TestMatrixCsvWriter:
+    @pytest.mark.parametrize("block", [
+        _special_floats(),
+        np.array([[1 + 2j, -0.0 - 1e-300j], [complex(np.nan, np.inf), 3j]]),
+        np.array([[0, -1, 2**62], [7, 8, -(2**63)]], dtype=np.int64),
+        np.linspace(-1.0, 1.0, 9),
+        np.zeros((0, 4)),
+        _long_block(),
+        _long_block().astype(np.float32),
+        _special_floats() > 0.5,
+        _special_floats().astype(np.longdouble),
+        (_special_floats() + 1j).astype(np.clongdouble),
+    ], ids=["float64-special", "complex128", "int64", "vector", "zero-rows",
+            "chunk-crossing", "float32", "bool", "longdouble", "clongdouble"])
+    def test_bytes_match_csv_module_writer(self, tmp_path, block):
+        write_matrix_csv(tmp_path / "new.csv", block)
+        reference_matrix_csv(tmp_path / "ref.csv", block)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_loadtxt_reads_float64_back_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(8)
+        block = rng.standard_normal((300, 5)) * 10.0 ** rng.integers(-300, 300, (300, 5))
+        write_matrix_csv(tmp_path / "m.csv", block)
+        back = np.loadtxt(tmp_path / "m.csv", delimiter=",", skiprows=1, ndmin=2)
+        np.testing.assert_array_equal(back.view(np.uint64), block.view(np.uint64))
+
+    @pytest.mark.parametrize("block", [np.zeros((2, 2, 2)), np.array([["a", "b"]])])
+    def test_rejects_non_matrix_input(self, tmp_path, block):
+        with pytest.raises(ValueError, match="numeric block required"):
+            write_matrix_csv(tmp_path / "m.csv", block)
 
 
 class TestCentralityCommand:

@@ -270,6 +270,14 @@ class TestGraphType:
                 g.with_edge(i, j, present)
 
 
+@pytest.mark.parametrize("i, j, bad", [(-1, 1, -1), (1, -1, -1), (3, 1, 3), (1, 3, 3)])
+def test_entry_rejects_out_of_range_index(i, j, bad):
+    a = SparseMatrix.from_coo(3, [2, 0], [1, 0], [4.0, 1.0])
+    assert a.entry(2, 1) == 4.0 and a.entry(1, 2) == 0.0
+    with pytest.raises(ValueError, match=rf"index {bad} outside 0\.\.2 \(n = 3\)"):
+        a.entry(i, j)
+
+
 def csr_arrays(g):
     a = g.adjacency
     return a.row_ptr, a.col_idx, a.values
