@@ -17,6 +17,7 @@ import json
 import shutil
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -232,52 +233,75 @@ def read_edits_csv(path) -> list:
     return edits
 
 
+def _check_baseline_scale(graph: Graph) -> None:
+    if graph.n > DENSE_UPDATE_LIMIT:
+        raise OracleScaleError(f"baseline restricted to n <= {DENSE_UPDATE_LIMIT}")
+
+
 def subgraph_centrality_baseline(graph: Graph) -> np.ndarray:
     """diag(exp(A)) = (Q o Q) exp(lambda) from one dense symmetric
     eigendecomposition A = Q diag(lambda) Q^T; guarded to the oracle scale."""
-    if graph.n > DENSE_UPDATE_LIMIT:
-        raise OracleScaleError(f"baseline restricted to n <= {DENSE_UPDATE_LIMIT}")
+    _check_baseline_scale(graph)
     dec = densefun.eigen_decompose(graph.adjacency.to_dense(), hermitian=True)
     q = dec.eigenvectors
     return (q * q) @ scalar_values(_EXP, dec.eigenvalues)
 
 
+def _fold(diag: np.ndarray, deltas: list) -> np.ndarray:
+    """diag + deltas[0] + deltas[1] + ..., summed left to right; empties deltas."""
+    for delta in deltas:
+        diag = diag + delta
+    deltas.clear()
+    return diag
+
+
 def update_subgraph_centrality(graph: Graph, edits, opts: SolveOptions) -> dict:
     """Applies edge edits to the subgraph-centrality vector.
 
-    The baseline diag(exp(A)) is computed once; every edit then contributes
-    its diagonal correction through two signed Hermitian rank-1 solves, and
-    centralities are renormalized by the updated trace.
+    The baseline diag(exp(A)) is computed once, on a worker thread while
+    the edits are solved in the calling thread (the dense eigensolver
+    releases the interpreter lock). Every edit contributes its diagonal
+    correction through two signed Hermitian rank-1 solves; corrections made
+    before the baseline is ready are held and then added in edit order, so
+    the sum is the one a sequential run forms. Centralities are
+    renormalized by the updated trace.
     """
-    diag = subgraph_centrality_baseline(graph)
-    baseline = diag.copy()
+    _check_baseline_scale(graph)
     current = graph
     records = []
     engine_seconds = 0.0
-    for op in edits:
-        if op.kind == "add" and current.has_edge(op.i, op.j):
-            raise ValueError(f"cannot add existing edge ({op.i}, {op.j})")
-        if op.kind == "remove" and not current.has_edge(op.i, op.j):
-            raise ValueError(f"cannot remove missing edge ({op.i}, {op.j})")
-        mod = edge_modification(op, current.n)
-        matvec = current.adjacency.matvec
-        t0 = time.perf_counter()
-        factors = rank_k_update(matvec, matvec, mod, _EXP, opts)
-        delta = np.zeros(current.n)
-        for fac in factors:
-            delta += extract_diagonal(fac).real
-        engine_seconds += time.perf_counter() - t0
-        diag = diag + delta
-        current = current.with_edge(op.i, op.j, op.kind == "add")
-        records.append({
-            "kind": op.kind,
-            "i": op.i,
-            "j": op.j,
-            "steps": [int(f.m) for f in factors],
-            "estimates": [float(f.estimate_history[-1][1]) if f.estimate_history else 0.0
-                          for f in factors],
-            "converged": all(f.converged for f in factors),
-        })
+    diag = None
+    held = []  # per-edit corrections waiting for the baseline
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(subgraph_centrality_baseline, graph)
+        for op in edits:
+            if op.kind == "add" and current.has_edge(op.i, op.j):
+                raise ValueError(f"cannot add existing edge ({op.i}, {op.j})")
+            if op.kind == "remove" and not current.has_edge(op.i, op.j):
+                raise ValueError(f"cannot remove missing edge ({op.i}, {op.j})")
+            mod = edge_modification(op, current.n)
+            matvec = current.adjacency.matvec
+            t0 = time.perf_counter()
+            factors = rank_k_update(matvec, matvec, mod, _EXP, opts)
+            delta = np.zeros(current.n)
+            for fac in factors:
+                delta += extract_diagonal(fac).real
+            engine_seconds += time.perf_counter() - t0
+            held.append(delta)
+            if pending.done():
+                diag = _fold(pending.result() if diag is None else diag, held)
+            current = current.with_edge(op.i, op.j, op.kind == "add")
+            records.append({
+                "kind": op.kind,
+                "i": op.i,
+                "j": op.j,
+                "steps": [int(f.m) for f in factors],
+                "estimates": [float(f.estimate_history[-1][1]) if f.estimate_history else 0.0
+                              for f in factors],
+                "converged": all(f.converged for f in factors),
+            })
+        baseline = pending.result()
+    diag = _fold(baseline.copy() if diag is None else diag, held)
     return {
         "baseline_diag": baseline,
         "diag": diag,

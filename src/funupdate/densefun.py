@@ -14,6 +14,10 @@ import numpy as np
 from .errors import DomainError
 
 _EIGVEC_COND_LIMIT = 1e8   # reject the diagonalization path beyond this
+# Diagonalization loses about cond * eps of relative accuracy. The inverse
+# square root has an iteration that does not, and switches to it once the
+# loss could exceed ~1e-10.
+_INVSQRT_COND_LIMIT = 1e6
 _HERMITIAN_RTOL = 1e-12
 
 KINDS = ("exp", "invsqrt", "inverse", "invpower", "log1p-over-z", "polynomial", "resolvent")
@@ -334,15 +338,22 @@ def _inv_sqrt_denman_beavers(m, max_iter=100, rtol=1e-14) -> np.ndarray:
     return z
 
 
-def _maybe_real(f_of_m: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Drops a negligible imaginary part when the input was real; a real
-    matrix with a real-analytic f has a real image up to rounding."""
-    if np.iscomplexobj(m) or not np.iscomplexobj(f_of_m):
+def _commutes_with_conjugation(f: FunctionSpec) -> bool:
+    """f(conj z) = conj f(z): true for every kind but a resolvent with a
+    non-real shift and a polynomial with a non-real coefficient."""
+    if f.kind == "resolvent":
+        return complex(f.shift).imag == 0
+    if f.kind == "polynomial":
+        return all(complex(c).imag == 0 for c in f.coefficients)
+    return True
+
+
+def _maybe_real(f_of_m: np.ndarray, m: np.ndarray, f: FunctionSpec) -> np.ndarray:
+    """Drops the imaginary part when M is real and f commutes with
+    conjugation: f(M) is then real, and any imaginary part is rounding."""
+    if np.iscomplexobj(m) or not np.iscomplexobj(f_of_m) or not _commutes_with_conjugation(f):
         return f_of_m
-    scale = np.linalg.norm(f_of_m, np.inf)
-    if np.linalg.norm(f_of_m.imag, np.inf) <= 1e-10 * max(scale, 1e-300):
-        return np.ascontiguousarray(f_of_m.real)
-    return f_of_m
+    return np.ascontiguousarray(f_of_m.real)
 
 
 def eval_matrix_function(m, f: FunctionSpec) -> np.ndarray:
@@ -350,10 +361,11 @@ def eval_matrix_function(m, f: FunctionSpec) -> np.ndarray:
 
     Hermitian input goes through the eigendecomposition. General input uses
     scaling-and-squaring for exp and Horner for polynomials; the remaining
-    kinds diagonalize, guarded by an eigenvector condition estimate, with a
-    Denman-Beavers fallback for the inverse square root when the guard
-    trips. Raises DomainError when the spectrum violates the domain of f or
-    no trustworthy path exists.
+    kinds diagonalize, guarded by an eigenvector condition estimate; the
+    inverse square root switches to the Denman-Beavers iteration at a
+    tighter estimate than the other kinds are rejected at. Raises
+    DomainError when the spectrum violates the domain of f or no
+    trustworthy path exists.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -366,7 +378,7 @@ def eval_matrix_function(m, f: FunctionSpec) -> np.ndarray:
         _check_spectrum(f, dec.eigenvalues)
         fw = scalar_values(f, dec.eigenvalues)
         out = (dec.eigenvectors * fw) @ dec.eigenvectors.conj().T
-        return _maybe_real(out, m)
+        return _maybe_real(out, m, f)
 
     if f.kind == "exp":
         return expm_dense(m)
@@ -379,16 +391,17 @@ def eval_matrix_function(m, f: FunctionSpec) -> np.ndarray:
         eigs = np.linalg.eigvals(m)
         _check_spectrum(f, eigs)
         shifted = f.shift * np.eye(m.shape[0], dtype=np.result_type(m, f.shift)) - m
-        return np.linalg.inv(shifted)
+        return _maybe_real(np.linalg.inv(shifted), m, f)
 
     dec = eigen_decompose(m, hermitian=False)
     _check_spectrum(f, dec.eigenvalues)
-    if dec.conditioning <= _EIGVEC_COND_LIMIT:
+    limit = _INVSQRT_COND_LIMIT if f.kind == "invsqrt" else _EIGVEC_COND_LIMIT
+    if dec.conditioning <= limit:
         fw = scalar_values(f, dec.eigenvalues)
         out = np.linalg.solve(dec.eigenvectors.T, ((dec.eigenvectors * fw).T)).T
-        return _maybe_real(out, m)
+        return _maybe_real(out, m, f)
     if f.kind == "invsqrt":
-        return _maybe_real(_inv_sqrt_denman_beavers(m), m)
+        return _maybe_real(_inv_sqrt_denman_beavers(m), m, f)
     raise DomainError(
         f"eigenvector matrix too ill-conditioned (cond ~ {dec.conditioning:.2e}) "
         f"and no fallback is available for {f.kind!r}"

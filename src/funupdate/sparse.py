@@ -322,11 +322,13 @@ class Graph:
         rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr))
         if np.any((rows == a.col_idx) & (vals != 0)):
             raise ValueError("adjacency diagonal must be zero")
-        ah = a.conjugate_transpose()
-        if not (
-            np.array_equal(a.row_ptr, ah.row_ptr)
-            and np.array_equal(a.col_idx, ah.col_idx)
-            and np.array_equal(a.values, ah.values)
+        # Stored form equals its transpose iff the entries are strictly
+        # sorted by (row, col) and the (row, col, value) keys are the sorted
+        # (col, row, value) keys: one sort instead of building A^T.
+        pos = rows * a.n + a.col_idx
+        bit = (vals != 0).astype(np.int64)
+        if np.any(np.diff(pos) <= 0) or not np.array_equal(
+            pos * 2 + bit, np.sort((a.col_idx * a.n + rows) * 2 + bit)
         ):
             raise ValueError("adjacency must be symmetric")
 

@@ -1,12 +1,15 @@
 import csv
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from funupdate import FunctionSpec, Graph, OracleScaleError, SparseMatrix, densefun
-from funupdate.cli import (_CSV_CHUNK_ROWS, _fmt, main, subgraph_centrality_baseline,
-                           write_matrix_csv)
+from funupdate import (FunctionSpec, Graph, OracleScaleError, SolveOptions, SparseMatrix, cli,
+                       densefun, gen_convdiff1d)
+from funupdate.cli import (_CSV_CHUNK_ROWS, EdgeOp, _fmt, main, subgraph_centrality_baseline,
+                           update_subgraph_centrality, write_matrix_csv)
 from funupdate.densefun import eval_matrix_function
 
 IDENTITY3 = """%%MatrixMarket matrix coordinate real symmetric
@@ -148,6 +151,33 @@ class TestUpdateCommand:
         assert u_bytes.count(b"\r\n") == n + 1
         assert (out / "V.csv").read_bytes() == u_bytes
 
+    @pytest.mark.parametrize("function", ["invsqrt", "invpower:0.5"])
+    def test_real_nonnormal_problem_writes_real_x(self, tmp_path, function):
+        """-A of a 1-D convection-diffusion operator at cell Peclet 3.9: the
+        compressed block has complex eigenvalues and eigenvector condition
+        above 1e6. f(M) of a real M is real, so X.csv holds no complex
+        values, whichever dense path evaluates it."""
+        a, _, _ = gen_convdiff1d(40, 200.0, 100.0, 19)
+        rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr)).tolist()
+        (tmp_path / "a.mtx").write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            f"{a.n} {a.n} {a.nnz}\n"
+            + "".join(f"{i + 1} {j + 1} {-v!r}\n"
+                      for i, j, v in zip(rows, a.col_idx.tolist(), a.values.tolist())))
+        rng = np.random.default_rng(0)
+        for name in ("b", "c"):
+            (tmp_path / f"{name}.txt").write_text(
+                "".join(f"{v!r}\n" for v in rng.standard_normal(a.n).tolist()))
+        out = tmp_path / "out"
+        assert main(["update", "--matrix", str(tmp_path / "a.mtx"), "--function", function,
+                     "--b", str(tmp_path / "b.txt"), "--c", str(tmp_path / "c.txt"),
+                     "--tol", "1e-8", "--max-m", "40", "--check", "--output-dir", str(out)]) == 0
+        assert "j" not in (out / "X.csv").read_text()
+        x = np.loadtxt(out / "X.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert x.shape == (40, 40) and np.all(np.isfinite(x))
+        report = json.loads((out / "report.json").read_text())
+        assert report["true_error_relative"] <= 1e-6
+
 
 def reference_matrix_csv(path, m):
     """The csv-module writer that ``write_matrix_csv`` must match byte for byte."""
@@ -277,6 +307,153 @@ class TestCentralityBaseline:
         monkeypatch.setattr(densefun, "eigen_decompose", no_dense)
         with pytest.raises(OracleScaleError):
             subgraph_centrality_baseline(graph)
+
+
+def sequential_centrality(graph, edits, opts):
+    """Reference order of work: the whole baseline first, then each edit's
+    correction added to the running diagonal."""
+    diag = subgraph_centrality_baseline(graph)
+    baseline = diag.copy()
+    current = graph
+    records = []
+    for op in edits:
+        factors = cli.rank_k_update(current.adjacency.matvec, current.adjacency.matvec,
+                                    cli.edge_modification(op, current.n), FunctionSpec.exp(),
+                                    opts)
+        delta = np.zeros(current.n)
+        for fac in factors:
+            delta += cli.extract_diagonal(fac).real
+        diag = diag + delta
+        current = current.with_edge(op.i, op.j, op.kind == "add")
+        records.append({
+            "kind": op.kind, "i": op.i, "j": op.j,
+            "steps": [int(f.m) for f in factors],
+            "estimates": [float(f.estimate_history[-1][1]) if f.estimate_history else 0.0
+                          for f in factors],
+            "converged": all(f.converged for f in factors),
+        })
+    return baseline, diag, records
+
+
+def random_graph_and_edits(n=300, count=20, seed=5):
+    """Random graph with ~4n edges and edits alternating remove and add."""
+    rng = np.random.default_rng(seed)
+    pairs = {tuple(sorted(p)) for p in rng.integers(0, n, size=(4 * n, 2)) if p[0] != p[1]}
+    graph = Graph.from_edges(n, sorted(pairs))
+    present = sorted(pairs)
+    edits = []
+    while len(edits) < count:
+        if len(edits) % 2 == 0:
+            i, j = present.pop(int(rng.integers(len(present))))
+            edits.append(EdgeOp("remove", i, j))
+        else:
+            i, j = sorted(int(v) for v in rng.integers(0, n, size=2))
+            if i != j and (i, j) not in pairs:
+                pairs.add((i, j))
+                edits.append(EdgeOp("add", i, j))
+    return graph, edits
+
+
+def write_graph_mtx(path, graph):
+    lines = [f"{j + 1} {i + 1}" for i, j in graph.edges()]
+    path.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n"
+                    f"{graph.n} {graph.n} {len(lines)}\n" + "\n".join(lines) + "\n")
+
+
+class TestCentralityOverlap:
+    """The baseline runs on a worker thread while the edits are solved."""
+
+    @pytest.mark.parametrize("release_at", [None, 1, 10, 20])
+    def test_bitwise_equal_to_sequential(self, monkeypatch, release_at):
+        """Same diagonals and records whichever edit the baseline finishes
+        during; release_at holds the baseline until that many solves ran."""
+        graph, edits = random_graph_and_edits()
+        opts = SolveOptions(tol=1e-8)
+        want_base, want_diag, want_records = sequential_centrality(graph, edits, opts)
+        start = threading.active_count()
+        if release_at is not None:
+            release, solves = threading.Event(), []
+            real_baseline, real_solve = cli.subgraph_centrality_baseline, cli.rank_k_update
+
+            def held_baseline(g):
+                assert release.wait(timeout=60)
+                return real_baseline(g)
+
+            def counted_solve(*args):
+                solves.append(1)
+                if len(solves) == release_at:
+                    release.set()
+                return real_solve(*args)
+
+            monkeypatch.setattr(cli, "subgraph_centrality_baseline", held_baseline)
+            monkeypatch.setattr(cli, "rank_k_update", counted_solve)
+        got = update_subgraph_centrality(graph, edits, opts)
+        assert threading.active_count() == start
+        for key, want in (("baseline_diag", want_base), ("diag", want_diag)):
+            assert got[key].dtype == np.float64
+            np.testing.assert_array_equal(got[key].view(np.uint64), want.view(np.uint64))
+        assert got["edits"] == want_records
+        assert got["diag"] is not got["baseline_diag"]
+
+    def test_invalid_edit_while_baseline_runs_is_input_error(self, tmp_path, monkeypatch,
+                                                             capsys):
+        graph, edits = random_graph_and_edits(n=60, count=6)
+        bad = edits[1]  # an add, repeated below once the edge exists
+        write_graph_mtx(tmp_path / "g.mtx", graph)
+        rows = [f"{op.kind},{op.i},{op.j}" for op in edits[:3]]
+        rows.insert(2, f"add,{bad.i},{bad.j}")
+        (tmp_path / "edits.csv").write_text("\n".join(rows) + "\n")
+        real_baseline = cli.subgraph_centrality_baseline
+        finished = []
+
+        def slow_baseline(g):
+            time.sleep(0.5)
+            finished.append(1)
+            return real_baseline(g)
+
+        monkeypatch.setattr(cli, "subgraph_centrality_baseline", slow_baseline)
+        start = threading.active_count()
+        assert main(["centrality", "--graph", str(tmp_path / "g.mtx"),
+                     "--edits", str(tmp_path / "edits.csv"),
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        assert threading.active_count() == start
+        assert finished  # the worker was joined, not abandoned
+        assert f"error: cannot add existing edge ({bad.i}, {bad.j})" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_scale_guard_precedes_any_solve(self, monkeypatch):
+        graph = Graph.from_edges(2001, [(0, 1), (5, 2000), (17, 42)])
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve before the scale guard")
+
+        monkeypatch.setattr(cli, "rank_k_update", no_solve)
+        monkeypatch.setattr(cli, "subgraph_centrality_baseline", no_solve)
+        start = threading.active_count()
+        with pytest.raises(OracleScaleError):
+            update_subgraph_centrality(graph, [EdgeOp("remove", 0, 1)], SolveOptions())
+        assert threading.active_count() == start
+
+    def test_baseline_failure_exits_4(self, tmp_path, monkeypatch, capsys):
+        graph, edits = random_graph_and_edits(n=60, count=4)
+        write_graph_mtx(tmp_path / "g.mtx", graph)
+        (tmp_path / "edits.csv").write_text(
+            "".join(f"{op.kind},{op.i},{op.j}\n" for op in edits))
+
+        real_decompose = densefun.eigen_decompose
+
+        def no_convergence_on_worker(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_decompose(*args, **kwargs)
+
+        monkeypatch.setattr(densefun, "eigen_decompose", no_convergence_on_worker)
+        start = threading.active_count()
+        assert main(["centrality", "--graph", str(tmp_path / "g.mtx"),
+                     "--edits", str(tmp_path / "edits.csv"),
+                     "--output-dir", str(tmp_path / "o")]) == 4
+        assert threading.active_count() == start
+        assert "error: Eigenvalues did not converge" in capsys.readouterr().err
 
 
 def test_edge_op_validation():

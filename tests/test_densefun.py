@@ -65,6 +65,22 @@ class TestEvalMatrixFunction:
         out = eval_matrix_function(m, FunctionSpec.resolvent(z))
         np.testing.assert_allclose(out @ (z * np.eye(7) - m), np.eye(7), atol=1e-12)
 
+    def test_real_input_gives_real_output_when_f_commutes_with_conjugation(self):
+        m = np.array([[2.0, -1.0, 0.3], [1.0, 2.0, 0.0], [0.0, 0.5, 3.0]])  # eigenvalues 2 +- i, 3
+        for f in (INVSQRT, FunctionSpec.scaled_log(), FunctionSpec.resolvent(1.0 + 0.0j)):
+            out = eval_matrix_function(m, f)
+            assert out.dtype == np.float64
+        out = eval_matrix_function(m, INVSQRT)
+        np.testing.assert_allclose(out @ out @ m, np.eye(3), atol=1e-12)
+
+    @pytest.mark.parametrize("f", [FunctionSpec.resolvent(2.0 + 1.0j),
+                                   FunctionSpec.polynomial([1.0, 0.5j])])
+    def test_non_real_function_keeps_complex_result(self, f):
+        rng = np.random.default_rng(12)
+        for m in (make_hermitian(rng, 5), make_general(rng, 5)):
+            out = eval_matrix_function(m, f)
+            assert np.iscomplexobj(out) and np.abs(out.imag).max() > 0.1
+
     def test_hermitian_in_hermitian_out(self):
         rng = np.random.default_rng(1)
         for f in (EXP, INVSQRT, FunctionSpec.scaled_log()):
@@ -95,6 +111,17 @@ class TestEvalMatrixFunction:
         np.testing.assert_allclose(out @ out @ a, np.eye(2), atol=1e-7)
         direct = _inv_sqrt_denman_beavers(np.diag([1.0, 4.0]))
         np.testing.assert_allclose(direct, np.diag([1.0, 0.5]), atol=1e-13)
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-7])
+    def test_invsqrt_accurate_on_nearly_defective_input(self, delta):
+        """Eigenvector condition 6/delta: diagonalizing loses about
+        cond * eps, so the iteration has to take over before 1e8."""
+        a, d, b = 2.0, 2.0 + delta, 3.0
+        sa, sd = np.sqrt(a), np.sqrt(d)
+        want = np.array([[1.0 / sa, -b / (sa * sd * (sa + sd))], [0.0, 1.0 / sd]])
+        out = eval_matrix_function(np.array([[a, b], [0.0, d]]), INVSQRT)
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-13)
 
     def test_domain_violations(self):
         with pytest.raises(DomainError):

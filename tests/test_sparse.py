@@ -1,6 +1,8 @@
+import bisect
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from funupdate import (Graph, MatrixMarketError, SparseMatrix, gen_convdiff1d,
@@ -321,6 +323,70 @@ def test_with_edge_matches_rebuild(case):
         assert_same_csr(edited, Graph.from_edges(n, sorted(edge_set)))
         assert edited.has_edge(i, j) == present
         g = edited
+
+
+def csr_of_entries(n, entries) -> SparseMatrix:
+    """CSR arrays holding (row, col, value) entries in the order given;
+    the entries must already be grouped by row."""
+    rows = np.array([e[0] for e in entries], dtype=np.int64)
+    row_ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return SparseMatrix(n, row_ptr, [e[1] for e in entries], [e[2] for e in entries])
+
+
+def transpose_symmetric(a: SparseMatrix) -> bool:
+    """The former symmetry check of ``Graph``: build A^* and compare the
+    stored arrays."""
+    ah = a.conjugate_transpose()
+    return (np.array_equal(a.row_ptr, ah.row_ptr) and np.array_equal(a.col_idx, ah.col_idx)
+            and np.array_equal(a.values, ah.values))
+
+
+@st.composite
+def zero_one_csr(draw):
+    """0/1 matrices with a zero diagonal, stored symmetric and then
+    perturbed: a value flip, a duplicate, a dropped or one-sided entry, or
+    two columns of a row swapped out of order."""
+    n = draw(st.integers(0, 5))
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    chosen = draw(st.sets(st.sampled_from(cells))) if cells else set()
+    entries = []
+    for i, j in sorted(chosen):
+        v = 0.0 if i == j else draw(st.sampled_from([0.0, 1.0]))
+        entries += [(i, j, v), (j, i, v)] if i != j else [(i, i, v)]
+    entries.sort()
+    for op in draw(st.lists(st.sampled_from(["flip", "dup", "drop", "extra", "swap"]),
+                            max_size=2)):
+        if op == "extra" and n > 1:
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            bisect.insort(entries, (i, j, draw(st.sampled_from([0.0, 1.0]))))
+        elif op != "extra" and entries:
+            k = draw(st.integers(0, len(entries) - 1))
+            i, j, v = entries[k]
+            if op == "flip" and i != j:
+                entries[k] = (i, j, 1.0 - v)
+            elif op == "dup":
+                entries.insert(k, entries[k])
+            elif op == "drop":
+                del entries[k]
+            elif op == "swap" and k + 1 < len(entries) and entries[k + 1][0] == i:
+                entries[k], entries[k + 1] = entries[k + 1], entries[k]
+    return csr_of_entries(n, entries)
+
+
+@settings(deadline=None, max_examples=300)
+@given(zero_one_csr())
+@example(csr_of_entries(0, []))
+@example(csr_of_entries(3, [(0, 1, 0.0), (1, 0, 0.0), (2, 2, 0.0)]))  # stored zeros
+@example(csr_of_entries(2, [(0, 1, 0.0), (1, 0, 1.0)]))  # stored zero against a one
+@example(csr_of_entries(2, [(0, 1, 1.0), (0, 1, 1.0), (1, 0, 1.0)]))  # duplicate
+@example(csr_of_entries(3, [(0, 2, 1.0), (0, 1, 1.0), (1, 0, 1.0), (2, 0, 1.0)]))  # unsorted
+@example(csr_of_entries(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)]))  # one-sided
+def test_symmetry_check_matches_transpose_reference(a):
+    if transpose_symmetric(a):
+        Graph(a)
+    else:
+        with pytest.raises(ValueError, match="adjacency must be symmetric"):
+            Graph(a)
 
 
 def test_from_coo_sums_duplicates():
