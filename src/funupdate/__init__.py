@@ -23,10 +23,10 @@ from .oracle import block_lemma_check, dense_update_reference, telescope_check
 from .sparse import (Graph, SparseMatrix, check_declared_symmetry, gen_convdiff1d,
                      gen_laplace2d, graph_distance, graph_distances,
                      load_matrix_market, spmv)
-from .update import (LowRankModification, SolveOptions, UpdateFactor,
-                     build_block_compression, error_estimate, extract_diagonal,
-                     general_factor, general_update, hermitian_factor,
-                     hermitian_update, rank_k_update, split_hermitian, xm_hermitian)
+from .update import (GeneralProblem, HermitianProblem, LowRankModification,
+                     SolveOptions, UpdateFactor, error_estimate, extract_diagonal,
+                     general_update, hermitian_update, rank_k_update,
+                     split_hermitian, xm_hermitian)
 
 __version__ = "0.1.0"
 

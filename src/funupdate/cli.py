@@ -19,6 +19,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +30,12 @@ from .densefun import (FunctionSpec, function_from_name,
                        scalar_derivative, scalar_values, spectral_norm)
 from .errors import (DomainError, MatrixMarketError, NonFiniteOperatorError,
                      OracleScaleError)
-from .krylov import ArnoldiProcess, LanczosProcess
 from .oracle import DENSE_UPDATE_LIMIT, dense_update_reference
 from .sparse import (Graph, SparseMatrix, gen_convdiff1d, gen_laplace2d,
                      graph_distances, load_matrix_market)
-from .update import (LowRankModification, SolveOptions, _general_x, error_estimate,
-                     extract_diagonal, general_update, hermitian_update,
-                     rank_k_update, xm_hermitian)
+from .update import (GeneralProblem, HermitianProblem, LowRankModification,
+                     SolveOptions, error_estimate, extract_diagonal, general_update,
+                     hermitian_update, rank_k_update)
 
 _EXP = FunctionSpec.exp()
 
@@ -45,6 +45,8 @@ _EXP = FunctionSpec.exp()
 
 def _fmt(v) -> str:
     if isinstance(v, str):
+        if any(ch in v for ch in ',"\r\n'):
+            raise ValueError(f"CSV field {v!r} would need quoting")
         return v
     if isinstance(v, (complex, np.complexfloating)):
         return repr(complex(v))
@@ -53,12 +55,17 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def write_rows_csv(path, header, rows) -> None:
+def _write_csv(path, header, blocks) -> None:
+    """Writes the header and the rows of each block, one write per block, as
+    ``csv.writer`` writes fields that need no quoting: comma-joined, CRLF."""
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for block in blocks:
+            fh.write("".join(",".join(row) + "\r\n" for row in block))
+
+
+def write_rows_csv(path, header, rows) -> None:
+    _write_csv(path, map(_fmt, header), [(map(_fmt, row) for row in rows)])
 
 
 # Rows formatted per write; bounds the Python lists alive at once.
@@ -81,11 +88,9 @@ def write_matrix_csv(path, m) -> None:
     if m.ndim != 2 or m.dtype.kind not in _CSV_DTYPES:
         raise ValueError(f"numeric block required, got {m.dtype} of shape {m.shape}")
     m = m.astype(_CSV_DTYPES[m.dtype.kind], copy=False)
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        fh.write(",".join(f"c{j}" for j in range(m.shape[1])) + "\r\n")
-        for s in range(0, m.shape[0], _CSV_CHUNK_ROWS):
-            fh.write("".join(",".join(map(repr, row)) + "\r\n"
-                             for row in m[s:s + _CSV_CHUNK_ROWS].tolist()))
+    _write_csv(path, (f"c{j}" for j in range(m.shape[1])),
+               ((map(repr, row) for row in m[s:s + _CSV_CHUNK_ROWS].tolist())
+                for s in range(0, m.shape[0], _CSV_CHUNK_ROWS)))
 
 
 def write_report(path, report: dict) -> None:
@@ -451,28 +456,17 @@ def _demo_reorth(outdir, rng, size, max_m):
     }
     b = rng.standard_normal(n)
     b /= np.linalg.norm(b)
-    columns = {}
-    for name, eigs in specs.items():
+    columns = []  # error curves in the order of the header
+    for eigs in specs.values():
         neg = -np.asarray(eigs)  # evaluate exp(-z) as exp on the negated operator
         ref = dense_update_reference(np.diag(neg), -b.reshape(-1, 1), b.reshape(-1, 1), _EXP)
         for reorth in ("none", "full"):
-            proc = LanczosProcess(lambda x, d=neg: d * x, b, reorth=reorth,
-                                  store_basis=True)
-            proc.advance(m_max)
-            errs = []
-            for m in range(1, proc.dimension + 1):
-                x = xm_hermitian(proc.compressed(m), 1.0, _EXP, -1)
-                u = proc.basis_matrix(m)
-                errs.append(spectral_norm(ref - u @ x @ u.T))
-            columns[f"{name}_{reorth}"] = errs
-    m_all = max(len(v) for v in columns.values())
-    rows = []
-    for m in range(m_all):
-        row = [m + 1]
-        for key in ("equispaced_none", "equispaced_full", "logspaced_none", "logspaced_full"):
-            vals = columns[key]
-            row.append(vals[m] if m < len(vals) else "NA")
-        rows.append(row)
+            prob = HermitianProblem(lambda x, d=neg: d * x, b, _EXP, sign=-1, reorth=reorth)
+            prob.grow(m_max)
+            columns.append([spectral_norm(ref - prob.factor(m).densify())
+                            for m in range(1, prob.dimension + 1)])
+    rows = [[m, *errs] for m, errs in
+            enumerate(zip_longest(*columns, fillvalue="NA"), start=1)]
     write_rows_csv(outdir / "reorth_comparison.csv",
                    ["m", "err_equispaced_plain", "err_equispaced_full",
                     "err_logspaced_plain", "err_logspaced_full"], rows)
@@ -491,19 +485,15 @@ def _demo_estimator_invsqrt(outdir, rng, size, max_m):
     c *= 0.1 / np.linalg.norm(c)
     f = FunctionSpec.inverse_sqrt()
     ref = dense_update_reference(a.to_dense(), b.reshape(-1, 1), c.reshape(-1, 1), f)
-    pu = ArnoldiProcess(a.matvec, b)
-    pv = ArnoldiProcess(a.conjugate_transpose().matvec, c)
-    pu.advance(m_cap + 3)
-    pv.advance(m_cap + 3)
-    top = min(pu.dimension, pv.dimension)
-    xs = {m: _general_x(pu, pv, m, m, b, f) for m in range(1, top + 1)}
+    prob = GeneralProblem(a.matvec, a.conjugate_transpose().matvec, b, c, f)
+    prob.grow(m_cap + 3)
     rows = []
-    for m in range(1, top - 3 + 1):
-        u = pu.basis_matrix(m)
-        v = pv.basis_matrix(m)
-        true_err = spectral_norm(ref - u @ xs[m] @ v.conj().T)
-        ests = [error_estimate(xs[m], xs[m + d]) for d in (1, 2, 3)]
-        rows.append([m, true_err] + ests)
+    ahead = [prob.factor(m) for m in (1, 2, 3)]
+    for m in range(4, prob.dimension + 1):
+        ahead.append(prob.factor(m))
+        fac = ahead.pop(0)  # the factor at m - 3; ahead holds the next three
+        true_err = spectral_norm(ref - fac.densify())
+        rows.append([fac.m, true_err] + [error_estimate(fac.X, later.X) for later in ahead])
     write_rows_csv(outdir / "estimator_invsqrt.csv",
                    ["m", "true_error", "estimate_d1", "estimate_d2", "estimate_d3"],
                    rows)
@@ -518,15 +508,13 @@ def _demo_exp_interval(outdir, rng, size, max_m):
     b = rng.standard_normal(n)
     b /= np.linalg.norm(b)
     ref = dense_update_reference(np.diag(eigs), -b.reshape(-1, 1), b.reshape(-1, 1), _EXP)
-    proc = LanczosProcess(lambda x: eigs * x, b, reorth="full")
-    proc.advance(m_max)
+    prob = HermitianProblem(lambda x: eigs * x, b, _EXP, sign=-1)
+    prob.grow(m_max)
     lo = float(min(eigs.min(), np.linalg.eigvalsh(np.diag(eigs) - np.outer(b, b)).min()))
     rho = (0.0 - lo) / 4.0
     rows = []
-    for m in range(1, proc.dimension + 1):
-        x = xm_hermitian(proc.compressed(m), 1.0, _EXP, -1)
-        u = proc.basis_matrix(m)
-        err = spectral_norm(ref - u @ x @ u.T)
+    for m in range(1, prob.dimension + 1):
+        err = spectral_norm(ref - prob.factor(m).densify())
         r = bnd.bound_exp_superlinear(0.0, rho, m, 1.0, 1.0)
         rows.append((m, err, r.value if r.applicable else "NA", r.rate))
     write_rows_csv(outdir / "exp_interval.csv", ["m", "true_error", "bound", "rate"], rows)
@@ -552,18 +540,15 @@ def _demo_exp_wedge(outdir, rng, size, max_m):
     b /= np.linalg.norm(b)
     a_dense = np.diag(eigs)
     ref = dense_update_reference(a_dense, -b.reshape(-1, 1), b.reshape(-1, 1), _EXP)
-    pu = ArnoldiProcess(lambda x: eigs * x, -b)
-    pv = ArnoldiProcess(lambda x: np.conj(eigs) * x, b)
+    prob = GeneralProblem(lambda x: eigs * x, lambda x: np.conj(eigs) * x, -b, b, _EXP)
     region = bnd.Wedge(0.0, rho + 1.0, alpha)
     m_lo = int(np.ceil(alpha * (rho + 1.0) ** (1.0 / alpha) + 4.0 / alpha - 1.0))
     m_hi = min(max_m or (m_lo + 60), n - 1)
-    pu.advance(m_hi)
-    pv.advance(m_hi)
-    top = min(pu.dimension, pv.dimension)
+    prob.grow(m_hi)
     rows = []
-    for m in range(max(1, m_lo - 10), min(m_hi, top) + 1):
-        x = _general_x(pu, pv, m, m, -b, _EXP)
-        err = _norm2_implicit(ref, pu.basis_matrix(m), x, pv.basis_matrix(m))
+    for m in range(max(1, m_lo - 10), min(m_hi, prob.dimension) + 1):
+        fac = prob.factor(m)
+        err = _norm2_implicit(ref, fac.U, fac.X, fac.V)
         r = bnd.bound_exp_wedge(region, m)
         rows.append((m, err, r.value if r.applicable else "NA", r.rate))
     write_rows_csv(outdir / "exp_wedge.csv", ["m", "true_error", "bound", "rate"], rows)
@@ -583,13 +568,11 @@ def _demo_markov_invsqrt(outdir, rng, size, max_m):
     lmax_up = float(np.linalg.eigvalsh(np.diag(eigs) + np.outer(b, b)).max())
     kappa_star = lmax_up / 0.1
     fp = abs(scalar_derivative(f, 0.1))
-    proc = LanczosProcess(lambda x: eigs * x, b, reorth="full")
-    proc.advance(m_max)
+    prob = HermitianProblem(lambda x: eigs * x, b, f)
+    prob.grow(m_max)
     rows = []
-    for m in range(1, proc.dimension + 1):
-        x = xm_hermitian(proc.compressed(m), 1.0, f, 1)
-        u = proc.basis_matrix(m)
-        err = spectral_norm(ref - u @ x @ u.T)
+    for m in range(1, prob.dimension + 1):
+        err = spectral_norm(ref - prob.factor(m).densify())
         s = np.sqrt(kappa_star)
         rows.append((m, err, bnd.bound_markov_hpd(kappa_star, fp, 1.0, m),
                      ((s - 1.0) / (s + 1.0)) ** m))
@@ -619,44 +602,34 @@ def _demo_convdiff(outdir, rng, size, max_m):
         above = [m for m, e in estimates.items() if e > 1e-6]
         return (max(above) + 1) if above else 1
 
-    columns = {}
+    columns = []  # estimate and error curves, per coefficient in turn
     counts = {}
     counts_stiff = {}
     for c_tilde in (20.0, 40.0, 60.0):
         a, b, c_vec = gen_convdiff1d(n, 10.0, c_tilde, pos)
         at = a.conjugate_transpose()
 
-        pu = ArnoldiProcess(a.matvec, b)
-        pv = ArnoldiProcess(at.matvec, c_vec)
-        pu.advance(m_cap + 2)
-        pv.advance(m_cap + 2)
-        xs = {m: _general_x(pu, pv, m, m, b, f) for m in range(1, m_cap + 3)}
+        prob = GeneralProblem(a.matvec, at.matvec, b, c_vec, f)
+        xs = {m: prob.x(m) for m in range(1, m_cap + 3)}
         counts_stiff[str(int(c_tilde))] = last_crossing(
             {m: error_estimate(xs[m], xs[m + 2]) for m in range(1, m_cap + 1)})
 
         b_s, c_s = b, h2 * c_vec
         ref = dense_update_reference(h2 * a.to_dense(), b_s.reshape(-1, 1),
                                      c_s.reshape(-1, 1), f)
-        pu = ArnoldiProcess(lambda x: h2 * a.matvec(x), b_s)
-        pv = ArnoldiProcess(lambda x: h2 * at.matvec(x), c_s)
-        pu.advance(m_cap + 2)
-        pv.advance(m_cap + 2)
-        xs = {m: _general_x(pu, pv, m, m, b_s, f) for m in range(1, m_cap + 3)}
+        prob = GeneralProblem(lambda x: h2 * a.matvec(x), lambda x: h2 * at.matvec(x),
+                              b_s, c_s, f)
         ests, errs = [], []
-        for m in range(1, m_cap + 1):
-            ests.append(error_estimate(xs[m], xs[m + 2]))
-            u = pu.basis_matrix(m)
-            v = pv.basis_matrix(m)
-            errs.append(spectral_norm(ref - u @ xs[m] @ v.T))
-        columns[c_tilde] = (ests, errs)
+        ahead = [prob.factor(m) for m in (1, 2)]
+        for m in range(3, m_cap + 3):
+            ahead.append(prob.factor(m))
+            fac = ahead.pop(0)  # the factor at m - 2; ahead holds the next two
+            ests.append(error_estimate(fac.X, ahead[-1].X))
+            errs.append(spectral_norm(ref - fac.densify()))
+        columns += [ests, errs]
         counts[str(int(c_tilde))] = last_crossing(dict(enumerate(ests, start=1)))
 
-    rows = []
-    for m in range(m_cap):
-        row = [m + 1]
-        for c_tilde in (20.0, 40.0, 60.0):
-            row += [columns[c_tilde][0][m], columns[c_tilde][1][m]]
-        rows.append(row)
+    rows = [[m, *vals] for m, vals in enumerate(zip(*columns), start=1)]
     write_rows_csv(outdir / "convdiff.csv",
                    ["m", "estimate_c20", "error_c20", "estimate_c40", "error_c40",
                     "estimate_c60", "error_c60"], rows)

@@ -128,19 +128,25 @@ def spmv(a: SparseMatrix, x) -> np.ndarray:
     return y
 
 
+def _stored_as_conjugate_transpose(a: SparseMatrix) -> bool:
+    """Whether the stored form is that of A^*: entries strictly sorted by
+    (row, col), transposed keys a permutation of the keys, and each value
+    the conjugate of its mirror's. One sort instead of building A^*."""
+    rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr))
+    keys = rows * a.n + a.col_idx
+    mirrored = a.col_idx * a.n + rows
+    perm = np.argsort(mirrored)
+    return bool(np.all(np.diff(keys) > 0) and np.array_equal(keys, mirrored[perm])
+                and np.array_equal(a.values, np.conj(a.values[perm])))
+
+
 def check_declared_symmetry(a: SparseMatrix) -> None:
     """Verifies that the stored pattern and values satisfy A = A^*.
 
     Raises ValueError on the first violation. Intended to run right after
     symmetric/Hermitian input files are expanded to full storage.
     """
-    ah = a.conjugate_transpose()
-    same = (
-        np.array_equal(a.row_ptr, ah.row_ptr)
-        and np.array_equal(a.col_idx, ah.col_idx)
-        and np.array_equal(a.values, ah.values)
-    )
-    if not same:
+    if not _stored_as_conjugate_transpose(a):
         raise ValueError("matrix marked symmetric/Hermitian but storage is not")
 
 
@@ -322,14 +328,7 @@ class Graph:
         rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr))
         if np.any((rows == a.col_idx) & (vals != 0)):
             raise ValueError("adjacency diagonal must be zero")
-        # Stored form equals its transpose iff the entries are strictly
-        # sorted by (row, col) and the (row, col, value) keys are the sorted
-        # (col, row, value) keys: one sort instead of building A^T.
-        pos = rows * a.n + a.col_idx
-        bit = (vals != 0).astype(np.int64)
-        if np.any(np.diff(pos) <= 0) or not np.array_equal(
-            pos * 2 + bit, np.sort((a.col_idx * a.n + rows) * 2 + bit)
-        ):
+        if not _stored_as_conjugate_transpose(a):
             raise ValueError("adjacency must be symmetric")
 
     @property

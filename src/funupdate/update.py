@@ -8,7 +8,7 @@ n x n correction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -109,6 +109,8 @@ def xm_hermitian(g, b_norm, f: FunctionSpec, sign=1) -> np.ndarray:
 
 
 def _assemble_block(g, h, b_norm, c_norm, vt_b) -> np.ndarray:
+    """The block compression [[G, |b||c| e1 e1^*], [0, H^* + |c| (V^* b) e1^*]],
+    whose function value carries the update coefficients in its (1,2) block."""
     p, q = g.shape[0], h.shape[0]
     vt_b = np.asarray(vt_b)
     dtype = np.result_type(g, h, vt_b, np.float64)
@@ -118,24 +120,6 @@ def _assemble_block(g, h, b_norm, c_norm, vt_b) -> np.ndarray:
     blk[p:, p] += c_norm * vt_b
     blk[0, p] += b_norm * c_norm
     return blk
-
-
-def build_block_compression(g, h, b_norm, c_norm, vt_b) -> np.ndarray:
-    """Assembles the 2m x 2m upper block-triangular compression
-
-        [ G    |b||c| e1 e1^* ]
-        [ 0    H^* + |c| (V^* b) e1^* ]
-
-    whose function value carries the update coefficients in its (1,2) block.
-    """
-    g = np.asarray(g)
-    h = np.asarray(h)
-    vt_b = np.asarray(vt_b)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or h.shape != g.shape:
-        raise ValueError("G and H must be square and of equal size")
-    if vt_b.shape != (h.shape[0],):
-        raise ValueError("V^* b must have length m")
-    return _assemble_block(g, h, float(b_norm), float(c_norm), vt_b)
 
 
 def error_estimate(x_m, x_md) -> float:
@@ -152,107 +136,111 @@ def error_estimate(x_m, x_md) -> float:
 
 
 # -----------------------------------------------------------------------------
+# Projected problems
+
+class _Problem:
+    """Krylov processes grown on demand. ``x(m)`` and ``factor(m)`` read the
+    first m vectors of each process, or all it has after a breakdown; they
+    equal a fresh problem's bit for bit, as growing never changes a prefix."""
+
+    def __init__(self, f: FunctionSpec, *processes):
+        self.f = f
+        self._processes = processes
+
+    @property
+    def dimension(self) -> int:
+        return max(p.dimension for p in self._processes)
+
+    @property
+    def exhausted(self) -> bool:
+        """Every Krylov space is invariant: the factor at ``dimension`` is exact."""
+        return all(p.breakdown for p in self._processes)
+
+    def grow(self, m) -> None:
+        for p in self._processes:
+            if p.dimension < m and not p.breakdown:
+                p.advance(m - p.dimension)
+
+    def x(self, m) -> np.ndarray:
+        if m < 1:
+            raise ValueError("m must be at least 1")
+        self.grow(m)
+        return self._x(*(min(m, p.dimension) for p in self._processes))
+
+    def factor(self, m) -> UpdateFactor:
+        """Factor on the first m vectors, converged when exact; no stopping rule is run."""
+        return self._factor(m, self.x(m), self.exhausted and m >= self.dimension, [])
+
+    def _factor(self, m, x, converged, history) -> UpdateFactor:
+        bases = [p.basis_matrix(min(m, p.dimension)).copy() for p in self._processes]
+        return UpdateFactor(bases[0], x, bases[-1], min(m, self.dimension), converged, history)
+
+
+class HermitianProblem(_Problem):
+    """f(A + sign*b b^*) - f(A) for Hermitian A on the Lanczos space of b,
+    X_m = f(T_m + sign*|b|^2 e1 e1^*) - f(T_m). The factor's V is its U."""
+
+    def __init__(self, apply_a, b, f: FunctionSpec, sign=1, reorth="full"):
+        super().__init__(f, LanczosProcess(apply_a, b, reorth=reorth))
+        self.sign = sign
+
+    def _x(self, m) -> np.ndarray:
+        (proc,) = self._processes
+        return xm_hermitian(proc.compressed(m), proc.start_norm, self.f, self.sign)
+
+
+class GeneralProblem(_Problem):
+    """f(A + b c^*) - f(A) for general A on the Arnoldi spaces of (A, b) and
+    (A^*, c): X is the (1,2) block of f of the block compression."""
+
+    def __init__(self, apply_a, apply_a_adj, b, c, f: FunctionSpec):
+        self._b = np.asarray(b)
+        super().__init__(f, ArnoldiProcess(apply_a, self._b), ArnoldiProcess(apply_a_adj, c))
+
+    def _x(self, mu, mv) -> np.ndarray:
+        pu, pv = self._processes
+        blk = _assemble_block(pu.compressed(mu), pv.compressed(mv), pu.start_norm,
+                              pv.start_norm, pv.basis_matrix(mv).conj().T @ self._b)
+        return eval_matrix_function(blk, self.f)[:mu, mu:]
+
+
+# -----------------------------------------------------------------------------
 # Iterative drivers
 
-def _general_x(pu: ArnoldiProcess, pv: ArnoldiProcess, mu, mv, b_vec, f) -> np.ndarray:
-    g = pu.compressed(mu)
-    h = pv.compressed(mv)
-    vt_b = pv.basis_matrix(mv).conj().T @ b_vec
-    blk = _assemble_block(g, h, pu.start_norm, pv.start_norm, vt_b)
-    return eval_matrix_function(blk, f)[:mu, mu:]
+def _solve(problem: _Problem, opts: SolveOptions | None) -> UpdateFactor:
+    """The stopping rule: every ``batch`` steps the lookahead estimate is
+    formed and, once it drops below ``tol``, the richer (m+d)-step factor is
+    returned. An exhausted problem is exact and converged. When ``max_m`` is
+    reached first, the best factor is returned with ``converged=False``."""
+    opts = opts or SolveOptions()
+    last = opts.max_m - opts.lookahead_d
+    history: list = []
+    for checkpoint in [*range(opts.batch, last, opts.batch), last]:
+        target = checkpoint + opts.lookahead_d
+        problem.grow(target)
+        if problem.exhausted:
+            history.append((problem.dimension, 0.0))
+            return replace(problem.factor(problem.dimension), estimate_history=history)
+        x_big = problem.x(target)
+        est = error_estimate(problem.x(checkpoint), x_big)
+        history.append((checkpoint, est))
+        if est <= opts.tol or checkpoint == last:
+            return problem._factor(target, x_big, est <= opts.tol, history)
 
 
 def hermitian_update(apply_a, b, f: FunctionSpec, sign=1, opts: SolveOptions | None = None) -> UpdateFactor:
-    """Approximates f(A + sign*b b^*) - f(A) for Hermitian A.
-
-    Lanczos with full reorthogonalization grows in batches; every ``batch``
-    steps the lookahead estimate is formed and, once it drops below ``tol``,
-    the richer (m+d)-step factor is returned. A lucky breakdown makes the
-    decomposition exact and counts as converged. When ``max_m`` is reached
-    first, the best factor is returned with ``converged=False``.
-    """
-    opts = opts or SolveOptions()
-    proc = LanczosProcess(apply_a, b, reorth="full")
-    bnorm = proc.start_norm
-    history: list = []
-    checkpoint = 0
-    while True:
-        checkpoint = min(checkpoint + opts.batch, opts.max_m - opts.lookahead_d)
-        target = checkpoint + opts.lookahead_d
-        proc.advance(target - proc.dimension)
-        if proc.dimension < target:  # breakdown: exact at the reached size
-            s = proc.dimension
-            x = xm_hermitian(proc.compressed(s), bnorm, f, sign)
-            history.append((s, 0.0))
-            u = proc.basis_matrix(s).copy()
-            return UpdateFactor(u, x, u, s, True, history)
-        x_small = xm_hermitian(proc.compressed(checkpoint), bnorm, f, sign)
-        x_big = xm_hermitian(proc.compressed(target), bnorm, f, sign)
-        est = error_estimate(x_small, x_big)
-        history.append((checkpoint, est))
-        if est <= opts.tol or checkpoint >= opts.max_m - opts.lookahead_d:
-            u = proc.basis_matrix(target).copy()
-            return UpdateFactor(u, x_big, u, target, est <= opts.tol, history)
+    """Approximates f(A + sign*b b^*) - f(A) for Hermitian A by Lanczos with
+    full reorthogonalization, stopped by the lookahead rule (``SolveOptions``)."""
+    return _solve(HermitianProblem(apply_a, b, f, sign), opts)
 
 
 def general_update(apply_a, apply_a_adj, b, c, f: FunctionSpec,
                    opts: SolveOptions | None = None) -> UpdateFactor:
-    """Approximates f(A + b c^*) - f(A) for general A.
-
-    Two Arnoldi processes (with A and with A^*) grow in lockstep; the
-    coefficient matrix is the (1,2) block of f applied to the block
-    compression. Breakdown freezes the exhausted side at its exact size
-    while the other keeps growing; when both sides are exhausted the
-    approximation is exact.
-    """
-    opts = opts or SolveOptions()
-    b = np.asarray(b)
-    pu = ArnoldiProcess(apply_a, b)
-    pv = ArnoldiProcess(apply_a_adj, c)
-    history: list = []
-    checkpoint = 0
-    while True:
-        checkpoint = min(checkpoint + opts.batch, opts.max_m - opts.lookahead_d)
-        target = checkpoint + opts.lookahead_d
-        pu.advance(target - pu.dimension)
-        pv.advance(target - pv.dimension)
-        mu, mv = pu.dimension, pv.dimension
-        x_big = _general_x(pu, pv, mu, mv, b, f)
-        if pu.breakdown and pv.breakdown:
-            history.append((max(mu, mv), 0.0))
-            return UpdateFactor(pu.basis_matrix(mu).copy(), x_big,
-                                pv.basis_matrix(mv).copy(), max(mu, mv), True, history)
-        x_small = _general_x(pu, pv, min(mu, checkpoint), min(mv, checkpoint), b, f)
-        est = error_estimate(x_small, x_big)
-        history.append((checkpoint, est))
-        if est <= opts.tol or checkpoint >= opts.max_m - opts.lookahead_d:
-            return UpdateFactor(pu.basis_matrix(mu).copy(), x_big,
-                                pv.basis_matrix(mv).copy(), max(mu, mv),
-                                est <= opts.tol, history)
-
-
-def hermitian_factor(apply_a, b, m, f: FunctionSpec, sign=1, reorth="full") -> UpdateFactor:
-    """Fixed-size Hermitian factor after exactly m steps (fewer on breakdown);
-    no stopping rule is run."""
-    proc = LanczosProcess(apply_a, b, reorth=reorth)
-    proc.advance(m)
-    s = proc.dimension
-    x = xm_hermitian(proc.compressed(s), proc.start_norm, f, sign)
-    u = proc.basis_matrix(s).copy()
-    return UpdateFactor(u, x, u, s, proc.breakdown, [])
-
-
-def general_factor(apply_a, apply_a_adj, b, c, m, f: FunctionSpec) -> UpdateFactor:
-    """Fixed-size general factor after exactly m steps per side."""
-    b = np.asarray(b)
-    pu = ArnoldiProcess(apply_a, b)
-    pu.advance(m)
-    pv = ArnoldiProcess(apply_a_adj, c)
-    pv.advance(m)
-    x = _general_x(pu, pv, pu.dimension, pv.dimension, b, f)
-    return UpdateFactor(pu.basis_matrix().copy(), x, pv.basis_matrix().copy(),
-                        max(pu.dimension, pv.dimension),
-                        pu.breakdown and pv.breakdown, [])
+    """Approximates f(A + b c^*) - f(A) for general A by two Arnoldi
+    processes (with A and with A^*) in lockstep, stopped as in
+    ``hermitian_update``. Breakdown freezes the exhausted side at its exact
+    size while the other keeps growing."""
+    return _solve(GeneralProblem(apply_a, apply_a_adj, b, c, f), opts)
 
 
 # -----------------------------------------------------------------------------

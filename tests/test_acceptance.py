@@ -10,17 +10,16 @@ import time
 import numpy as np
 import pytest
 
-from funupdate import (FunctionSpec, Graph, SolveOptions, SparseMatrix,
-                       bound_exp_superlinear, build_block_compression,
+from funupdate import (FunctionSpec, GeneralProblem, Graph, HermitianProblem,
+                       SolveOptions, SparseMatrix, bound_exp_superlinear,
                        decay_params_from_matrix, dense_update_reference,
                        block_lemma_check, error_estimate, extract_diagonal,
-                       gen_convdiff1d, gen_laplace2d, general_factor,
-                       general_update, graph_distances, hermitian_factor,
-                       rank_k_update, scalar_derivative, spectral_norm,
-                       telescope_check, xm_hermitian)
+                       gen_convdiff1d, gen_laplace2d, general_update,
+                       graph_distances, rank_k_update, scalar_derivative,
+                       spectral_norm, telescope_check, xm_hermitian)
 from funupdate.cli import EdgeOp, edge_modification
 from funupdate.densefun import eval_matrix_function
-from funupdate.krylov import ArnoldiProcess, LanczosProcess
+from funupdate.krylov import LanczosProcess
 from helpers import make_general, make_hermitian, make_spd, tridiag_sparse, unit
 
 EXP = FunctionSpec.exp()
@@ -42,7 +41,7 @@ def test_01_polynomial_exactness():
     b, c = unit(rng, n), unit(rng, n)
     for j in range(m + 1):
         p = FunctionSpec.polynomial([0.0] * j + [1.0])
-        fac = general_factor(lambda x: a @ x, lambda x: at @ x, b, c, m, p)
+        fac = GeneralProblem(lambda x: a @ x, lambda x: at @ x, b, c, p).factor(m)
         modified = np.linalg.matrix_power(a + np.outer(b, c.conj()), j)
         base = np.linalg.matrix_power(a, j)
         residual = spectral_norm(modified - base - fac.densify())
@@ -56,8 +55,8 @@ def test_02_hermitian_general_consistency():
     n, m = 80, 12
     a = make_hermitian(rng, n, scale=2.0)
     b = unit(rng, n)
-    herm = hermitian_factor(lambda x: a @ x, b, m, EXP)
-    gen = general_factor(lambda x: a @ x, lambda x: a @ x, b, b, m, EXP)
+    herm = HermitianProblem(lambda x: a @ x, b, EXP).factor(m)
+    gen = GeneralProblem(lambda x: a @ x, lambda x: a @ x, b, b, EXP).factor(m)
     assert spectral_norm(herm.densify() - gen.densify()) <= 1e-10
     _report(2, "hermitian/general consistency", started, 5.0)
 
@@ -94,23 +93,11 @@ def test_04_estimator_tracking_laplacian():
     ref = dense_update_reference(a.to_dense(), b.reshape(-1, 1), c.reshape(-1, 1), INVSQRT)
     # the processes are deterministic, so rebuilding reproduces the engine's
     # iterates exactly and lets us measure the true error at each checkpoint
-    pu = ArnoldiProcess(a.matvec, b)
-    pv = ArnoldiProcess(a.conjugate_transpose().matvec, c)
-    top = fac.estimate_history[-1][0] + opts.lookahead_d
-    pu.advance(top)
-    pv.advance(top)
-
-    def coefficients(m):
-        blk = build_block_compression(pu.compressed(m), pv.compressed(m),
-                                      pu.start_norm, pv.start_norm,
-                                      pv.basis_matrix(m).conj().T @ b)
-        return eval_matrix_function(blk, INVSQRT)[:m, m:]
-
+    prob = GeneralProblem(a.matvec, a.conjugate_transpose().matvec, b, c, INVSQRT)
     for m, estimate in fac.estimate_history:
         if m <= 5:
             continue
-        x = coefficients(m)
-        true_err = spectral_norm(ref - pu.basis_matrix(m) @ x @ pv.basis_matrix(m).conj().T)
+        true_err = spectral_norm(ref - prob.factor(m).densify())
         assert estimate <= 100.0 * true_err
         assert estimate >= true_err / 100.0
     final_err = spectral_norm(ref - fac.densify())
@@ -173,18 +160,8 @@ def _convdiff_count(apply_a, apply_a_adj, b, c, m_max=80):
     """First step count after which the lookahead estimate stays at or
     below 1e-6; read off the full estimate curve so that an early spurious
     dip during stagnation cannot shorten the count."""
-    pu = ArnoldiProcess(apply_a, b)
-    pv = ArnoldiProcess(apply_a_adj, c)
-    pu.advance(m_max + 2)
-    pv.advance(m_max + 2)
-
-    def coefficients(m):
-        blk = build_block_compression(pu.compressed(m), pv.compressed(m),
-                                      pu.start_norm, pv.start_norm,
-                                      pv.basis_matrix(m).conj().T @ b)
-        return eval_matrix_function(blk, EXP)[:m, m:]
-
-    xs = {m: coefficients(m) for m in range(1, m_max + 3)}
+    prob = GeneralProblem(apply_a, apply_a_adj, b, c, EXP)
+    xs = {m: prob.x(m) for m in range(1, m_max + 3)}
     estimates = {m: error_estimate(xs[m], xs[m + 2]) for m in range(1, m_max + 1)}
     above = [m for m, e in estimates.items() if e > 1e-6]
     return (max(above) + 1) if above else 1

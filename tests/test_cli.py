@@ -9,7 +9,7 @@ import pytest
 from funupdate import (FunctionSpec, Graph, OracleScaleError, SolveOptions, SparseMatrix, cli,
                        densefun, gen_convdiff1d)
 from funupdate.cli import (_CSV_CHUNK_ROWS, EdgeOp, _fmt, main, subgraph_centrality_baseline,
-                           update_subgraph_centrality, write_matrix_csv)
+                           update_subgraph_centrality, write_matrix_csv, write_rows_csv)
 from funupdate.densefun import eval_matrix_function
 
 IDENTITY3 = """%%MatrixMarket matrix coordinate real symmetric
@@ -228,6 +228,25 @@ class TestMatrixCsvWriter:
     def test_rejects_non_matrix_input(self, tmp_path, block):
         with pytest.raises(ValueError, match="numeric block required"):
             write_matrix_csv(tmp_path / "m.csv", block)
+
+
+class TestRowsCsvWriter:
+    def test_bytes_match_csv_module_writer(self, tmp_path):
+        header = ["kind", "i", "value", "z"]
+        rows = [("add", 3, 0.1, 1 + 2j), ("NA", np.int64(-7), np.float32(2.5), np.complex64(-1j)),
+                ("remove", 0, -0.0, complex(np.nan, np.inf)), (True, 2**70, 1e-300, "x")]
+        write_rows_csv(tmp_path / "new.csv", header, rows)
+        with open(tmp_path / "ref.csv", "w", newline="", encoding="ascii") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("field", ["a,b", 'say "x"', "two\nlines"])
+    def test_rejects_field_that_needs_quoting(self, tmp_path, field):
+        with pytest.raises(ValueError, match="would need quoting"):
+            write_rows_csv(tmp_path / "r.csv", ["h"], [(field,)])
 
 
 class TestCentralityCommand:

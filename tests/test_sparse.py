@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from funupdate import (Graph, MatrixMarketError, SparseMatrix, gen_convdiff1d,
-                       gen_laplace2d, graph_distance, graph_distances, lanczos,
-                       load_matrix_market, spmv)
+from funupdate import (Graph, MatrixMarketError, SparseMatrix, check_declared_symmetry,
+                       gen_convdiff1d, gen_laplace2d, graph_distance, graph_distances,
+                       lanczos, load_matrix_market, spmv)
 from helpers import random_sparse, tridiag_sparse
 
 
@@ -334,36 +334,46 @@ def csr_of_entries(n, entries) -> SparseMatrix:
 
 
 def transpose_symmetric(a: SparseMatrix) -> bool:
-    """The former symmetry check of ``Graph``: build A^* and compare the
-    stored arrays."""
+    """The former symmetry check of ``Graph`` and ``check_declared_symmetry``:
+    build A^* and compare the stored arrays."""
     ah = a.conjugate_transpose()
     return (np.array_equal(a.row_ptr, ah.row_ptr) and np.array_equal(a.col_idx, ah.col_idx)
             and np.array_equal(a.values, ah.values))
 
 
+# Values of each kind of stored-Hermitian matrix; only real ones go on the
+# diagonal, and 0/1 matrices keep a zero diagonal.
+_KIND_VALUES = {"zero-one": [0.0, 1.0], "real": [0.0, 1.0, -2.5],
+                "complex": [0.0, 1.0, -2.5, 1.0 + 2.0j, -0.5j]}
+
+
 @st.composite
-def zero_one_csr(draw):
-    """0/1 matrices with a zero diagonal, stored symmetric and then
-    perturbed: a value flip, a duplicate, a dropped or one-sided entry, or
-    two columns of a row swapped out of order."""
+def hermitian_csr(draw):
+    """0/1, real or complex matrices stored Hermitian and then perturbed: a
+    value changed (for complex values possibly to its conjugate), a
+    duplicate, a dropped or one-sided entry, or two columns of a row
+    swapped out of order."""
+    values = _KIND_VALUES[draw(st.sampled_from(sorted(_KIND_VALUES)))]
+    diagonal = [0.0] if values == _KIND_VALUES["zero-one"] else [v for v in values if v == v.real]
     n = draw(st.integers(0, 5))
     cells = [(i, j) for i in range(n) for j in range(i, n)]
     chosen = draw(st.sets(st.sampled_from(cells))) if cells else set()
     entries = []
     for i, j in sorted(chosen):
-        v = 0.0 if i == j else draw(st.sampled_from([0.0, 1.0]))
-        entries += [(i, j, v), (j, i, v)] if i != j else [(i, i, v)]
-    entries.sort()
+        v = draw(st.sampled_from(diagonal if i == j else values))
+        entries += [(i, j, v), (j, i, np.conj(v))] if i != j else [(i, i, v)]
+    entries.sort(key=lambda e: e[:2])
     for op in draw(st.lists(st.sampled_from(["flip", "dup", "drop", "extra", "swap"]),
                             max_size=2)):
         if op == "extra" and n > 1:
             i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-            bisect.insort(entries, (i, j, draw(st.sampled_from([0.0, 1.0]))))
+            bisect.insort(entries, (i, j, draw(st.sampled_from(values))), key=lambda e: e[:2])
         elif op != "extra" and entries:
             k = draw(st.integers(0, len(entries) - 1))
             i, j, v = entries[k]
-            if op == "flip" and i != j:
-                entries[k] = (i, j, 1.0 - v)
+            others = [w for w in values + [np.conj(v)] if w != v]
+            if op == "flip" and (i != j or len(diagonal) > 1):
+                entries[k] = (i, j, draw(st.sampled_from(others)))
             elif op == "dup":
                 entries.insert(k, entries[k])
             elif op == "drop":
@@ -373,16 +383,34 @@ def zero_one_csr(draw):
     return csr_of_entries(n, entries)
 
 
+def is_adjacency_apart_from_symmetry(a: SparseMatrix) -> bool:
+    rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr))
+    return (not np.iscomplexobj(a.values) and bool(np.all((a.values == 0) | (a.values == 1)))
+            and not np.any((rows == a.col_idx) & (a.values != 0)))
+
+
 @settings(deadline=None, max_examples=300)
-@given(zero_one_csr())
+@given(hermitian_csr())
 @example(csr_of_entries(0, []))
 @example(csr_of_entries(3, [(0, 1, 0.0), (1, 0, 0.0), (2, 2, 0.0)]))  # stored zeros
 @example(csr_of_entries(2, [(0, 1, 0.0), (1, 0, 1.0)]))  # stored zero against a one
 @example(csr_of_entries(2, [(0, 1, 1.0), (0, 1, 1.0), (1, 0, 1.0)]))  # duplicate
 @example(csr_of_entries(3, [(0, 2, 1.0), (0, 1, 1.0), (1, 0, 1.0), (2, 0, 1.0)]))  # unsorted
 @example(csr_of_entries(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)]))  # one-sided
+@example(csr_of_entries(2, [(0, 1, 1 + 2j), (1, 0, 1 - 2j)]))  # Hermitian
+@example(csr_of_entries(2, [(0, 1, 1 + 2j), (1, 0, 1 + 2j)]))  # complex symmetric
+@example(csr_of_entries(1, [(0, 0, 1j)]))  # non-real diagonal
+@example(csr_of_entries(2, [(0, 0, -2.5), (0, 1, -2.5), (1, 0, -2.5)]))  # real symmetric
 def test_symmetry_check_matches_transpose_reference(a):
-    if transpose_symmetric(a):
+    symmetric = transpose_symmetric(a)
+    if symmetric:
+        check_declared_symmetry(a)
+    else:
+        with pytest.raises(ValueError, match="marked symmetric/Hermitian but storage is not"):
+            check_declared_symmetry(a)
+    if not is_adjacency_apart_from_symmetry(a):
+        return
+    if symmetric:
         Graph(a)
     else:
         with pytest.raises(ValueError, match="adjacency must be symmetric"):

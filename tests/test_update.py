@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from funupdate import (FunctionSpec, LowRankModification, SolveOptions,
-                       build_block_compression, dense_update_reference,
+from funupdate import (FunctionSpec, GeneralProblem, HermitianProblem,
+                       LowRankModification, SolveOptions, dense_update_reference,
                        error_estimate, extract_diagonal, gen_laplace2d,
-                       general_factor, general_update, hermitian_factor,
-                       hermitian_update, rank_k_update, spectral_norm,
-                       split_hermitian, xm_hermitian)
+                       general_update, hermitian_update, rank_k_update,
+                       spectral_norm, split_hermitian, xm_hermitian)
 from funupdate.krylov import ArnoldiProcess
 from funupdate.densefun import eval_matrix_function
+from funupdate.update import _assemble_block
 from helpers import make_general, make_hermitian, make_spd, unit
 
 EXP = FunctionSpec.exp()
@@ -46,14 +48,14 @@ class TestBlockCompression:
     def test_scalar_blocks(self):
         g = np.array([[2.0]])
         h = np.array([[3.0 + 1.0j]])
-        blk = build_block_compression(g, h, 1.5, 2.0, np.array([0.25]))
+        blk = _assemble_block(g, h, 1.5, 2.0, np.array([0.25]))
         np.testing.assert_allclose(blk, [[2.0, 3.0], [0.0, 3.0 - 1.0j + 0.5]])
 
     def test_orthogonal_start_leaves_pure_adjoint_block(self):
         rng = np.random.default_rng(3)
         g = make_general(rng, 4)
         h = make_general(rng, 4)
-        blk = build_block_compression(g, h, 1.0, 1.0, np.zeros(4))
+        blk = _assemble_block(g, h, 1.0, 1.0, np.zeros(4))
         np.testing.assert_allclose(blk[4:, 4:], h.conj().T)
         assert blk[0, 4] == 1.0
 
@@ -69,18 +71,12 @@ class TestBlockCompression:
         pu.advance(m)
         g = pu.compressed(m)
         vtb = pu.basis_matrix(m).conj().T @ b
-        blk = build_block_compression(g, g.conj().T, np.linalg.norm(b), np.linalg.norm(b), vtb)
+        blk = _assemble_block(g, g.conj().T, np.linalg.norm(b), np.linalg.norm(b), vtb)
         bumped = g + np.linalg.norm(b) ** 2 * np.outer(np.eye(m)[0], np.eye(m)[0])
         np.testing.assert_allclose(blk[m:, m:], bumped, atol=1e-12)
         f_blk = eval_matrix_function(blk, EXP)[:m, m:]
         diff = xm_hermitian(g, np.linalg.norm(b), EXP, 1)
         assert spectral_norm(f_blk - diff) <= 1e-10
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            build_block_compression(np.eye(2), np.eye(3), 1.0, 1.0, np.zeros(3))
-        with pytest.raises(ValueError):
-            build_block_compression(np.eye(2), np.eye(2), 1.0, 1.0, np.zeros(3))
 
 
 class TestErrorEstimate:
@@ -99,8 +95,8 @@ class TestErrorEstimate:
         at = a.conj().T
         b, c = unit(rng, 40), unit(rng, 40)
         m, d = 6, 2
-        small = general_factor(lambda x: a @ x, lambda x: at @ x, b, c, m, EXP)
-        big = general_factor(lambda x: a @ x, lambda x: at @ x, b, c, m + d, EXP)
+        small = GeneralProblem(lambda x: a @ x, lambda x: at @ x, b, c, EXP).factor(m)
+        big = GeneralProblem(lambda x: a @ x, lambda x: at @ x, b, c, EXP).factor(m + d)
         est = error_estimate(small.X, big.X)
         dense = spectral_norm(big.densify() - small.densify())
         assert est == pytest.approx(dense, abs=1e-12)
@@ -190,8 +186,8 @@ class TestGeneralUpdate:
         a = make_hermitian(rng, n, scale=2.0)
         b = unit(rng, n)
         m = 12
-        herm = hermitian_factor(lambda x: a @ x, b, m, EXP)
-        gen = general_factor(lambda x: a @ x, lambda x: a @ x, b, b, m, EXP)
+        herm = HermitianProblem(lambda x: a @ x, b, EXP).factor(m)
+        gen = GeneralProblem(lambda x: a @ x, lambda x: a @ x, b, b, EXP).factor(m)
         assert spectral_norm(herm.densify() - gen.densify()) <= 1e-10
 
     def test_polynomial_exactness(self):
@@ -202,7 +198,7 @@ class TestGeneralUpdate:
         at = a.conj().T
         for j in range(m + 1):
             p = FunctionSpec.polynomial([0.0] * j + [1.0])
-            fac = general_factor(lambda x: a @ x, lambda x: at @ x, b, c, m, p)
+            fac = GeneralProblem(lambda x: a @ x, lambda x: at @ x, b, c, p).factor(m)
             mod = np.linalg.matrix_power(a + np.outer(b, c.conj()), j)
             base = np.linalg.matrix_power(a, j)
             err = spectral_norm(mod - base - fac.densify())
@@ -215,7 +211,7 @@ class TestGeneralUpdate:
         b = unit(rng, n)
         for j in range(m + 1):
             p = FunctionSpec.polynomial([0.0] * j + [1.0])
-            fac = hermitian_factor(lambda x: a @ x, b, m, p)
+            fac = HermitianProblem(lambda x: a @ x, b, p).factor(m)
             assert spectral_norm(fac.U.conj().T @ fac.U - np.eye(m)) <= 1e-12
             mod = np.linalg.matrix_power(a + np.outer(b, b), j)
             base = np.linalg.matrix_power(a, j)
@@ -227,7 +223,7 @@ class TestGeneralUpdate:
         a = make_general(rng, 20)
         b = 1.3 * unit(rng, 20)
         c = 0.7 * unit(rng, 20)
-        fac = general_factor(lambda x: a @ x, lambda x: a.conj().T @ x, b, c, 1, IDENT)
+        fac = GeneralProblem(lambda x: a @ x, lambda x: a.conj().T @ x, b, c, IDENT).factor(1)
         np.testing.assert_allclose(fac.X, [[np.linalg.norm(b) * np.linalg.norm(c)]], rtol=1e-13)
 
     def test_one_sided_breakdown_freezes_exact_side(self):
@@ -256,23 +252,12 @@ class TestGeneralUpdate:
         b = 0.1 * unit(rng, n)
         c = 0.1 * unit(rng, n)
         ref = dense_update_reference(a.to_dense(), b.reshape(-1, 1), c.reshape(-1, 1), INVSQRT)
-        pu = ArnoldiProcess(a.matvec, b)
-        pv = ArnoldiProcess(a.conjugate_transpose().matvec, c)
-        top = 53
-        pu.advance(top)
-        pv.advance(top)
-
-        def coeff(m):
-            g = pu.compressed(m)
-            h = pv.compressed(m)
-            vtb = pv.basis_matrix(m).conj().T @ b
-            blk = build_block_compression(g, h, pu.start_norm, pv.start_norm, vtb)
-            return eval_matrix_function(blk, INVSQRT)[:m, m:]
-
-        xs = {m: coeff(m) for m in set(range(6, 51, 4)) | set(range(7, 54))}
+        prob = GeneralProblem(a.matvec, a.conjugate_transpose().matvec, b, c, INVSQRT)
+        prob.grow(53)
+        xs = {m: prob.x(m) for m in set(range(6, 51, 4)) | set(range(7, 54))}
         checked = 0
         for m in range(6, 51, 4):
-            true_err = spectral_norm(ref - pu.basis_matrix(m) @ xs[m] @ pv.basis_matrix(m).conj().T)
+            true_err = spectral_norm(ref - prob.factor(m).densify())
             if true_err < 1e-11:
                 break
             for d in (1, 2, 3):
@@ -281,6 +266,61 @@ class TestGeneralUpdate:
                 assert est >= true_err / 100.0
                 checked += 1
         assert checked >= 12
+
+
+class TestProjectedProblems:
+    @pytest.mark.parametrize("driver", ["hermitian", "general"])
+    def test_exhausted_exactly_at_checkpoint_target(self, driver):
+        # the Krylov space has dimension 7 = batch 5 + lookahead 2, so it is
+        # exhausted at the first checkpoint target
+        a = np.diag(np.arange(1.0, 8.0))
+        b = np.ones(7) / 3.0
+        if driver == "hermitian":
+            fac = hermitian_update(lambda x: a @ x, b, EXP)
+        else:
+            fac = general_update(lambda x: a @ x, lambda x: a @ x, b, b, EXP)
+        assert fac.converged and fac.m == 7
+        assert fac.estimate_history == [(7, 0.0)]
+        ref = dense_update_reference(a, b.reshape(-1, 1), b.reshape(-1, 1), EXP)
+        assert spectral_norm(ref - fac.densify()) <= 1e-11
+
+
+def _problem_maker(kind, n, k, seed, complex_):
+    """A problem whose b lies in a k-dimensional invariant subspace of A;
+    for the general kind c lies in one of A^* of dimension n - k when k < n."""
+    rng = np.random.default_rng(seed)
+    b = np.zeros(n, dtype=complex if complex_ else float)
+    b[:k] = unit(rng, k, complex_)
+    if kind == "general":
+        a = make_general(rng, n, complex_=complex_)
+        a[k:, :k] = 0.0
+        c = unit(rng, n, complex_)
+        if k < n:
+            c[:k] = 0.0
+        return lambda: GeneralProblem(lambda x: a @ x, lambda x: a.conj().T @ x, b, c, EXP)
+    a = make_hermitian(rng, n, complex_=complex_)
+    a[k:, :k] = 0.0
+    a[:k, k:] = 0.0
+    return lambda: HermitianProblem(lambda x: a @ x, b, EXP, reorth=kind)
+
+
+@settings(deadline=None, max_examples=150)
+@given(kind=st.sampled_from(["full", "none", "general"]), n=st.integers(2, 10),
+       k=st.integers(1, 10), m=st.integers(1, 12), extra=st.integers(0, 4),
+       seed=st.integers(0, 2**16), complex_=st.booleans())
+@example(kind="full", n=6, k=2, m=4, extra=3, seed=0, complex_=False)  # breakdown before m
+@example(kind="none", n=6, k=3, m=5, extra=2, seed=1, complex_=True)
+@example(kind="general", n=6, k=2, m=4, extra=3, seed=2, complex_=False)
+def test_factor_after_growth_equals_fresh_factor(kind, n, k, m, extra, seed, complex_):
+    make = _problem_maker(kind, n, min(k, n), seed, complex_)
+    grown = make()
+    grown.grow(m + extra)
+    got = grown.factor(m)
+    want = make().factor(m)
+    for name in ("U", "X", "V"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+    assert (got.m, got.converged) == (want.m, want.converged)
 
 
 class TestRankK:
@@ -384,7 +424,7 @@ class TestExtractDiagonal:
     def test_identity_coefficients_give_row_norms(self):
         rng = np.random.default_rng(23)
         a = make_hermitian(rng, 30)
-        fac = hermitian_factor(lambda x: a @ x, unit(rng, 30), 6, EXP)
+        fac = HermitianProblem(lambda x: a @ x, unit(rng, 30), EXP).factor(6)
         fac_id = fac.__class__(fac.U, np.eye(6), fac.U, 6, True, [])
         np.testing.assert_allclose(extract_diagonal(fac_id),
                                    np.sum(np.abs(fac.U) ** 2, axis=1), atol=1e-14)
@@ -403,8 +443,8 @@ class TestExtractDiagonal:
     def test_matches_dense_diagonal(self):
         rng = np.random.default_rng(25)
         a = make_general(rng, 200)
-        fac = general_factor(lambda x: a @ x, lambda x: a.T @ x,
-                             unit(rng, 200), unit(rng, 200), 10, EXP)
+        fac = GeneralProblem(lambda x: a @ x, lambda x: a.T @ x,
+                             unit(rng, 200), unit(rng, 200), EXP).factor(10)
         np.testing.assert_allclose(extract_diagonal(fac), np.diag(fac.densify()), atol=1e-13)
 
 
