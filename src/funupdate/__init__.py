@@ -16,9 +16,8 @@ from .densefun import (EigenDecomposition, FunctionSpec, eigen_decompose,
                        is_hermitian, scalar_derivative, scalar_values, spectral_norm)
 from .errors import (DomainError, MatrixMarketError, NonFiniteOperatorError,
                      OracleScaleError)
-from .krylov import (ArnoldiProcess, DiagonalAccumulator, FullAccumulator,
-                     KrylovDecomposition, LanczosProcess, arnoldi, as_operator,
-                     lanczos, lanczos_twopass)
+from .krylov import (ArnoldiProcess, KrylovDecomposition, LanczosProcess, arnoldi,
+                     as_operator, lanczos)
 from .oracle import block_lemma_check, dense_update_reference, telescope_check
 from .sparse import (Graph, SparseMatrix, check_declared_symmetry, gen_convdiff1d,
                      gen_laplace2d, graph_distance, graph_distances,

@@ -146,8 +146,7 @@ def _cmd_update(args) -> int:
     if sign == -1 and not (a.symmetry_flag and same_vectors):
         print("error: --sign minus requires a symmetric matrix and c = b", file=sys.stderr)
         return 2
-    opts = SolveOptions(tol=args.tol, lookahead_d=args.lookahead,
-                        max_m=args.max_m, batch=args.batch)
+    opts = _solve_options(args)
 
     c = b if same_vectors else parse_vector_spec(c_spec, a.n, rng)
     t0 = time.perf_counter()
@@ -322,8 +321,7 @@ def _cmd_centrality(args) -> int:
     adjacency = load_matrix_market(args.graph)
     graph = Graph(adjacency)
     edits = read_edits_csv(args.edits) if args.edits else []
-    opts = SolveOptions(tol=args.tol, lookahead_d=args.lookahead,
-                        max_m=args.max_m, batch=args.batch)
+    opts = _solve_options(args)
     result = update_subgraph_centrality(graph, edits, opts)
 
     outdir = Path(args.output_dir)
@@ -356,7 +354,14 @@ def _cmd_centrality(args) -> int:
 # -----------------------------------------------------------------------------
 # bounds subcommand
 
-def _bounds_rows(spec: dict):
+class _BoundsSpec(dict):
+    """A bounds spec whose missing required key is an input error."""
+
+    def __missing__(self, key):
+        raise ValueError(f"bounds spec is missing the key {key!r}")
+
+
+def _bounds_rows(spec: _BoundsSpec):
     kind = spec["kind"]
     m_range = range(int(spec.get("m_min", 1)), int(spec.get("m_max", 60)) + 1)
     b_norm = float(spec.get("b_norm", 1.0))
@@ -405,7 +410,9 @@ def _bounds_rows(spec: dict):
 def _cmd_bounds(args) -> int:
     with open(args.spec, "r", encoding="ascii") as fh:
         spec = json.load(fh)
-    rows = _bounds_rows(spec)
+    if not isinstance(spec, dict):
+        raise ValueError(f"bounds spec must be a JSON object, got {type(spec).__name__}")
+    rows = _bounds_rows(_BoundsSpec(spec))
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_rows_csv(out, ["m", "bound", "rate"], rows)
@@ -711,12 +718,23 @@ def _cmd_demo(args) -> int:
 # -----------------------------------------------------------------------------
 # Parser
 
+def _solve_options(args) -> SolveOptions:
+    """The stopping-rule flags shared by ``update`` and ``centrality``."""
+    return SolveOptions(tol=args.tol, lookahead_d=args.lookahead,
+                        max_m=args.max_m, batch=args.batch)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="funupdate",
                                      description="Low-rank updates of matrix functions.")
     sub = parser.add_subparsers(dest="command", required=True)
+    solve = argparse.ArgumentParser(add_help=False)
+    solve.add_argument("--tol", type=float, default=1e-6)
+    solve.add_argument("--lookahead", type=int, default=2)
+    solve.add_argument("--max-m", type=int, default=200)
+    solve.add_argument("--batch", type=int, default=5)
 
-    up = sub.add_parser("update", help="approximate f(A + b c^*) - f(A)")
+    up = sub.add_parser("update", parents=[solve], help="approximate f(A + b c^*) - f(A)")
     up.add_argument("--matrix", required=True)
     up.add_argument("--function", required=True, type=function_from_name,
                     help="exp | invsqrt | inverse | log1p-over-z | invpower:G | poly:c0,c1,... | resolvent:Z")
@@ -725,23 +743,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="defaults to --b; an identical spec means the identical vector")
     up.add_argument("--sign", choices=("plus", "minus"), default="plus",
                     help="minus downdates a symmetric matrix by b b^*")
-    up.add_argument("--tol", type=float, default=1e-6)
-    up.add_argument("--lookahead", type=int, default=2)
-    up.add_argument("--max-m", type=int, default=200)
-    up.add_argument("--batch", type=int, default=5)
     up.add_argument("--seed", type=int, default=None)
     up.add_argument("--check", action="store_true",
                     help="also measure the true error against a dense reference")
     up.add_argument("--output-dir", default=".")
     up.set_defaults(func=_cmd_update)
 
-    ce = sub.add_parser("centrality", help="update subgraph centralities under edge edits")
+    ce = sub.add_parser("centrality", parents=[solve], help="update subgraph centralities under edge edits")
     ce.add_argument("--graph", required=True)
     ce.add_argument("--edits", default=None, help="CSV with rows kind,i,j (0-based nodes)")
-    ce.add_argument("--tol", type=float, default=1e-6)
-    ce.add_argument("--lookahead", type=int, default=2)
-    ce.add_argument("--max-m", type=int, default=200)
-    ce.add_argument("--batch", type=int, default=5)
     ce.add_argument("--output-dir", default=".")
     ce.set_defaults(func=_cmd_centrality)
 

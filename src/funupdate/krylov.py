@@ -3,10 +3,10 @@
 Lanczos serves Hermitian operators (tridiagonal compression), Arnoldi
 serves general ones (Hessenberg compression). Both share one basis kernel:
 a growable column-major store and classical Gram-Schmidt applied twice
-(CGS2); only plain Lanczos (``reorth="none"``) keeps its own three-term
-recurrence. Both are exposed as single-shot functions and as incrementally
-extensible processes so that callers can grow a decomposition while
-monitoring convergence.
+(CGS2); only plain Lanczos (``reorth="none"``) runs its own three-term
+recurrence, on the same store. Both are exposed as single-shot functions
+and as incrementally extensible processes so that callers can grow a
+decomposition while monitoring convergence.
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ def as_operator(a):
 class KrylovDecomposition:
     """Outcome of m Krylov steps: A U_m = U_m G_m + next_norm * u_{m+1} e_m^*.
 
-    ``basis`` holds U_m columnwise (empty in basis-free two-pass runs),
-    ``compressed`` is G_m (tridiagonal for Lanczos, upper Hessenberg for
-    Arnoldi), ``next_norm`` the trailing recurrence norm, ``next_vector``
-    the would-be next basis vector (None after breakdown) and
-    ``start_norm`` the norm of the starting vector.
+    ``basis`` holds U_m columnwise, ``compressed`` is G_m (tridiagonal for
+    Lanczos, upper Hessenberg for Arnoldi), ``next_norm`` the trailing
+    recurrence norm, ``next_vector`` the would-be next basis vector (None
+    after breakdown) and ``start_norm`` the norm of the starting vector.
     """
 
     basis: np.ndarray
@@ -61,7 +60,7 @@ class _ProcessBase:
     """Basis kernel of both processes. The basis is one Fortran-ordered
     buffer that grows by doubling and promotes its dtype, never re-stacked."""
 
-    def __init__(self, apply_a, b, store_basis=True):
+    def __init__(self, apply_a, b):
         self._apply = as_operator(apply_a)
         b = np.asarray(b)
         if b.ndim != 1:
@@ -72,12 +71,9 @@ class _ProcessBase:
             raise ValueError("starting vector must be nonzero and finite")
         self.breakdown = False
         self._scale = 0.0  # largest recurrence coefficient magnitude seen
-        self._u = b / self.start_norm
-        self._q = None  # (n, capacity) basis buffer when the basis is stored
+        self._q = np.zeros((self.n, 0))  # (n, capacity) basis buffer
         self._size = 0  # columns of _q filled
-        if store_basis:
-            self._q = np.zeros((self.n, 0))
-            self._store(self._u)
+        self._store(b / self.start_norm)
 
     @property
     def dimension(self) -> int:
@@ -140,22 +136,15 @@ class _ProcessBase:
         raise NotImplementedError
 
     def basis_matrix(self, m=None) -> np.ndarray:
-        if self._q is None:
-            raise ValueError("basis was not stored")
         return self._q[:, : self.dimension if m is None else m]
 
     def decomposition(self, m=None) -> KrylovDecomposition:
         m = self.dimension if m is None else m
         if not 1 <= m <= self.dimension:
             raise ValueError("invalid decomposition size")
-        if self._q is not None:
-            basis = self._q[:, :m]
-            next_vector = self._q[:, m] if m < self._size else None
-        else:
-            basis = np.empty((self.n, 0))
-            next_vector = self._u if m == self.dimension else None
+        next_vector = self._q[:, m] if m < self._size else None
         broke = self.breakdown and m == self.dimension
-        return KrylovDecomposition(basis, self.compressed(m), self._next_norm(m),
+        return KrylovDecomposition(self._q[:, :m], self.compressed(m), self._next_norm(m),
                                    next_vector, self.start_norm, broke)
 
 
@@ -164,20 +153,16 @@ class LanczosProcess(_ProcessBase):
 
     ``reorth="full"`` is the Hermitian case of the CGS2 basis kernel, with
     the tridiagonal read off its coefficients. ``reorth="none"`` runs the
-    three-term recurrence on three live vectors; with ``store_basis=False``
-    only its coefficients are kept, the first sweep of the two-pass strategy.
+    three-term recurrence, reading u_j and u_{j-1} from the stored basis.
     """
 
-    def __init__(self, apply_a, b, reorth="full", store_basis=True):
-        super().__init__(apply_a, b, store_basis)
+    def __init__(self, apply_a, b, reorth="full"):
+        super().__init__(apply_a, b)
         if reorth not in ("full", "none"):
             raise ValueError("reorth must be 'full' or 'none'")
-        if reorth == "full" and not store_basis:
-            raise ValueError("full reorthogonalization requires a stored basis")
         self.reorth = reorth
         self.alphas: list[float] = []
         self.betas: list[float] = []  # betas[j] produced at step j+1
-        self._u_prev = None
 
     @property
     def dimension(self) -> int:
@@ -185,29 +170,24 @@ class LanczosProcess(_ProcessBase):
 
     def _step(self) -> None:
         j = self.dimension
+        u = self._q[:, j]
+        w = self._apply(u)
         if self.reorth == "full":
-            h, beta = self._extend(j, self._apply(self._q[:, j]))
-            self.alphas.append(float(np.real(h[j])))
-            self.betas.append(beta)
-            return
-        w = self._apply(self._u)
-        if j > 0:
-            w = w - self.betas[j - 1] * self._u_prev
-        alpha = float(np.real(np.vdot(self._u, w)))
-        w = w - alpha * self._u
-        beta = float(np.linalg.norm(w))
-        self._check_finite(j, alpha, beta)
+            h, beta = self._extend(j, w)
+            alpha = float(np.real(h[j]))
+        else:
+            if j > 0:
+                w = w - self.betas[j - 1] * self._q[:, j - 1]
+            alpha = float(np.real(np.vdot(u, w)))
+            w = w - alpha * u
+            beta = float(np.linalg.norm(w))
+            self._check_finite(j, alpha, beta)
+            self._scale = max(self._scale, abs(alpha), beta)
+            self.breakdown = beta <= self._breakdown_tol()
+            if not self.breakdown:
+                self._store(w / beta)
         self.alphas.append(alpha)
         self.betas.append(beta)
-        self._scale = max(self._scale, abs(alpha), beta)
-        if beta <= self._breakdown_tol():
-            self.breakdown = True
-            self._u_prev, self._u = self._u, None
-            return
-        u_next = w / beta
-        if self._q is not None:
-            self._store(u_next)
-        self._u_prev, self._u = self._u, u_next
 
     def compressed(self, m=None) -> np.ndarray:
         m = self.dimension if m is None else m
@@ -270,89 +250,3 @@ def arnoldi(apply_a, b, m) -> KrylovDecomposition:
     proc = ArnoldiProcess(apply_a, b)
     proc.advance(m)
     return proc.decomposition()
-
-
-def lanczos_twopass(apply_a, b, m, consume) -> KrylovDecomposition:
-    """Two-pass Lanczos without storing the basis.
-
-    The first sweep runs the plain recurrence (three live vectors) and
-    records the tridiagonal coefficients. If ``consume`` has a ``start``
-    method it is then called with the basis-free decomposition, which is
-    the point where the caller derives whatever small matrix it wants to
-    contract against. The second sweep replays the recurrence with the
-    recorded coefficients, in the exact operation order of the first, so
-    regenerated vectors are bitwise identical, and hands each column to
-    ``consume(j, u_j)``. A ``finish`` method, when present, is called last.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    proc = LanczosProcess(apply_a, b, reorth="none", store_basis=False)
-    proc.advance(m)
-    decomp = proc.decomposition()
-    start = getattr(consume, "start", None)
-    if start is not None:
-        start(decomp)
-
-    apply_fn = as_operator(apply_a)
-    b = np.asarray(b)
-    steps = proc.dimension
-    u_prev = None
-    u = b / proc.start_norm
-    for j in range(steps):
-        consume(j, u)
-        if j == steps - 1:
-            break
-        w = apply_fn(u)
-        if j > 0:
-            w = w - proc.betas[j - 1] * u_prev
-        w = w - proc.alphas[j] * u
-        u_prev, u = u, w / proc.betas[j]
-    finish = getattr(consume, "finish", None)
-    if finish is not None:
-        finish()
-    return decomp
-
-
-class _ColumnAccumulator:
-    """Two-pass consumer collecting the streamed columns against which
-    ``finish`` contracts X = ``make_x(decomposition)``."""
-
-    def __init__(self, make_x):
-        self._make_x = make_x
-        self.x = None
-        self._cols = None
-
-    def start(self, decomp: KrylovDecomposition) -> None:
-        self.x = np.asarray(self._make_x(decomp))
-        self._m = decomp.m
-        self._cols = None
-
-    def __call__(self, j, u):
-        if self._cols is None:
-            dtype = np.result_type(u.dtype, self.x.dtype)
-            self._cols = np.zeros((u.shape[0], self._m), dtype=dtype)
-        self._cols[:, j] = u
-
-
-class DiagonalAccumulator(_ColumnAccumulator):
-    """Streams diag(U X U^*) out of a two-pass run.
-
-    ``make_x`` receives the basis-free decomposition and returns the small
-    matrix X. The accumulator owns an (n, m) workspace for the streamed
-    columns; the recurrence itself stays at three live vectors.
-    """
-
-    diagonal = None
-
-    def finish(self) -> None:
-        w = self._cols @ self.x
-        self.diagonal = np.sum(w * self._cols.conj(), axis=1)
-
-
-class FullAccumulator(_ColumnAccumulator):
-    """Materializes U X U^* from a two-pass run; testing at small n only."""
-
-    matrix = None
-
-    def finish(self) -> None:
-        self.matrix = self._cols @ self.x @ self._cols.conj().T

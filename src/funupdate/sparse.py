@@ -163,8 +163,9 @@ def load_matrix_market(path) -> SparseMatrix:
     Coordinate and array formats are supported with real, integer, complex
     and pattern fields and general/symmetric/hermitian headers. Symmetric
     and Hermitian files are expanded to full storage; pattern entries get
-    the value 1.0. Only square matrices are accepted since everything here
-    is used as an operator.
+    the value 1.0. Repeated entries are summed in general files and rejected
+    in the others, counting mirrors. Only square matrices are accepted since
+    everything here is used as an operator.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
@@ -267,6 +268,12 @@ def load_matrix_market(path) -> SparseMatrix:
 
         flag = symmetry == "hermitian" or (symmetry == "symmetric" and not complex_values)
         out = SparseMatrix.from_coo(n, rows, cols, np.asarray(vals), symmetry_flag=flag)
+        if mirror and out.col_idx.size < len(rows):
+            # from_coo merged a position the expanded triplets hold twice
+            keys = np.sort(np.asarray(rows, dtype=np.int64) * n + np.asarray(cols, dtype=np.int64))
+            i, j = sorted(divmod(int(keys[np.flatnonzero(np.diff(keys) == 0)[0]]), n))
+            raise MatrixMarketError(f"{symmetry} file gives position ({j + 1}, {i + 1}) "
+                                    "more than once, counting the mirror of each entry")
         if flag:
             check_declared_symmetry(out)
         return out

@@ -5,6 +5,30 @@ import numpy as np
 from funupdate import SparseMatrix
 
 
+# Symmetric and Hermitian Matrix Market files that give one position twice,
+# counting mirrors, with the position their rejection names.
+MIRRORED_DUPLICATES = {
+    "entry-and-mirror": ("""%%MatrixMarket matrix coordinate real symmetric
+2 2 3
+1 1 4.0
+2 1 1.0
+1 2 1.0
+""", "(2, 1)"),
+    "lower-entry-twice": ("""%%MatrixMarket matrix coordinate real symmetric
+3 3 3
+1 1 1.0
+3 2 1.0
+3 2 2.0
+""", "(3, 2)"),
+    "hermitian-entry-and-mirror": ("""%%MatrixMarket matrix coordinate complex hermitian
+2 2 3
+1 1 2.0 0.0
+2 1 1.0 -1.0
+1 2 1.0 1.0
+""", "(2, 1)"),
+}
+
+
 def make_hermitian(rng, n, scale=1.0, complex_=False):
     m = rng.standard_normal((n, n))
     if complex_:

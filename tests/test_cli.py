@@ -8,9 +8,11 @@ import pytest
 
 from funupdate import (FunctionSpec, Graph, OracleScaleError, SolveOptions, SparseMatrix, cli,
                        densefun, gen_convdiff1d)
-from funupdate.cli import (_CSV_CHUNK_ROWS, EdgeOp, _fmt, main, subgraph_centrality_baseline,
-                           update_subgraph_centrality, write_matrix_csv, write_rows_csv)
+from funupdate.cli import (_CSV_CHUNK_ROWS, EdgeOp, _fmt, _solve_options, build_parser, main,
+                           subgraph_centrality_baseline, update_subgraph_centrality,
+                           write_matrix_csv, write_rows_csv)
 from funupdate.densefun import eval_matrix_function
+from helpers import MIRRORED_DUPLICATES
 
 IDENTITY3 = """%%MatrixMarket matrix coordinate real symmetric
 3 3 3
@@ -91,6 +93,16 @@ class TestUpdateCommand:
         code = main(["update", "--matrix", str(tmp_path / "a.mtx"), "--function", "exp",
                      "--b", "e1", "--sign", "minus"])
         assert code == 2
+
+    @pytest.mark.parametrize("text,position", MIRRORED_DUPLICATES.values(),
+                             ids=MIRRORED_DUPLICATES.keys())
+    def test_position_given_twice_is_input_error(self, tmp_path, capsys, text, position):
+        (tmp_path / "a.mtx").write_text(text)
+        code = main(["update", "--matrix", str(tmp_path / "a.mtx"), "--function", "exp",
+                     "--b", "e1", "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"position {position} more than once" in err
 
     def test_domain_error_exits_4(self, tmp_path):
         # downdating the identity by ones ones^T drags the spectrum to -2,
@@ -519,6 +531,30 @@ class TestBoundsCommand:
                      "--output", str(out)]) == 0
         _, rows = read_csv(out)
         assert all(float(r[1]) <= 1e-12 for r in rows)
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"kind": "exp-superlinear", "rho": 2.0}, "missing the key 'psi1'"),
+        ([{"kind": "exp-superlinear", "psi1": 0.0, "rho": 2.0}], "must be a JSON object"),
+    ], ids=["missing-key", "array"])
+    def test_bad_spec_is_input_error(self, tmp_path, capsys, spec, message):
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert main(["bounds", "--spec", str(tmp_path / "spec.json"),
+                     "--output", str(tmp_path / "b.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "b.csv").exists()
+
+
+def test_update_and_centrality_share_solve_options():
+    parser = build_parser()
+    update = ["update", "--matrix", "a.mtx", "--function", "exp", "--b", "e1"]
+    centrality = ["centrality", "--graph", "g.mtx"]
+    assert _solve_options(parser.parse_args(update)) == SolveOptions()
+    assert _solve_options(parser.parse_args(centrality)) == SolveOptions()
+    flags = ["--tol", "1e-9", "--lookahead", "3", "--max-m", "77", "--batch", "4"]
+    want = SolveOptions(tol=1e-9, lookahead_d=3, max_m=77, batch=4)
+    assert _solve_options(parser.parse_args(update + flags)) == want
+    assert _solve_options(parser.parse_args(centrality + flags)) == want
 
 
 class TestDemoCommand:

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from funupdate import (DiagonalAccumulator, FullAccumulator, FunctionSpec,
-                       NonFiniteOperatorError, arnoldi, as_operator,
-                       dense_update_reference, lanczos, lanczos_twopass,
-                       spectral_norm, xm_hermitian)
+from funupdate import (NonFiniteOperatorError, arnoldi, as_operator, lanczos,
+                       spectral_norm)
 from funupdate.krylov import ArnoldiProcess, LanczosProcess
 from helpers import make_hermitian, tridiag_sparse, unit
 
@@ -80,6 +78,38 @@ class TestLanczos:
         assert dec.compressed.dtype == np.float64  # tridiagonal data stays real
         assert relation_residual(lambda x: a @ x, dec) <= 1e-10
 
+    def test_breakdown_coefficients_replay_bitwise(self):
+        # rank-deficient operator forces early breakdown; a repeated run
+        # must agree on every recurrence coefficient
+        rng = np.random.default_rng(44)
+        q, _ = np.linalg.qr(rng.standard_normal((20, 3)))
+        a = q @ np.diag([3.0, 2.0, 1.0]) @ q.T
+        b = q @ np.array([1.0, 1.0, 1.0])
+
+        runs = []
+        for _ in range(2):
+            proc = LanczosProcess(lambda x: a @ x, b, reorth="none")
+            proc.advance(10)
+            assert proc.breakdown and proc.dimension == 3
+            assert proc.decomposition().next_vector is None
+            runs.append((list(proc.alphas), list(proc.betas)))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("m", [33, 65])
+    def test_plain_recurrence_on_stored_basis(self, m):
+        # u_j and u_{j-1} come from the basis store, also right after it grows;
+        # the three-term relation holds to rounding even where the plain
+        # basis loses orthogonality
+        rng = np.random.default_rng(45)
+        a = make_hermitian(rng, 120)
+        b = rng.standard_normal(120)
+        dec = lanczos(lambda x: a @ x, b, m, reorth="none")
+        longer = lanczos(lambda x: a @ x, b, 70, reorth="none")
+        assert dec.basis.shape == (120, m)
+        assert np.array_equal(dec.basis, longer.basis[:, :m])
+        assert np.array_equal(dec.next_vector, longer.basis[:, m])
+        assert relation_residual(lambda x: a @ x, dec) <= 1e-10 * spectral_norm(a)
+
 
 class TestArnoldi:
     def test_hermitian_input_gives_tridiagonal(self):
@@ -111,83 +141,6 @@ class TestArnoldi:
         assert spectral_norm(u.conj().T @ u - np.eye(15)) <= 1e-12
         assert relation_residual(lambda x: a @ x, dec) <= 1e-10 * spectral_norm(a)
         assert spectral_norm(np.tril(dec.compressed, -2)) == 0.0  # exact Hessenberg zeros
-
-
-class TestTwoPass:
-    def test_full_consumer_matches_single_pass(self):
-        rng = np.random.default_rng(41)
-        a = make_hermitian(rng, 30)
-        b = rng.standard_normal(30)
-        f = FunctionSpec.exp()
-        m = 8
-
-        def make_x(dec):
-            return xm_hermitian(dec.compressed, dec.start_norm, f, 1)
-
-        acc = FullAccumulator(make_x)
-        dec2 = lanczos_twopass(lambda x: a @ x, b, m, acc)
-        assert dec2.basis.shape == (30, 0)
-
-        single = lanczos(lambda x: a @ x, b, m, reorth="none")
-        x = xm_hermitian(single.compressed, single.start_norm, f, 1)
-        want = single.basis @ x @ single.basis.conj().T
-        assert spectral_norm(acc.matrix - want) <= 1e-12 * max(1.0, spectral_norm(want))
-
-    def test_diagonal_consumer_against_dense_oracle(self):
-        n = 500
-        a = tridiag_sparse(n, -1.0, 3.0, -1.0)
-        rng = np.random.default_rng(42)
-        b = unit(rng, n)
-        f = FunctionSpec.inverse_sqrt()
-        m = 40
-
-        acc = DiagonalAccumulator(lambda dec: xm_hermitian(dec.compressed, dec.start_norm, f, 1))
-        lanczos_twopass(a.matvec, b, m, acc)
-
-        ref = dense_update_reference(a.to_dense(), b.reshape(-1, 1), b.reshape(-1, 1), f)
-        # the Krylov run itself limits accuracy; measure it and allow slack
-        single = lanczos(a.matvec, b, m, reorth="none")
-        x = xm_hermitian(single.compressed, single.start_norm, f, 1)
-        achieved = spectral_norm(ref - single.basis @ x @ single.basis.T)
-        assert np.max(np.abs(acc.diagonal - np.diag(ref))) <= 10.0 * achieved + 1e-12
-
-    def test_two_pass_determinism_bitwise(self):
-        rng = np.random.default_rng(43)
-        a = make_hermitian(rng, 60)
-        b = rng.standard_normal(60)
-
-        captured = [[], []]
-        for run in range(2):
-            consume = lambda j, u, run=run: captured[run].append(u.copy())
-            lanczos_twopass(lambda x: a @ x, b, 12, consume)
-        for u1, u2 in zip(*captured):
-            assert np.array_equal(u1, u2)
-
-        # the replayed recurrence also matches a stored-basis plain run bitwise
-        single = lanczos(lambda x: a @ x, b, 12, reorth="none")
-        for j, u in enumerate(captured[0]):
-            assert np.array_equal(u, single.basis[:, j])
-
-    def test_breakdown_coefficients_replay_bitwise(self):
-        # rank-deficient operator forces early breakdown; both passes and a
-        # repeated run must agree on every recurrence coefficient
-        rng = np.random.default_rng(44)
-        q, _ = np.linalg.qr(rng.standard_normal((20, 3)))
-        a = q @ np.diag([3.0, 2.0, 1.0]) @ q.T
-        b = q @ np.array([1.0, 1.0, 1.0])
-
-        runs = []
-        for _ in range(2):
-            proc = LanczosProcess(lambda x: a @ x, b, reorth="none", store_basis=False)
-            proc.advance(10)
-            assert proc.breakdown
-            runs.append((list(proc.alphas), list(proc.betas)))
-        assert runs[0] == runs[1]
-
-        seen = []
-        dec = lanczos_twopass(lambda x: a @ x, b, 10, lambda j, u: seen.append(j))
-        assert dec.breakdown
-        assert len(seen) == dec.m
 
 
 def banded_operator(n, hermitian, complex_):
@@ -284,7 +237,7 @@ def nan_at_matvec(k, bad=np.nan):
 class TestNonFiniteOperator:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("make", [
-        lambda op, b: LanczosProcess(op, b, reorth="none", store_basis=False),
+        lambda op, b: LanczosProcess(op, b, reorth="none"),
         lambda op, b: LanczosProcess(op, b, reorth="full"),
         lambda op, b: ArnoldiProcess(op, b),
     ], ids=["lanczos-none", "lanczos-full", "arnoldi"])
@@ -297,11 +250,9 @@ class TestNonFiniteOperator:
         assert f"{type(proc).__name__} step 4" in str(info.value)
         assert proc.dimension == 3
 
-    def test_plain_lanczos_and_two_pass_fail_fast(self):
+    def test_plain_lanczos_fails_fast(self):
         with pytest.raises(NonFiniteOperatorError):
             lanczos(nan_at_matvec(4), np.ones(50), 10, reorth="none")
-        with pytest.raises(NonFiniteOperatorError):
-            lanczos_twopass(nan_at_matvec(4), np.ones(50), 10, lambda j, u: None)
 
 
 class TestOperatorAdapter:

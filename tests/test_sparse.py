@@ -1,4 +1,5 @@
 import bisect
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from funupdate import (Graph, MatrixMarketError, SparseMatrix, check_declared_symmetry,
                        gen_convdiff1d, gen_laplace2d, graph_distance, graph_distances,
                        lanczos, load_matrix_market, spmv)
-from helpers import random_sparse, tridiag_sparse
+from helpers import MIRRORED_DUPLICATES, random_sparse, tridiag_sparse
 
 
 def write(tmp_path, text, name="m.mtx"):
@@ -108,6 +109,21 @@ class TestMatrixMarket:
 2 2 1
 2 1 1.0
 """))
+
+    @pytest.mark.parametrize("text,position", MIRRORED_DUPLICATES.values(),
+                             ids=MIRRORED_DUPLICATES.keys())
+    def test_rejects_position_given_twice(self, tmp_path, text, position):
+        with pytest.raises(MatrixMarketError, match=re.escape(f"position {position} more than once")):
+            load_matrix_market(write(tmp_path, text))
+
+    def test_general_file_sums_repeated_entries(self, tmp_path):
+        a = load_matrix_market(write(tmp_path, """%%MatrixMarket matrix coordinate real general
+2 2 3
+1 1 4.0
+2 1 1.0
+2 1 1.0
+"""))
+        np.testing.assert_array_equal(a.to_dense(), [[4.0, 0.0], [2.0, 0.0]])
 
     def test_rejects_out_of_range_index(self, tmp_path):
         with pytest.raises(MatrixMarketError, match="out of range"):

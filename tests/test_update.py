@@ -323,6 +323,38 @@ def test_factor_after_growth_equals_fresh_factor(kind, n, k, m, extra, seed, com
     assert (got.m, got.converged) == (want.m, want.converged)
 
 
+STOPPING_FUNCTIONS = [EXP, INVSQRT, FunctionSpec.inverse(), FunctionSpec.inverse_power(0.3),
+                      FunctionSpec.scaled_log(), FunctionSpec.polynomial([0.5, -1.0, 0.3, 0.05]),
+                      FunctionSpec.resolvent(-1.0)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(hermitian=st.booleans(), n=st.integers(5, 40), f=st.sampled_from(STOPPING_FUNCTIONS),
+       log_tol=st.floats(-10.0, -3.0), b_frac=st.floats(0.0, 1.0),
+       c_norm=st.floats(0.05, 0.5), seed=st.integers(0, 2**16))
+def test_converged_factor_meets_tolerance(hermitian, n, f, log_tol, b_frac, c_norm, seed):
+    # Hermitian: spectrum in [0.5, 5], |b| in [0.05, 1]; general: a diagonal
+    # in [1, 5] plus 0.3 G / sqrt(n), |b| and |c| in [0.05, 0.5]. The factor
+    # 10 is the benchmark gate's SAFETY; the floor covers rounding in ref.
+    rng = np.random.default_rng(seed)
+    tol = 10.0**log_tol
+    opts = SolveOptions(tol=tol)
+    if hermitian:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (q * rng.uniform(0.5, 5.0, n)) @ q.T
+        b = c = (0.05 + 0.95 * b_frac) * unit(rng, n)
+        fac = hermitian_update(lambda x: a @ x, b, f, opts=opts)
+    else:
+        a = np.diag(rng.uniform(1.0, 5.0, n)) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+        b = (0.05 + 0.45 * b_frac) * unit(rng, n)
+        c = c_norm * unit(rng, n)
+        fac = general_update(lambda x: a @ x, lambda x: a.T @ x, b, c, f, opts)
+    if fac.converged:
+        ref = dense_update_reference(a, b.reshape(-1, 1), c.reshape(-1, 1), f)
+        limit = 10.0 * max(tol, 1e-13 * spectral_norm(ref))
+        assert spectral_norm(ref - fac.densify()) <= limit
+
+
 class TestRankK:
     def test_rank_one_equals_general_update(self):
         rng = np.random.default_rng(17)
