@@ -202,7 +202,8 @@ def chebyshev_poly_bound(f: FunctionSpec, interval, m) -> float:
 
 
 def _check_analytic_on_interval(f: FunctionSpec, a, b) -> None:
-    if f.kind in ("invsqrt", "invpower", "inverse") and a <= 0.0:
+    # the branch cut of the powers covers (-inf, 0]; 1/x is singular at 0 only
+    if (f.kind in ("invsqrt", "invpower") and a <= 0.0) or (f.kind == "inverse" and a <= 0.0 <= b):
         raise DomainError(f"{f.kind} is not analytic on [{a}, {b}]")
     if f.kind == "log1p-over-z" and a <= -1.0:
         raise DomainError(f"scaled log is not analytic on [{a}, {b}]")

@@ -355,43 +355,53 @@ def _cmd_centrality(args) -> int:
 # bounds subcommand
 
 class _BoundsSpec(dict):
-    """A bounds spec whose missing required key is an input error."""
+    """A bounds spec whose missing required key, or numeric field of the
+    wrong type or shape, is an input error."""
 
     def __missing__(self, key):
         raise ValueError(f"bounds spec is missing the key {key!r}")
 
+    def num(self, key, default=None, size=None):
+        """Field ``key`` as a float, or as a tuple of ``size`` floats."""
+        value = self[key] if default is None else self.get(key, default)
+        items = value if size else [value]
+        if not (isinstance(items, list) and len(items) == (size or 1)
+                and all(type(v) in (int, float) for v in items)):
+            want = f"a list of {size} numbers" if size else "a number"
+            raise ValueError(f"bounds spec key {key!r} must be {want}, got {value!r}")
+        return tuple(float(v) for v in items) if size else float(value)
+
 
 def _bounds_rows(spec: _BoundsSpec):
     kind = spec["kind"]
-    m_range = range(int(spec.get("m_min", 1)), int(spec.get("m_max", 60)) + 1)
-    b_norm = float(spec.get("b_norm", 1.0))
-    c_norm = float(spec.get("c_norm", 1.0))
+    m_range = range(int(spec.num("m_min", 1)), int(spec.num("m_max", 60)) + 1)
+    b_norm, c_norm = spec.num("b_norm", 1.0), spec.num("c_norm", 1.0)
     rows = []
     if kind == "exp-superlinear":
         for m in m_range:
-            r = bnd.bound_exp_superlinear(float(spec["psi1"]), float(spec["rho"]), m, b_norm, c_norm)
+            r = bnd.bound_exp_superlinear(spec.num("psi1"), spec.num("rho"), m, b_norm, c_norm)
             rows.append((m, r.value if r.applicable else "NA", r.rate))
     elif kind == "exp-wedge":
-        region = bnd.Wedge(float(spec["psi1"]), float(spec["rho"]), float(spec["alpha"]))
+        region = bnd.Wedge(spec.num("psi1"), spec.num("rho"), spec.num("alpha"))
         for m in m_range:
             r = bnd.bound_exp_wedge(region, m, b_norm, c_norm)
             rows.append((m, r.value if r.applicable else "NA", r.rate))
     elif kind == "markov-hpd":
         if "f_prime" in spec:
-            fp = float(spec["f_prime"])
+            fp = spec.num("f_prime")
         else:
-            fp = abs(scalar_derivative(function_from_name(spec["function"]), float(spec["omega"])))
-        kappa = float(spec["kappa_star"])
+            fp = abs(scalar_derivative(function_from_name(spec["function"]), spec.num("omega")))
+        kappa = spec.num("kappa_star")
         s = np.sqrt(kappa)
         rate = (s - 1.0) / (s + 1.0)
         for m in m_range:
             rows.append((m, bnd.bound_markov_hpd(kappa, fp, b_norm, m), rate**m))
     elif kind == "markov":
         if "interval" in spec:
-            region = bnd.Interval(*[float(x) for x in spec["interval"]])
+            region = bnd.Interval(*spec.num("interval", size=2))
         else:
-            region = bnd.Ellipse(*[float(x) for x in spec["ellipse"]])
-        beta = float(spec["beta"])
+            region = bnd.Ellipse(*spec.num("ellipse", size=3))
+        beta = spec.num("beta")
         omega = bnd.leftmost_real_point(region)
         fp = abs(scalar_derivative(function_from_name(spec["function"]), omega))
         rate = 1.0 / bnd.phi_abs(region, beta)
@@ -399,9 +409,9 @@ def _bounds_rows(spec: _BoundsSpec):
             rows.append((m, bnd.bound_markov(region, beta, fp, m, b_norm, c_norm), rate**m))
     elif kind == "chebyshev":
         f = function_from_name(spec["function"])
-        lo, hi = (float(x) for x in spec["interval"])
+        interval = spec.num("interval", size=2)
         for m in m_range:
-            rows.append((m, bnd.chebyshev_poly_bound(f, (lo, hi), m), "NA"))
+            rows.append((m, bnd.chebyshev_poly_bound(f, interval, m), "NA"))
     else:
         raise ValueError(f"unknown bound kind {kind!r}")
     return rows

@@ -1,12 +1,15 @@
 """Orthonormal Krylov bases and compressed matrices.
 
-Lanczos serves Hermitian operators (tridiagonal compression), Arnoldi
-serves general ones (Hessenberg compression). Both share one basis kernel:
-a growable column-major store and classical Gram-Schmidt applied twice
-(CGS2); only plain Lanczos (``reorth="none"``) runs its own three-term
-recurrence, on the same store. Both are exposed as single-shot functions
-and as incrementally extensible processes so that callers can grow a
-decomposition while monitoring convergence.
+Arnoldi serves general operators (Hessenberg compression), Lanczos
+Hermitian ones (tridiagonal compression). Both run one process kernel: a
+growable basis store, a coefficient buffer beside it and classical
+Gram-Schmidt applied twice (CGS2). For Hermitian A the Arnoldi Hessenberg
+matrix is the Lanczos tridiagonal (Saad, Iterative Methods for Sparse
+Linear Systems, 2nd ed., 6.6), so fully reorthogonalized Lanczos is the
+Arnoldi step; only plain Lanczos (``reorth="none"``) runs its own
+three-term recurrence, on the same buffers. Both are exposed as
+single-shot functions and as incrementally extensible processes so that
+callers can grow a decomposition while monitoring convergence.
 """
 
 from __future__ import annotations
@@ -56,9 +59,15 @@ class KrylovDecomposition:
         return self.compressed.shape[0]
 
 
-class _ProcessBase:
-    """Basis kernel of both processes. The basis is one Fortran-ordered
-    buffer that grows by doubling and promotes its dtype, never re-stacked."""
+class ArnoldiProcess:
+    """Arnoldi process for a general operator, and the one process kernel.
+
+    The basis is one Fortran-ordered (n, capacity) buffer and the
+    coefficients one (capacity + 1, capacity) buffer; the two grow by
+    doubling and promote their dtype together, never re-stacked. Step j
+    writes column j of the coefficients as (Q^* A u_j, beta), which makes
+    the leading m x m block the Hessenberg matrix.
+    """
 
     def __init__(self, apply_a, b):
         self._apply = as_operator(apply_a)
@@ -70,61 +79,23 @@ class _ProcessBase:
         if self.start_norm == 0.0 or not np.isfinite(self.start_norm):
             raise ValueError("starting vector must be nonzero and finite")
         self.breakdown = False
-        self._scale = 0.0  # largest recurrence coefficient magnitude seen
-        self._q = np.zeros((self.n, 0))  # (n, capacity) basis buffer
-        self._size = 0  # columns of _q filled
-        self._store(b / self.start_norm)
-
-    @property
-    def dimension(self) -> int:
-        raise NotImplementedError
-
-    def _breakdown_tol(self) -> float:
-        return self.n * _EPS * max(self._scale, 1e-300)
-
-    def _check_finite(self, step, *coefficients) -> None:
-        # every entry of the operator output reaches the residual norm, so
-        # this O(1) check catches any NaN or inf it holds
-        if not all(np.isfinite(c).all() for c in coefficients):
-            raise NonFiniteOperatorError(type(self).__name__, step + 1)
+        self.dimension = 0  # steps taken: filled columns of _h
+        self._scale = 0.0  # largest coefficient magnitude seen
+        self._q = (b / self.start_norm).reshape(-1, 1)  # (n, capacity) basis buffer
+        self._h = np.zeros((2, 1), dtype=self._q.dtype)  # (capacity + 1, capacity)
 
     def _reserve(self, dtype) -> None:
-        """Makes column ``_size`` of the buffer writable at ``dtype``."""
-        cap = self._q.shape[1]
+        """Makes basis column ``dimension + 1`` and coefficient column
+        ``dimension`` writable at ``dtype``."""
+        cap, col = self._q.shape[1], self.dimension + 1
         dtype = np.result_type(self._q, dtype)
-        if self._size >= cap or dtype != self._q.dtype:
-            grown = cap if self._size < cap else max(32, 2 * cap)
+        if col >= cap or dtype != self._q.dtype:
+            grown = cap if col < cap else max(32, 2 * cap)
             q = np.empty((self.n, grown), dtype=dtype, order="F")
-            q[:, : self._size] = self._q[:, : self._size]
-            self._q = q
-
-    def _store(self, u) -> None:
-        self._reserve(u.dtype)
-        self._q[:, self._size] = u
-        self._size += 1
-
-    def _extend(self, step, w):
-        """Classical Gram-Schmidt applied twice (CGS2, "twice is enough":
-        Giraud, Langou and Rozloznik, 2005) of ``w`` against the basis as
-        matrix-vector products, then the breakdown test. Returns the summed
-        coefficients h = Q^* w and the residual norm beta."""
-        self._reserve(w.dtype)
-        q = self._q[:, : self._size]
-        r = self._q[:, self._size]
-        r[:] = w
-        h = 0
-        for _ in range(2):
-            c = (r.conj() @ q).conj()
-            r -= q @ c
-            h = h + c
-        beta = float(np.linalg.norm(r))
-        self._check_finite(step, h, beta)
-        self._scale = max(self._scale, float(np.abs(h).max()), beta)
-        self.breakdown = beta <= self._breakdown_tol()
-        if not self.breakdown:
-            r /= beta
-            self._size += 1
-        return h, beta
+            q[:, :col] = self._q[:, :col]
+            h = np.zeros((grown + 1, grown), dtype=dtype)
+            h[: cap + 1, :cap] = self._h
+            self._q, self._h = q, h
 
     def advance(self, steps: int) -> None:
         for _ in range(max(0, int(steps))):
@@ -133,27 +104,65 @@ class _ProcessBase:
             self._step()
 
     def _step(self) -> None:
-        raise NotImplementedError
+        """Classical Gram-Schmidt applied twice (CGS2, "twice is enough":
+        Giraud, Langou and Rozloznik, 2005) of A u_j against the basis, as
+        matrix-vector products."""
+        j = self.dimension
+        w = self._apply(self._q[:, j])
+        self._reserve(w.dtype)
+        q, r = self._q[:, : j + 1], self._q[:, j + 1]
+        r[:] = w
+        h = 0
+        for _ in range(2):
+            c = (r.conj() @ q).conj()
+            r -= q @ c
+            h = h + c
+        self._h[: j + 1, j] = h
+        self._close(j)
+
+    def _close(self, j) -> None:
+        """Ends step j, whose residual sits in basis column j + 1: stores its
+        norm beta below the coefficients, tests breakdown and normalizes."""
+        r, col = self._q[:, j + 1], self._h[: j + 2, j]
+        col[j + 1] = beta = float(np.linalg.norm(r))
+        # every entry of the operator output reaches the residual norm, so
+        # this O(j) check catches any NaN or inf it holds
+        if not np.isfinite(col).all():
+            raise NonFiniteOperatorError(type(self).__name__, j + 1)
+        self._scale = max(self._scale, float(np.abs(col).max()))
+        self.dimension += 1
+        self.breakdown = beta <= self.n * _EPS * max(self._scale, 1e-300)
+        if not self.breakdown:
+            r /= beta
+
+    def _checked(self, m, lo=0) -> int:
+        m = self.dimension if m is None else m
+        if not lo <= m <= self.dimension:
+            raise ValueError(f"m = {m} is outside {lo}..{self.dimension}: "
+                             f"the {type(self).__name__} has dimension {self.dimension}")
+        return m
 
     def basis_matrix(self, m=None) -> np.ndarray:
-        return self._q[:, : self.dimension if m is None else m]
+        return self._q[:, : self._checked(m)]
+
+    def compressed(self, m=None) -> np.ndarray:
+        m = self._checked(m)
+        return self._h[:m, :m].copy()
 
     def decomposition(self, m=None) -> KrylovDecomposition:
-        m = self.dimension if m is None else m
-        if not 1 <= m <= self.dimension:
-            raise ValueError("invalid decomposition size")
-        next_vector = self._q[:, m] if m < self._size else None
+        m = self._checked(m, lo=1)
         broke = self.breakdown and m == self.dimension
-        return KrylovDecomposition(self._q[:, :m], self.compressed(m), self._next_norm(m),
-                                   next_vector, self.start_norm, broke)
+        return KrylovDecomposition(self._q[:, :m], self.compressed(m),
+                                   float(np.real(self._h[m, m - 1])),
+                                   None if broke else self._q[:, m], self.start_norm, broke)
 
 
-class LanczosProcess(_ProcessBase):
+class LanczosProcess(ArnoldiProcess):
     """Lanczos process for a Hermitian operator.
 
-    ``reorth="full"`` is the Hermitian case of the CGS2 basis kernel, with
-    the tridiagonal read off its coefficients. ``reorth="none"`` runs the
-    three-term recurrence, reading u_j and u_{j-1} from the stored basis.
+    ``reorth="full"`` is the Arnoldi step, whose Hessenberg matrix is then
+    the tridiagonal. ``reorth="none"`` runs the three-term recurrence on the
+    same buffers, writing alpha_j to (j, j) and beta_j to (j + 1, j).
     """
 
     def __init__(self, apply_a, b, reorth="full"):
@@ -161,72 +170,32 @@ class LanczosProcess(_ProcessBase):
         if reorth not in ("full", "none"):
             raise ValueError("reorth must be 'full' or 'none'")
         self.reorth = reorth
-        self.alphas: list[float] = []
-        self.betas: list[float] = []  # betas[j] produced at step j+1
-
-    @property
-    def dimension(self) -> int:
-        return len(self.alphas)
 
     def _step(self) -> None:
+        if self.reorth == "full":
+            return super()._step()
         j = self.dimension
         u = self._q[:, j]
         w = self._apply(u)
-        if self.reorth == "full":
-            h, beta = self._extend(j, w)
-            alpha = float(np.real(h[j]))
-        else:
-            if j > 0:
-                w = w - self.betas[j - 1] * self._q[:, j - 1]
-            alpha = float(np.real(np.vdot(u, w)))
-            w = w - alpha * u
-            beta = float(np.linalg.norm(w))
-            self._check_finite(j, alpha, beta)
-            self._scale = max(self._scale, abs(alpha), beta)
-            self.breakdown = beta <= self._breakdown_tol()
-            if not self.breakdown:
-                self._store(w / beta)
-        self.alphas.append(alpha)
-        self.betas.append(beta)
+        if j > 0:
+            w = w - float(self._h[j, j - 1].real) * self._q[:, j - 1]
+        alpha = float(np.real(np.vdot(u, w)))
+        w = w - alpha * u
+        self._reserve(w.dtype)
+        self._h[j, j] = alpha
+        self._q[:, j + 1] = w
+        self._close(j)
 
     def compressed(self, m=None) -> np.ndarray:
-        m = self.dimension if m is None else m
-        g = np.diag(np.asarray(self.alphas[:m], dtype=np.float64))
+        """The real symmetric tridiagonal, mirrored from the diagonal and
+        the subdiagonal of the coefficient buffer."""
+        m = self._checked(m)
+        h = self._h.real
+        g = np.diag(h.diagonal()[:m].astype(np.float64))
         if m > 1:
-            off = np.asarray(self.betas[: m - 1], dtype=np.float64)
+            off = h.diagonal(-1)[: m - 1].astype(np.float64)
             g += np.diag(off, 1) + np.diag(off, -1)
         return g
-
-    def _next_norm(self, m) -> float:
-        return self.betas[m - 1]
-
-
-class ArnoldiProcess(_ProcessBase):
-    """Arnoldi process for a general operator: CGS2 against the stored
-    basis, with the summed coefficients forming the Hessenberg matrix."""
-
-    def __init__(self, apply_a, b):
-        super().__init__(apply_a, b)
-        self._hcols: list[np.ndarray] = []  # _hcols[j] = H[: j + 2, j]
-
-    @property
-    def dimension(self) -> int:
-        return len(self._hcols)
-
-    def _step(self) -> None:
-        j = self.dimension
-        h, beta = self._extend(j, self._apply(self._q[:, j]))
-        self._hcols.append(np.append(h, beta))
-
-    def compressed(self, m=None) -> np.ndarray:
-        m = self.dimension if m is None else m
-        g = np.zeros((m, m), dtype=self._q.dtype)
-        for j, col in enumerate(self._hcols[:m]):
-            g[: j + 2, j] = col[:m]
-        return g
-
-    def _next_norm(self, m) -> float:
-        return float(np.real(self._hcols[m - 1][m]))
 
 
 def lanczos(apply_a, b, m, reorth="full") -> KrylovDecomposition:

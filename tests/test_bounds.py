@@ -207,6 +207,14 @@ class TestChebyshevBound:
         with pytest.raises(DomainError):
             chebyshev_poly_bound(FunctionSpec.inverse_sqrt(), (-1.0, 1.0), 3)
 
+    def test_inverse_away_from_zero(self):
+        # 1/x is analytic on [-2, -1]: only an interval holding 0 is rejected
+        vals = [chebyshev_poly_bound(FunctionSpec.inverse(), (-2.0, -1.0), m) for m in range(1, 12)]
+        assert all(np.isfinite(vals))
+        assert all(b <= a for a, b in zip(vals, vals[1:]))
+        with pytest.raises(DomainError, match="inverse"):
+            chebyshev_poly_bound(FunctionSpec.inverse(), (-1.0, 1.0), 6)
+
 
 class TestFieldOfValues:
     def test_hermitian_stays_on_real_segment(self):

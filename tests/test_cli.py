@@ -535,7 +535,12 @@ class TestBoundsCommand:
     @pytest.mark.parametrize("spec,message", [
         ({"kind": "exp-superlinear", "rho": 2.0}, "missing the key 'psi1'"),
         ([{"kind": "exp-superlinear", "psi1": 0.0, "rho": 2.0}], "must be a JSON object"),
-    ], ids=["missing-key", "array"])
+        ({"kind": "markov", "interval": [0.1], "beta": 0.05, "function": "invsqrt"},
+         "key 'interval' must be a list of 2 numbers"),
+        ({"kind": "exp-superlinear", "psi1": 0.0, "rho": [2.0]}, "key 'rho' must be a number"),
+        ({"kind": "chebyshev", "function": "exp", "interval": 3},
+         "key 'interval' must be a list of 2 numbers"),
+    ], ids=["missing-key", "array", "short-interval", "list-for-number", "number-for-interval"])
     def test_bad_spec_is_input_error(self, tmp_path, capsys, spec, message):
         (tmp_path / "spec.json").write_text(json.dumps(spec))
         assert main(["bounds", "--spec", str(tmp_path / "spec.json"),

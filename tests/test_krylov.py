@@ -92,8 +92,8 @@ class TestLanczos:
             proc.advance(10)
             assert proc.breakdown and proc.dimension == 3
             assert proc.decomposition().next_vector is None
-            runs.append((list(proc.alphas), list(proc.betas)))
-        assert runs[0] == runs[1]
+            runs.append((proc.compressed(), proc.decomposition().next_norm))
+        assert np.array_equal(runs[0][0], runs[1][0]) and runs[0][1] == runs[1][1]
 
     @pytest.mark.parametrize("m", [33, 65])
     def test_plain_recurrence_on_stored_basis(self, m):
@@ -212,11 +212,45 @@ class TestBasisKernel:
         n, m = 500, 60
         op = banded_operator(n, True, complex_)
         b = unit(rng, n, complex_=complex_)
-        t = lanczos(op, b, m).compressed
-        h = arnoldi(op, b, m).compressed
-        for k in (-1, 0, 1):
-            assert np.max(np.abs(np.diagonal(h, k) - np.diagonal(t, k))) <= 1e-12
-        assert spectral_norm(np.triu(h, 2)) <= 1e-12
+        lan, arn = lanczos(op, b, m), arnoldi(op, b, m)
+        # fully reorthogonalized Lanczos runs the Arnoldi step itself
+        assert np.array_equal(lan.basis, arn.basis)
+        h = arn.compressed.real
+        sub = np.diagonal(h, -1)
+        mirrored = np.diag(np.diagonal(h)) + np.diag(sub, 1) + np.diag(sub, -1)
+        assert np.array_equal(lan.compressed, mirrored)
+        assert lan.next_norm == arn.next_norm
+        assert spectral_norm(np.triu(arn.compressed, 2)) <= 1e-12
+
+
+PROCESSES = [
+    lambda op, b: LanczosProcess(op, b, reorth="none"),
+    lambda op, b: LanczosProcess(op, b, reorth="full"),
+    lambda op, b: ArnoldiProcess(op, b),
+]
+PROCESS_IDS = ["lanczos-none", "lanczos-full", "arnoldi"]
+
+
+class TestSizeRange:
+    @pytest.mark.parametrize("make", PROCESSES, ids=PROCESS_IDS)
+    @pytest.mark.parametrize("m", [-1, 4])
+    def test_outside_the_dimension_is_rejected(self, make, m):
+        # m = 4 is dimension + 1: the buffers hold spare capacity there
+        proc = make(np.diag(np.arange(1.0, 51.0)), np.ones(50))
+        proc.advance(3)
+        for read in (proc.basis_matrix, proc.compressed, proc.decomposition):
+            with pytest.raises(ValueError, match=f"m = {m} is outside .*3"):
+                read(m)
+
+    @pytest.mark.parametrize("make", PROCESSES, ids=PROCESS_IDS)
+    def test_zero_steps_are_empty(self, make):
+        proc = make(np.diag(np.arange(1.0, 51.0)), np.ones(50))
+        proc.advance(3)
+        assert proc.basis_matrix(0).shape == (50, 0)
+        assert proc.compressed(0).shape == (0, 0)
+        with pytest.raises(ValueError, match="m = 0 is outside 1..3"):
+            proc.decomposition(0)
+        assert proc.compressed(3).shape == (3, 3) and proc.basis_matrix().shape == (50, 3)
 
 
 def nan_at_matvec(k, bad=np.nan):
