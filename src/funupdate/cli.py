@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import shutil
 import sys
 import time
@@ -259,12 +260,19 @@ def _fold(diag: np.ndarray, deltas: list) -> np.ndarray:
     return diag
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on (all cores where affinity is unknown)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def update_subgraph_centrality(graph: Graph, edits, opts: SolveOptions) -> dict:
     """Applies edge edits to the subgraph-centrality vector.
 
     The baseline diag(exp(A)) is computed once, on a worker thread while
     the edits are solved in the calling thread (the dense eigensolver
-    releases the interpreter lock). Every edit contributes its diagonal
+    releases the interpreter lock). With one usable core the two would
+    only time-slice it, so the edits then wait for the baseline. Every edit contributes its diagonal
     correction through two signed Hermitian rank-1 solves; corrections made
     before the baseline is ready are held and then added in edit order, so
     the sum is the one a sequential run forms. Centralities are
@@ -278,6 +286,8 @@ def update_subgraph_centrality(graph: Graph, edits, opts: SolveOptions) -> dict:
     held = []  # per-edit corrections waiting for the baseline
     with ThreadPoolExecutor(max_workers=1) as pool:
         pending = pool.submit(subgraph_centrality_baseline, graph)
+        if _usable_cores() == 1:
+            pending.result()
         for op in edits:
             if op.kind == "add" and current.has_edge(op.i, op.j):
                 raise ValueError(f"cannot add existing edge ({op.i}, {op.j})")
@@ -371,10 +381,25 @@ class _BoundsSpec(dict):
             raise ValueError(f"bounds spec key {key!r} must be {want}, got {value!r}")
         return tuple(float(v) for v in items) if size else float(value)
 
+    def count(self, key, default) -> int:
+        """Field ``key`` as a finite integer."""
+        value = self.num(key, default)
+        if not (np.isfinite(value) and value.is_integer()):
+            raise ValueError(f"bounds spec key {key!r} must be a finite integer, "
+                             f"got {self[key]!r}")
+        return int(value)
+
+    def function(self) -> FunctionSpec:
+        """The ``function`` field, a name as ``--function`` takes it."""
+        name = self["function"]
+        if not isinstance(name, str):
+            raise ValueError(f"bounds spec key 'function' must be a string, got {name!r}")
+        return function_from_name(name)
+
 
 def _bounds_rows(spec: _BoundsSpec):
     kind = spec["kind"]
-    m_range = range(int(spec.num("m_min", 1)), int(spec.num("m_max", 60)) + 1)
+    m_range = range(spec.count("m_min", 1), spec.count("m_max", 60) + 1)
     b_norm, c_norm = spec.num("b_norm", 1.0), spec.num("c_norm", 1.0)
     rows = []
     if kind == "exp-superlinear":
@@ -390,7 +415,7 @@ def _bounds_rows(spec: _BoundsSpec):
         if "f_prime" in spec:
             fp = spec.num("f_prime")
         else:
-            fp = abs(scalar_derivative(function_from_name(spec["function"]), spec.num("omega")))
+            fp = abs(scalar_derivative(spec.function(), spec.num("omega")))
         kappa = spec.num("kappa_star")
         s = np.sqrt(kappa)
         rate = (s - 1.0) / (s + 1.0)
@@ -403,12 +428,12 @@ def _bounds_rows(spec: _BoundsSpec):
             region = bnd.Ellipse(*spec.num("ellipse", size=3))
         beta = spec.num("beta")
         omega = bnd.leftmost_real_point(region)
-        fp = abs(scalar_derivative(function_from_name(spec["function"]), omega))
+        fp = abs(scalar_derivative(spec.function(), omega))
         rate = 1.0 / bnd.phi_abs(region, beta)
         for m in m_range:
             rows.append((m, bnd.bound_markov(region, beta, fp, m, b_norm, c_norm), rate**m))
     elif kind == "chebyshev":
-        f = function_from_name(spec["function"])
+        f = spec.function()
         interval = spec.num("interval", size=2)
         for m in m_range:
             rows.append((m, bnd.chebyshev_poly_bound(f, interval, m), "NA"))

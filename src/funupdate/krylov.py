@@ -3,11 +3,11 @@
 Arnoldi serves general operators (Hessenberg compression), Lanczos
 Hermitian ones (tridiagonal compression). Both run one process kernel: a
 growable basis store, a coefficient buffer beside it and classical
-Gram-Schmidt applied twice (CGS2). For Hermitian A the Arnoldi Hessenberg
-matrix is the Lanczos tridiagonal (Saad, Iterative Methods for Sparse
-Linear Systems, 2nd ed., 6.6), so fully reorthogonalized Lanczos is the
-Arnoldi step; only plain Lanczos (``reorth="none"``) runs its own
-three-term recurrence, on the same buffers. Both are exposed as
+Gram-Schmidt applied twice (CGS2). Arnoldi runs CGS2 on every step.
+Lanczos runs the three-term recurrence on the same buffers; with
+``reorth="full"`` it then measures the loss of orthogonality of the new
+vector with one product against the stored basis and runs CGS2 only on
+the steps where that loss exceeds ``_REORTH_TRIGGER``. Both are exposed as
 single-shot functions and as incrementally extensible processes so that
 callers can grow a decomposition while monitoring convergence.
 """
@@ -21,6 +21,12 @@ import numpy as np
 from .errors import NonFiniteOperatorError
 
 _EPS = np.finfo(np.float64).eps
+
+# Largest cosine |Q^* r| / |r| between a Lanczos residual and the stored
+# basis that full reorthogonalization leaves uncorrected. Each column of
+# U^* U - I then has norm at most this, so the loss after m steps is at
+# most sqrt(2 m) times it: 1e-12 up to m = 555.
+_REORTH_TRIGGER = 3e-14
 
 
 def as_operator(a):
@@ -104,21 +110,25 @@ class ArnoldiProcess:
             self._step()
 
     def _step(self) -> None:
-        """Classical Gram-Schmidt applied twice (CGS2, "twice is enough":
-        Giraud, Langou and Rozloznik, 2005) of A u_j against the basis, as
-        matrix-vector products."""
         j = self.dimension
         w = self._apply(self._q[:, j])
         self._reserve(w.dtype)
-        q, r = self._q[:, : j + 1], self._q[:, j + 1]
-        r[:] = w
-        h = 0
-        for _ in range(2):
-            c = (r.conj() @ q).conj()
-            r -= q @ c
-            h = h + c
-        self._h[: j + 1, j] = h
+        self._q[:, j + 1] = w
+        self._cgs2(j)
         self._close(j)
+
+    def _cgs2(self, j, c=None) -> None:
+        """Classical Gram-Schmidt applied twice (CGS2, "twice is enough":
+        Giraud, Langou and Rozloznik, 2005) of basis column j + 1 against
+        columns 0..j, as matrix-vector products, adding both passes'
+        coefficients into coefficient column j. ``c`` is the first pass's
+        projection when the caller has computed it already."""
+        q, r, h = self._q[:, : j + 1], self._q[:, j + 1], self._h[: j + 1, j]
+        for k in range(2):
+            if c is None or k:
+                c = (r.conj() @ q).conj()
+            r -= q @ c
+            h += c
 
     def _close(self, j) -> None:
         """Ends step j, whose residual sits in basis column j + 1: stores its
@@ -160,9 +170,15 @@ class ArnoldiProcess:
 class LanczosProcess(ArnoldiProcess):
     """Lanczos process for a Hermitian operator.
 
-    ``reorth="full"`` is the Arnoldi step, whose Hessenberg matrix is then
-    the tridiagonal. ``reorth="none"`` runs the three-term recurrence on the
-    same buffers, writing alpha_j to (j, j) and beta_j to (j + 1, j).
+    Every step runs the three-term recurrence, writing alpha_j to (j, j)
+    and beta_j to (j + 1, j) of the coefficient buffer. ``reorth="none"``
+    stops there. ``reorth="full"`` then probes the residual r against the
+    stored basis (c = Q^* r, one matrix-vector product) and runs the CGS2
+    step, its first pass reusing c, only when |c| > ``_REORTH_TRIGGER`` |r|;
+    the corrections add into coefficient column j as Arnoldi's do, so
+    the basis stays orthonormal to 1e-12 on spectra where the plain
+    recurrence loses orthogonality, at the cost of the probe alone on the
+    steps that keep it.
     """
 
     def __init__(self, apply_a, b, reorth="full"):
@@ -172,8 +188,6 @@ class LanczosProcess(ArnoldiProcess):
         self.reorth = reorth
 
     def _step(self) -> None:
-        if self.reorth == "full":
-            return super()._step()
         j = self.dimension
         u = self._q[:, j]
         w = self._apply(u)
@@ -183,7 +197,12 @@ class LanczosProcess(ArnoldiProcess):
         w = w - alpha * u
         self._reserve(w.dtype)
         self._h[j, j] = alpha
-        self._q[:, j + 1] = w
+        q, r = self._q[:, : j + 1], self._q[:, j + 1]
+        r[:] = w
+        if self.reorth == "full":
+            c = (r.conj() @ q).conj()
+            if np.linalg.norm(c) > _REORTH_TRIGGER * np.linalg.norm(r):
+                self._cgs2(j, c)
         self._close(j)
 
     def compressed(self, m=None) -> np.ndarray:

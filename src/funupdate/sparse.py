@@ -371,7 +371,9 @@ class Graph:
         Splices entries (i, j) and (j, i) into or out of copies of the CSR
         arrays, so an edit costs O(nnz) copying; the source graph is left
         untouched. A stored zero counts as absent: setting the edge stores
-        1 in its place, clearing it deletes the entry.
+        1 in its place, clearing it deletes the entry. The splice keeps 0/1
+        values, the zero diagonal and symmetry, so the result skips the
+        validation of ``Graph(adjacency)``.
         """
         _check_range("node", (i, j), self.n)
         if i == j:
@@ -394,7 +396,10 @@ class Graph:
                 col_idx = np.delete(col_idx, pos)
                 values = np.delete(values, pos)
                 row_ptr = np.concatenate((row_ptr[:r + 1], row_ptr[r + 1:] - 1))
-        return Graph(SparseMatrix(a.n, row_ptr, col_idx, values, symmetry_flag=True))
+        spliced = object.__new__(Graph)
+        object.__setattr__(spliced, "adjacency",
+                           SparseMatrix(a.n, row_ptr, col_idx, values, symmetry_flag=True))
+        return spliced
 
 
 # -----------------------------------------------------------------------------

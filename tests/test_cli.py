@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import threading
 import time
 
@@ -403,6 +404,8 @@ class TestCentralityOverlap:
         want_base, want_diag, want_records = sequential_centrality(graph, edits, opts)
         start = threading.active_count()
         if release_at is not None:
+            # a held baseline needs the concurrent path, taken on two cores
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
             release, solves = threading.Event(), []
             real_baseline, real_solve = cli.subgraph_centrality_baseline, cli.rank_k_update
 
@@ -425,6 +428,34 @@ class TestCentralityOverlap:
             np.testing.assert_array_equal(got[key].view(np.uint64), want.view(np.uint64))
         assert got["edits"] == want_records
         assert got["diag"] is not got["baseline_diag"]
+
+    def test_one_core_waits_for_the_baseline(self, monkeypatch):
+        """With one usable core the baseline is finished before the first
+        solve, and the diagonal is bit for bit the concurrent path's."""
+        graph, edits = random_graph_and_edits(n=120, count=6)
+        opts = SolveOptions(tol=1e-8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        concurrent = update_subgraph_centrality(graph, edits, opts)
+        real_baseline, real_solve = cli.subgraph_centrality_baseline, cli.rank_k_update
+        finished, done_at_solve = [], []
+
+        def marked_baseline(g):
+            out = real_baseline(g)
+            finished.append(1)
+            return out
+
+        def checked_solve(*args):
+            done_at_solve.append(bool(finished))
+            return real_solve(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(cli, "subgraph_centrality_baseline", marked_baseline)
+        monkeypatch.setattr(cli, "rank_k_update", checked_solve)
+        one_core = update_subgraph_centrality(graph, edits, opts)
+        assert done_at_solve == [True] * len(edits)
+        for key in ("baseline_diag", "diag"):
+            assert np.array_equal(one_core[key], concurrent[key])
+        assert one_core["edits"] == concurrent["edits"]
 
     def test_invalid_edit_while_baseline_runs_is_input_error(self, tmp_path, monkeypatch,
                                                              capsys):
@@ -540,9 +571,18 @@ class TestBoundsCommand:
         ({"kind": "exp-superlinear", "psi1": 0.0, "rho": [2.0]}, "key 'rho' must be a number"),
         ({"kind": "chebyshev", "function": "exp", "interval": 3},
          "key 'interval' must be a list of 2 numbers"),
-    ], ids=["missing-key", "array", "short-interval", "list-for-number", "number-for-interval"])
+        ({"kind": "chebyshev", "function": 3, "interval": [1, 2]},
+         "key 'function' must be a string"),
+        # spec text as written: json reads 1e400 as inf
+        ('{"kind": "exp-superlinear", "psi1": 0.0, "rho": 2.0, "m_max": 1e400}',
+         "key 'm_max' must be a finite integer"),
+        ({"kind": "exp-superlinear", "psi1": 0.0, "rho": 2.0, "m_min": 2.5},
+         "key 'm_min' must be a finite integer"),
+    ], ids=["missing-key", "array", "short-interval", "list-for-number", "number-for-interval",
+            "number-for-function", "infinite-m-max", "fractional-m-min"])
     def test_bad_spec_is_input_error(self, tmp_path, capsys, spec, message):
-        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        text = spec if isinstance(spec, str) else json.dumps(spec)
+        (tmp_path / "spec.json").write_text(text)
         assert main(["bounds", "--spec", str(tmp_path / "spec.json"),
                      "--output", str(tmp_path / "b.csv")]) == 2
         err = capsys.readouterr().err

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from funupdate import sparse
 from funupdate import (Graph, MatrixMarketError, SparseMatrix, check_declared_symmetry,
                        gen_convdiff1d, gen_laplace2d, graph_distance, graph_distances,
                        lanczos, load_matrix_market, spmv)
@@ -339,6 +340,26 @@ def test_with_edge_matches_rebuild(case):
         assert_same_csr(edited, Graph.from_edges(n, sorted(edge_set)))
         assert edited.has_edge(i, j) == present
         g = edited
+
+
+def test_edit_sequence_matches_from_edges_without_revalidation(monkeypatch):
+    """A remove/add sequence gives the CSR arrays of ``Graph.from_edges``
+    of the final edge list, and no splice re-runs the graph validation."""
+    rng = np.random.default_rng(7)
+    n = 40
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = {pairs[k] for k in rng.choice(len(pairs), 120, replace=False)}
+    g = Graph.from_edges(n, sorted(edges))
+    removals = sorted(edges)[::3]
+    additions = [p for p in pairs if p not in edges][::17]
+    monkeypatch.setattr(sparse, "_stored_as_conjugate_transpose",
+                        lambda a: pytest.fail("with_edge re-validated the graph"))
+    for (i, j), present in [(e, False) for e in removals] + [(e, True) for e in additions]:
+        g = g.with_edge(j, i, present) if (i + j) % 2 else g.with_edge(i, j, present)
+        (edges.add if present else edges.discard)((i, j))
+    monkeypatch.undo()
+    assert_same_csr(g, Graph.from_edges(n, sorted(edges)))
+    assert_same_csr(Graph(g.adjacency), g)
 
 
 def csr_of_entries(n, entries) -> SparseMatrix:
