@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import shutil
 import sys
 import time
@@ -260,12 +259,6 @@ def _fold(diag: np.ndarray, deltas: list) -> np.ndarray:
     return diag
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on (all cores where affinity is unknown)."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
 def update_subgraph_centrality(graph: Graph, edits, opts: SolveOptions) -> dict:
     """Applies edge edits to the subgraph-centrality vector.
 
@@ -286,7 +279,7 @@ def update_subgraph_centrality(graph: Graph, edits, opts: SolveOptions) -> dict:
     held = []  # per-edit corrections waiting for the baseline
     with ThreadPoolExecutor(max_workers=1) as pool:
         pending = pool.submit(subgraph_centrality_baseline, graph)
-        if _usable_cores() == 1:
+        if densefun._usable_cores() == 1:
             pending.result()
         for op in edits:
             if op.kind == "add" and current.has_edge(op.i, op.j):

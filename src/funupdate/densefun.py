@@ -7,6 +7,7 @@ The compressed problems produced by the Krylov machinery are small (m x m or
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,9 @@ _EIGVEC_COND_LIMIT = 1e8   # reject the diagonalization path beyond this
 # loss could exceed ~1e-10.
 _INVSQRT_COND_LIMIT = 1e6
 _HERMITIAN_RTOL = 1e-12
+# Kinds whose f of a block upper-triangular matrix is formed from the
+# eigendecompositions of its two diagonal blocks (``triangular_block_function``).
+_DIVIDED_DIFFERENCE_KINDS = ("invsqrt", "invpower")
 
 KINDS = ("exp", "invsqrt", "inverse", "invpower", "log1p-over-z", "polynomial", "resolvent")
 
@@ -208,6 +212,40 @@ def scalar_derivative(f: FunctionSpec, x):
     raise AssertionError(f.kind)
 
 
+def divided_differences(f: FunctionSpec, lam, mu) -> np.ndarray:
+    """F_ij = f[lam_i, mu_j] = (f(lam_i) - f(mu_j)) / (lam_i - mu_j), equal
+    to f'(mu_j) where lam_i = mu_j, for invsqrt and invpower on the
+    principal branch, in forms free of the quotient's cancellation.
+
+    invsqrt: -1 / (s t (s + t)) with s, t the principal square roots.
+    invpower gamma: mu^(-gamma-1) expm1(-gamma d) / expm1(d) with
+    d = log lam - log mu; for a close pair d is 2 atanh((lam - mu) / (lam + mu)),
+    which keeps its relative accuracy (numpy's complex log1p does not), turned
+    by the multiple of 2 pi i that log lam - log mu carries across the cut.
+    """
+    lam = np.asarray(lam)[:, None]
+    mu = np.asarray(mu)[None, :]
+    if np.iscomplexobj(lam) or np.iscomplexobj(mu):
+        lam, mu = lam.astype(complex), mu.astype(complex)
+    if f.kind == "invsqrt":
+        s, t = np.sqrt(lam), np.sqrt(mu)
+        return -1.0 / (s * t * (s + t))
+    if f.kind != "invpower":
+        raise ValueError(f"no divided-difference form for {f.kind!r}")
+    gamma = f.power
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (lam - mu) / (lam + mu)
+        near = np.abs(t) < 0.5
+        d = np.log(lam) - np.log(mu)
+        d_near = 2.0 * np.arctanh(np.where(near, t, 0.0))
+        den = np.expm1(np.where(near, d_near, d))  # lam / mu - 1
+        if np.iscomplexobj(d):
+            d_near = d_near + 2j * np.pi * np.round((d - d_near).imag / (2.0 * np.pi))
+        d = np.where(near, d_near, d)
+        ratio = np.where(den == 0.0, -gamma, np.expm1(-gamma * d) / den)
+    return np.power(mu, -gamma - 1.0) * ratio
+
+
 def _check_spectrum(f: FunctionSpec, eigs: np.ndarray) -> None:
     """Rejects eigenvalues on or numerically touching the singular set of f."""
     eigs = np.atleast_1d(eigs)
@@ -264,6 +302,62 @@ def eigen_decompose(m, hermitian: bool | None = None) -> EigenDecomposition:
         return EigenDecomposition(w, q, 1.0)
     w, v = np.linalg.eig(m)
     return EigenDecomposition(w, v, float(np.linalg.cond(v)))
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on (all cores where affinity is unknown)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _eig_with_inverse(m):
+    """(eigenvalues, Q, Q^{-1}, |Q|_1 |Q^{-1}|_1) of M = Q diag(eigenvalues) Q^{-1}.
+    It calls np.linalg alone because it runs on a worker thread: a benchmark
+    tracer wrapping a name such as ``eigen_decompose`` keeps one span stack."""
+    w, q = np.linalg.eig(m)
+    q_inv = np.linalg.inv(q)
+    return w, q, q_inv, float(np.linalg.norm(q, 1) * np.linalg.norm(q_inv, 1))
+
+
+def triangular_block_function(m, split, f: FunctionSpec) -> np.ndarray | None:
+    """The (1,2) block of f(M) for block upper-triangular M = [[G, E], [0, K]]
+    with G the leading split x split block, for invsqrt and invpower.
+
+    With G = P diag(lam) P^{-1} and K = R diag(mu) R^{-1} the block is
+    X = P [(P^{-1} E R) o F] R^{-1}, F = ``divided_differences(f, lam, mu)``
+    (Daleckii-Krein; Higham, Functions of Matrices, 2008, ch. 3-4): two
+    split-sized eigendecompositions instead of one of M, whose eigenvectors
+    are ill-conditioned wherever lam_i is close to mu_j. K's runs on a worker
+    thread when more than one core is usable. Returns None for any other
+    kind, and when either eigenvector matrix's 1-norm condition number
+    exceeds the limit ``eval_matrix_function`` diagonalizes f under; the
+    caller then evaluates the whole of M. Raises DomainError for a spectrum
+    off the domain of f.
+    """
+    if f.kind not in _DIVIDED_DIFFERENCE_KINDS:
+        return None
+    m = np.asarray(m)
+    g, e, k = m[:split, :split], m[:split, split:], m[split:, split:]
+    if _usable_cores() > 1:
+        # imported on first use, so that importing the package does not pay for it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pending = pool.submit(_eig_with_inverse, k)
+            lam, p, p_inv, p_cond = _eig_with_inverse(g)
+            mu, r, r_inv, r_cond = pending.result()
+    else:
+        lam, p, p_inv, p_cond = _eig_with_inverse(g)
+        mu, r, r_inv, r_cond = _eig_with_inverse(k)
+    _check_spectrum(f, np.concatenate([lam, mu]))
+    limit = _INVSQRT_COND_LIMIT if f.kind == "invsqrt" else _EIGVEC_COND_LIMIT
+    if max(p_cond, r_cond) > limit:
+        return None
+    # P^{-1} E R over E's nonzero rows and columns only: the coupling of a
+    # Krylov block compression is one entry, which makes it O(split^2)
+    rows, cols = np.flatnonzero(e.any(axis=1)), np.flatnonzero(e.any(axis=0))
+    coupled = p_inv[:, rows] @ e[np.ix_(rows, cols)] @ r[cols] * divided_differences(f, lam, mu)
+    return _maybe_real(p @ coupled @ r_inv, m, f)
 
 
 def spectral_norm(m) -> float:

@@ -19,9 +19,10 @@ class OracleScaleError(ValueError):
 
 class NonFiniteOperatorError(ArithmeticError):
     """Raised when a Krylov recurrence meets a non-finite coefficient: the
-    operator returned NaN or inf, or entries so large (beyond ~1e154) that
-    the vector norm overflows. ``process`` names the process class and
-    ``step`` the 1-based step, i.e. the matvec that produced it."""
+    operator returned NaN or inf, or a finite output whose norm or
+    projections exceed the float64 range (entries beyond ~1e154 alone do
+    not: the norm is then rescaled). ``process`` names the process class
+    and ``step`` the 1-based step, i.e. the matvec that produced it."""
 
     def __init__(self, process, step):
         super().__init__(f"{process} step {step}: operator output is not finite "

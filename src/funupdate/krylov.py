@@ -29,6 +29,17 @@ _EPS = np.finfo(np.float64).eps
 _REORTH_TRIGGER = 3e-14
 
 
+def _norm(v) -> float:
+    """Euclidean norm of v; rescaled by max |v_i| when the sum of squares
+    overflows although every entry is finite (entries beyond ~1e154)."""
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(v))
+    if nrm == np.inf and np.isfinite(v).all():
+        s = float(np.abs(v).max())
+        nrm = s * float(np.linalg.norm(v / s))
+    return nrm
+
+
 def as_operator(a):
     """Normalizes matrices and matvec-bearing objects to a callable x -> A x."""
     if isinstance(a, np.ndarray):
@@ -134,7 +145,7 @@ class ArnoldiProcess:
         """Ends step j, whose residual sits in basis column j + 1: stores its
         norm beta below the coefficients, tests breakdown and normalizes."""
         r, col = self._q[:, j + 1], self._h[: j + 2, j]
-        col[j + 1] = beta = float(np.linalg.norm(r))
+        col[j + 1] = beta = _norm(r)
         # every entry of the operator output reaches the residual norm, so
         # this O(j) check catches any NaN or inf it holds
         if not np.isfinite(col).all():
@@ -201,7 +212,7 @@ class LanczosProcess(ArnoldiProcess):
         r[:] = w
         if self.reorth == "full":
             c = (r.conj() @ q).conj()
-            if np.linalg.norm(c) > _REORTH_TRIGGER * np.linalg.norm(r):
+            if _norm(c) > _REORTH_TRIGGER * _norm(r):
                 self._cgs2(j, c)
         self._close(j)
 

@@ -12,7 +12,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .densefun import FunctionSpec, eval_matrix_function, spectral_norm
+from .densefun import (FunctionSpec, eval_matrix_function, spectral_norm,
+                       triangular_block_function)
+from .errors import DomainError
 from .krylov import ArnoldiProcess, LanczosProcess, as_operator
 
 
@@ -141,7 +143,8 @@ def error_estimate(x_m, x_md) -> float:
 class _Problem:
     """Krylov processes grown on demand. ``x(m)`` and ``factor(m)`` read the
     first m vectors of each process, or all it has after a breakdown; they
-    equal a fresh problem's bit for bit, as growing never changes a prefix."""
+    equal a fresh problem's bit for bit, as growing never changes a prefix.
+    ``x(m)`` raises DomainError when X is not finite (f overflowed)."""
 
     def __init__(self, f: FunctionSpec, *processes):
         self.f = f
@@ -165,7 +168,11 @@ class _Problem:
         if m < 1:
             raise ValueError("m must be at least 1")
         self.grow(m)
-        return self._x(*(min(m, p.dimension) for p in self._processes))
+        x = self._x(*(min(m, p.dimension) for p in self._processes))
+        if not np.isfinite(x).all():
+            raise DomainError(f"{self.f.label()} of the compressed matrix is not finite "
+                              f"at m = {m}: f overflows on its spectrum")
+        return x
 
     def factor(self, m) -> UpdateFactor:
         """Factor on the first m vectors, converged when exact; no stopping rule is run."""
@@ -191,7 +198,9 @@ class HermitianProblem(_Problem):
 
 class GeneralProblem(_Problem):
     """f(A + b c^*) - f(A) for general A on the Arnoldi spaces of (A, b) and
-    (A^*, c): X is the (1,2) block of f of the block compression."""
+    (A^*, c): X is the (1,2) block of f of the block compression, taken from
+    its diagonal blocks' eigendecompositions for invsqrt and invpower
+    (``triangular_block_function``) and from f of the whole block otherwise."""
 
     def __init__(self, apply_a, apply_a_adj, b, c, f: FunctionSpec):
         self._b = np.asarray(b)
@@ -201,7 +210,8 @@ class GeneralProblem(_Problem):
         pu, pv = self._processes
         blk = _assemble_block(pu.compressed(mu), pv.compressed(mv), pu.start_norm,
                               pv.start_norm, pv.basis_matrix(mv).conj().T @ self._b)
-        return eval_matrix_function(blk, self.f)[:mu, mu:]
+        x = triangular_block_function(blk, mu, self.f)
+        return x if x is not None else eval_matrix_function(blk, self.f)[:mu, mu:]
 
 
 # -----------------------------------------------------------------------------

@@ -122,6 +122,28 @@ class TestUpdateCommand:
         err = capsys.readouterr().err
         assert "NonFiniteOperatorError" in err and "ArnoldiProcess step 1" in err
 
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+    def test_huge_finite_entries_reach_the_domain_check(self, tmp_path, capsys, symmetry):
+        # |A b| is about 2e308: the Krylov step must not report it as a
+        # non-finite operator output; invsqrt then fails on -1.5e308 and
+        # exp overflows on 1.5e308, neither writing a factor
+        (tmp_path / "a.mtx").write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n"
+                                        "2 2 2\n1 1 1.5e308\n2 2 -1.5e308\n")
+        for function in ("invsqrt", "exp"):
+            out = tmp_path / function
+            with np.errstate(all="ignore"):
+                code = main(["update", "--matrix", str(tmp_path / "a.mtx"), "--function",
+                             function, "--b", "ones", "--output-dir", str(out)])
+            assert code == 4 and not (out / "X.csv").exists()
+            err = capsys.readouterr().err
+            assert "NonFiniteOperatorError" not in err
+            if function == "exp":
+                assert "exp of the compressed matrix is not finite" in err
+            else:
+                assert "invsqrt undefined" in err
+                closest = float(err.split("closest: ")[1].rstrip(")\n"))
+                assert closest == pytest.approx(-1.5e308, rel=1e-12)
+
     def test_general_against_dense_check(self, tmp_path):
         (tmp_path / "a.mtx").write_text(GENERAL3)
         out = tmp_path / "out"

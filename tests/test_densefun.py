@@ -1,10 +1,14 @@
+import threading
+
 import numpy as np
 import pytest
 
 from funupdate import (DomainError, FunctionSpec, eigen_decompose,
                        eval_matrix_function, expm_dense, function_from_name,
                        scalar_derivative, scalar_values, spectral_norm)
-from funupdate.densefun import _inv_sqrt_denman_beavers
+from funupdate import densefun
+from funupdate.densefun import (_inv_sqrt_denman_beavers, divided_differences,
+                                triangular_block_function)
 from helpers import make_general, make_hermitian, make_spd
 
 EXP = FunctionSpec.exp()
@@ -145,6 +149,152 @@ class TestEvalMatrixFunction:
         m = make_hermitian(rng, 6, complex_=True) + 2.0 * np.eye(6)
         out = eval_matrix_function(m, INVSQRT)
         np.testing.assert_allclose(out @ out @ m, np.eye(6), atol=1e-10)
+
+
+def _derivatives(f, x):
+    """f', f'' and f''' of x**(-gamma) at x (gamma = 1/2 for invsqrt)."""
+    g = 0.5 if f.kind == "invsqrt" else f.power
+    return (-g * x ** (-g - 1), g * (g + 1) * x ** (-g - 2),
+            -g * (g + 1) * (g + 2) * x ** (-g - 3))
+
+
+DD_FUNCTIONS = [INVSQRT, FunctionSpec.inverse_power(0.05), FunctionSpec.inverse_power(0.5),
+                FunctionSpec.inverse_power(0.95)]
+
+
+class TestDividedDifferences:
+    @pytest.mark.parametrize("f", DD_FUNCTIONS, ids=lambda f: f.label())
+    def test_far_pairs_match_the_quotient(self, f):
+        lam = np.array([0.3, 2.0 + 1.5j, 7.0])
+        mu = np.array([5.0, 0.2 - 3.0j])
+        want = ((scalar_values(f, lam)[:, None] - scalar_values(f, mu)[None, :])
+                / (lam[:, None] - mu[None, :]))
+        np.testing.assert_allclose(divided_differences(f, lam, mu), want, rtol=1e-14)
+
+    @pytest.mark.parametrize("f", DD_FUNCTIONS, ids=lambda f: f.label())
+    @pytest.mark.parametrize("mu", [3.0, 0.7 + 2.0j, -2.0 + 0.5j])
+    def test_equal_eigenvalues_give_the_derivative(self, f, mu):
+        got = divided_differences(f, np.array([mu]), np.array([mu]))[0, 0]
+        assert got == pytest.approx(_derivatives(f, complex(mu))[0], rel=1e-15)
+
+    @pytest.mark.parametrize("f", DD_FUNCTIONS, ids=lambda f: f.label())
+    @pytest.mark.parametrize("mu", [3.0, 0.7 + 2.0j, -2.0 + 0.5j])
+    @pytest.mark.parametrize("step", [1e-9, -1e-9, 1e-9j])
+    def test_pairs_1e9_apart_match_the_taylor_form(self, f, mu, step):
+        # f[mu + h, mu] = f'(mu) + f''(mu) h / 2 + f'''(mu) h^2 / 6 + O(h^3);
+        # the plain quotient loses about 1e-7 of relative accuracy here
+        lam, mu = np.array([mu + step]), np.array([mu], dtype=np.result_type(mu, step))
+        h = lam[0] - mu[0]
+        d1, d2, d3 = _derivatives(f, mu[0])
+        got = divided_differences(f, lam, mu)[0, 0]
+        assert got == pytest.approx(d1 + d2 * h / 2 + d3 * h * h / 6, rel=1e-14)
+
+    def test_close_pair_across_the_branch_cut(self):
+        # log lam - log mu = -2 pi i + O(1e-3) for this pair, so the divided
+        # difference is the quotient of the principal values, far from f'(mu)
+        f = FunctionSpec.inverse_power(0.3)
+        lam, mu = np.array([-1.0 - 1e-3j]), np.array([-1.0 + 1e-3j])
+        want = (scalar_values(f, lam) - scalar_values(f, mu)) / (lam - mu)
+        np.testing.assert_allclose(divided_differences(f, lam, mu)[0], want, rtol=1e-12)
+
+    def test_real_input_stays_real(self):
+        out = divided_differences(FunctionSpec.inverse_power(0.4), np.array([1.0, 2.0]),
+                                  np.array([2.0, 3.0]))
+        assert out.dtype == np.float64
+
+    def test_other_kinds_rejected(self):
+        with pytest.raises(ValueError):
+            divided_differences(EXP, np.array([1.0]), np.array([2.0]))
+
+
+def _triangular(g, k, coupling):
+    """[[G, coupling e1 e1^T], [0, K]]."""
+    p = g.shape[0]
+    m = np.zeros((p + k.shape[0],) * 2, dtype=np.result_type(g, k))
+    m[:p, :p], m[p:, p:] = g, k
+    m[0, p] = coupling
+    return m
+
+
+def _similar(rng, eigs):
+    """A matrix with the given eigenvalues and well-conditioned eigenvectors."""
+    q = np.eye(len(eigs)) + 0.3 * rng.standard_normal((len(eigs), len(eigs)))
+    return q @ np.diag(eigs) @ np.linalg.inv(q)
+
+
+class TestTriangularBlockFunction:
+    def test_diagonal_blocks_with_a_shared_eigenvalue(self):
+        f = FunctionSpec.inverse_power(0.3)
+        m = _triangular(np.diag([3.0, 2.0]), np.diag([3.0, 5.0]), 0.7)
+        want = np.zeros((2, 2))
+        want[0, 0] = 0.7 * _derivatives(f, 3.0)[0]
+        np.testing.assert_allclose(triangular_block_function(m, 2, f), want, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("f", [INVSQRT, FunctionSpec.inverse_power(0.5)],
+                             ids=lambda f: f.label())
+    def test_defective_block_matches_denman_beavers(self, f):
+        # 3 is an eigenvalue of G and of K and the coupling joins them: M has
+        # a Jordan block, while each side on its own is diagonalizable
+        m = _triangular(np.array([[3.0, 1.0], [0.0, 2.0]]),
+                        np.array([[3.0, 0.0], [1.0, 5.0]]), 0.7)
+        want = _inv_sqrt_denman_beavers(m)[:2, 2:]
+        np.testing.assert_allclose(triangular_block_function(m, 2, f), want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_near_defective_block_where_the_block_path_iterates(self, complex_):
+        rng = np.random.default_rng(5)
+        lam = rng.uniform(1.0, 4.0, 6) + (0.5j * rng.standard_normal(6) if complex_ else 0.0)
+        m = _triangular(_similar(rng, lam), _similar(rng, lam + 1e-9), 0.4)
+        assert eigen_decompose(m).conditioning > densefun._INVSQRT_COND_LIMIT
+        block = eval_matrix_function(m, INVSQRT)  # Denman-Beavers
+        x = triangular_block_function(m, 6, INVSQRT)
+        assert x.dtype == block.dtype
+        assert np.abs(x - block[:6, 6:]).max() <= 1e-12 * np.abs(block).max()
+
+    def test_ill_conditioned_side_returns_none(self):
+        g = np.array([[2.0, 1.0], [0.0, 2.0 + 1e-8]])  # eigenvector condition ~ 4e8
+        m = _triangular(g, np.diag([1.0, 3.0]), 0.5)
+        assert triangular_block_function(m, 2, INVSQRT) is None
+        assert triangular_block_function(m, 2, FunctionSpec.inverse_power(0.5)) is None
+
+    def test_other_kinds_return_none(self):
+        m = _triangular(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]), 1.0)
+        for f in (EXP, FunctionSpec.inverse(), FunctionSpec.scaled_log(),
+                  FunctionSpec.resolvent(-1.0), FunctionSpec.polynomial([1.0, 2.0])):
+            assert triangular_block_function(m, 2, f) is None
+
+    def test_spectrum_checked_on_both_sides(self):
+        m = _triangular(np.diag([1.0, 2.0]), np.diag([3.0, -1.5]), 1.0)
+        with pytest.raises(DomainError, match="-1.5"):
+            triangular_block_function(m, 2, INVSQRT)
+
+    def test_full_coupling_block(self):
+        rng = np.random.default_rng(9)
+        m = np.zeros((7, 7))
+        m[:3, :3] = _similar(rng, [1.0, 2.0, 4.0])
+        m[3:, 3:] = _similar(rng, [0.5, 1.5, 3.0, 6.0])
+        m[:3, 3:] = rng.standard_normal((3, 4))
+        np.testing.assert_allclose(triangular_block_function(m, 3, INVSQRT),
+                                   eval_matrix_function(m, INVSQRT)[:3, 3:], rtol=0, atol=1e-13)
+
+    def test_second_side_runs_on_a_worker_only_with_two_cores(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        m = _triangular(_similar(rng, [1.0, 2.0, 3.0]), _similar(rng, [1.5, 2.5]), 0.3)
+        real = densefun._eig_with_inverse
+        on_main = []
+
+        def recording(a):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return real(a)
+
+        monkeypatch.setattr(densefun, "_eig_with_inverse", recording)
+        xs = []
+        for cores in (2, 1):
+            monkeypatch.setattr(densefun, "_usable_cores", lambda: cores)
+            on_main.clear()
+            xs.append(triangular_block_function(m, 3, INVSQRT))
+            assert sorted(on_main) == ([False, True] if cores > 1 else [True, True])
+        np.testing.assert_allclose(xs[0], xs[1], rtol=1e-13)
 
 
 class TestSpectralNorm:

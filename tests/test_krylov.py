@@ -343,6 +343,23 @@ class TestNonFiniteOperator:
         with pytest.raises(NonFiniteOperatorError):
             lanczos(nan_at_matvec(4), np.ones(50), 10, reorth="none")
 
+    @pytest.mark.parametrize("make", [
+        lambda op, b: LanczosProcess(op, b, reorth="none"),
+        lambda op, b: LanczosProcess(op, b, reorth="full"),
+        lambda op, b: ArnoldiProcess(op, b),
+    ], ids=["lanczos-none", "lanczos-full", "arnoldi"])
+    def test_finite_output_beyond_1e154_is_not_an_overflow(self, make):
+        # |A u| is about 1.5e308: its sum of squares overflows, its norm does not
+        a = np.diag([1.5e308, -1.5e308])
+        proc = make(a, np.ones(2))
+        with np.errstate(over="raise"):
+            proc.advance(2)
+        h = proc.compressed()
+        np.testing.assert_allclose(np.sort(np.linalg.eigvals(h).real), [-1.5e308, 1.5e308],
+                                   rtol=1e-15)
+        u = proc.basis_matrix()
+        np.testing.assert_allclose(u.T @ u, np.eye(2), atol=1e-15)
+
 
 class TestOperatorAdapter:
     def test_variants(self):

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from funupdate import (FunctionSpec, GeneralProblem, HermitianProblem,
+from funupdate import (DomainError, FunctionSpec, GeneralProblem, HermitianProblem,
                        LowRankModification, SolveOptions, dense_update_reference,
                        error_estimate, extract_diagonal, gen_laplace2d,
                        general_update, hermitian_update, rank_k_update,
                        spectral_norm, split_hermitian, xm_hermitian)
+from funupdate import densefun
 from funupdate.krylov import ArnoldiProcess
-from funupdate.densefun import eval_matrix_function
+from funupdate.densefun import eigen_decompose, eval_matrix_function
 from funupdate.update import _assemble_block
 from helpers import make_general, make_hermitian, make_spd, unit
 
@@ -226,6 +227,16 @@ class TestGeneralUpdate:
         fac = GeneralProblem(lambda x: a @ x, lambda x: a.conj().T @ x, b, c, IDENT).factor(1)
         np.testing.assert_allclose(fac.X, [[np.linalg.norm(b) * np.linalg.norm(c)]], rtol=1e-13)
 
+    def test_overflowing_function_is_a_domain_error(self):
+        a = 800.0 * np.eye(3)  # exp(800) overflows
+        problems = [HermitianProblem(lambda x: a @ x, np.ones(3), EXP),
+                    GeneralProblem(lambda x: a @ x, lambda x: a @ x, np.ones(3), unit(
+                        np.random.default_rng(0), 3), EXP)]
+        for problem in problems:
+            with pytest.raises(DomainError, match="exp of the compressed matrix is not finite"), \
+                    np.errstate(all="ignore"):
+                problem.x(1)
+
     def test_one_sided_breakdown_freezes_exact_side(self):
         # b lives in a 3-dimensional invariant subspace; the adjoint side
         # keeps growing and the result still converges to the dense truth
@@ -353,6 +364,83 @@ def test_converged_factor_meets_tolerance(hermitian, n, f, log_tol, b_frac, c_no
         ref = dense_update_reference(a, b.reshape(-1, 1), c.reshape(-1, 1), f)
         limit = 10.0 * max(tol, 1e-13 * spectral_norm(ref))
         assert spectral_norm(ref - fac.densify()) <= limit
+
+
+def _whole_block(problem, m):
+    """The block compression of a GeneralProblem at m and the size of G."""
+    problem.grow(m)
+    pu, pv = problem._processes
+    mu, mv = min(m, pu.dimension), min(m, pv.dimension)
+    blk = _assemble_block(pu.compressed(mu), pv.compressed(mv), pu.start_norm, pv.start_norm,
+                          pv.basis_matrix(mv).conj().T @ problem._b)
+    return blk, mu
+
+
+def _small_general_problem(rng, n, f, spread, complex_):
+    # A = diag in [1.5, 4] plus a perturbation of norm spread <= 1, |b|, |c|
+    # <= 0.5: the field of values of A and of A + b c^* lies in Re z >= 0.25,
+    # so both Ritz spectra stay inside the domain of f
+    a = np.diag(rng.uniform(1.5, 4.0, n)) + make_general(rng, n, spread, complex_)
+    b = rng.uniform(0.05, 0.5) * unit(rng, n, complex_)
+    c = rng.uniform(0.05, 0.5) * unit(rng, n, complex_)
+    return GeneralProblem(lambda x: a @ x, lambda x: a.conj().T @ x, b, c, f)
+
+
+@settings(deadline=None, max_examples=200)
+@given(n=st.integers(2, 10), m=st.integers(1, 10), gamma=st.one_of(st.none(), st.floats(0.01, 0.99)),
+       spread=st.floats(0.0, 1.0), complex_=st.booleans(), seed=st.integers(0, 2**16))
+@example(n=2, m=2, gamma=0.161404, spread=0.5, complex_=True, seed=2420)
+def test_divided_difference_x_matches_the_block_path(n, m, gamma, spread, complex_, seed):
+    # The whole-block path diagonalizes M (or iterates, for invsqrt past its
+    # limit) and errs by about cond(M) eps |f(M)|, which can be many times
+    # |X|; the bound charges 100 eps per unit of that conditioning.
+    f = INVSQRT if gamma is None else FunctionSpec.inverse_power(gamma)
+    problem = _small_general_problem(np.random.default_rng(seed), n, f, spread, complex_)
+    x = problem.x(m)
+    blk, mu = _whole_block(problem, m)
+    cond = eigen_decompose(blk).conditioning
+    limit = densefun._INVSQRT_COND_LIMIT if gamma is None else densefun._EIGVEC_COND_LIMIT
+    assume(gamma is None or cond <= limit)  # no block path to compare with
+    f_blk = eval_matrix_function(blk, f)
+    assert x.dtype == f_blk.dtype and x.shape == (mu, blk.shape[0] - mu)
+    slack = 1.0 + (cond if cond <= limit else 1.0)
+    assert np.abs(x - f_blk[:mu, mu:]).max() <= 1e-13 * slack * np.abs(f_blk).max()
+
+
+class TestDividedDifferencePath:
+    def _problem(self, f, seed=3, n=12, complex_=False):
+        return _small_general_problem(np.random.default_rng(seed), n, f, 0.8, complex_)
+
+    def test_side_over_the_limit_takes_the_block_path(self, monkeypatch):
+        x_new = self._problem(INVSQRT).x(8)
+        blk, mu = _whole_block(self._problem(INVSQRT), 8)
+        assert not np.array_equal(x_new, eval_matrix_function(blk, INVSQRT)[:mu, mu:])
+        monkeypatch.setattr(densefun, "_INVSQRT_COND_LIMIT", 0.5)  # below any |P|_1 |P^-1|_1
+        x = self._problem(INVSQRT).x(8)
+        assert np.array_equal(x, eval_matrix_function(blk, INVSQRT)[:mu, mu:])
+        assert np.abs(x - x_new).max() <= 1e-12 * np.abs(x).max()
+
+    def test_side_over_the_limit_without_fallback_raises(self, monkeypatch):
+        f = FunctionSpec.inverse_power(0.3)
+        monkeypatch.setattr(densefun, "_EIGVEC_COND_LIMIT", 0.5)
+        with pytest.raises(DomainError, match="ill-conditioned"):
+            self._problem(f).x(8)
+
+    @pytest.mark.parametrize("f", [INVSQRT, FunctionSpec.inverse_power(0.7)],
+                             ids=lambda f: f.label())
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_one_core_matches_two(self, monkeypatch, f, complex_):
+        xs = []
+        for cores in (2, 1):
+            monkeypatch.setattr(densefun, "_usable_cores", lambda: cores)
+            xs.append(self._problem(f, complex_=complex_).x(10))
+        assert np.abs(xs[0] - xs[1]).max() <= 1e-13 * np.abs(xs[0]).max()
+
+    def test_other_kinds_keep_the_block_path(self):
+        for f in (EXP, FunctionSpec.scaled_log(), FunctionSpec.inverse()):
+            problem = self._problem(f)
+            blk, mu = _whole_block(problem, 6)
+            assert np.array_equal(problem.x(6), eval_matrix_function(blk, f)[:mu, mu:])
 
 
 class TestRankK:
