@@ -175,6 +175,7 @@ def _cmd_update(args) -> int:
         "lookahead": opts.lookahead_d,
         "max_m": opts.max_m,
         "steps": int(fac.m),
+        "basis_dimension": int(fac.basis_dimension),
         "converged": bool(fac.converged),
         "wall_time_s": wall,
         "history": _history_json(fac.estimate_history),

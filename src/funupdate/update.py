@@ -8,7 +8,8 @@ n x n correction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,9 +24,11 @@ class SolveOptions:
     """Stopping-rule knobs for the iterative drivers.
 
     The estimator compares the coefficient matrices of steps m and
-    m + lookahead_d and is evaluated every ``batch`` steps; ``max_m`` caps
-    the total number of Krylov steps a solve may build (the reported factor
-    never exceeds it).
+    m + lookahead_d. It is evaluated at checkpoints on a grid of ``batch``
+    steps, spaced geometrically while the estimate is far from ``tol`` and
+    bisected back to the first passing grid point. ``max_m`` caps the total
+    number of Krylov steps a solve may build (the reported factor never
+    exceeds it).
     """
 
     tol: float = 1e-6
@@ -49,7 +52,10 @@ class UpdateFactor:
     """Factored approximation U X V^* of a matrix-function update.
 
     V is the same array as U for Hermitian solves. ``estimate_history``
-    holds (m, estimate) pairs in the order the stopping rule saw them.
+    holds the (m, estimate) pairs of the checkpoints up to the returned
+    one, sorted by m. ``basis_dimension`` is the number of Krylov steps
+    built (at least m): a checkpoint schedule that overshoots and bisects
+    back builds more steps than it returns.
     """
 
     U: np.ndarray
@@ -58,6 +64,10 @@ class UpdateFactor:
     m: int
     converged: bool
     estimate_history: list = field(default_factory=list)
+    basis_dimension: int = 0
+
+    def __post_init__(self):
+        self.basis_dimension = max(self.basis_dimension, self.m)
 
     def densify(self) -> np.ndarray:
         """Materializes the n x n update. Testing and small-scale
@@ -168,7 +178,8 @@ class _Problem:
         if m < 1:
             raise ValueError("m must be at least 1")
         self.grow(m)
-        x = self._x(*(min(m, p.dimension) for p in self._processes))
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            x = self._x(*(min(m, p.dimension) for p in self._processes))
         if not np.isfinite(x).all():
             raise DomainError(f"{self.f.label()} of the compressed matrix is not finite "
                               f"at m = {m}: f overflows on its spectrum")
@@ -180,7 +191,8 @@ class _Problem:
 
     def _factor(self, m, x, converged, history) -> UpdateFactor:
         bases = [p.basis_matrix(min(m, p.dimension)).copy() for p in self._processes]
-        return UpdateFactor(bases[0], x, bases[-1], min(m, self.dimension), converged, history)
+        return UpdateFactor(bases[0], x, bases[-1], min(m, self.dimension), converged, history,
+                            self.dimension)
 
 
 class HermitianProblem(_Problem):
@@ -217,25 +229,76 @@ class GeneralProblem(_Problem):
 # -----------------------------------------------------------------------------
 # Iterative drivers
 
+# After a failing estimate at checkpoint c the next checkpoint is the first
+# grid point at or above 1.3 c; within _NEAR_TOL times tol it is the next one.
+_GROWTH_PERCENT = 130
+_NEAR_TOL = 3.0
+
+
+def _stopping_index(grid, estimate, tol) -> tuple:
+    """The grid index the stopping rule returns and whether its estimate met
+    ``tol``; ``estimate(c)`` is the lookahead estimate at grid point c and is
+    called at most once per point.
+
+    The estimate decays roughly geometrically, so while it fails by more
+    than _NEAR_TOL times tol the checkpoints grow by 1.3 and skip grid
+    points. A pass is bisected back over the points skipped since the last
+    failing checkpoint. A jump that lands on a fail within _NEAR_TOL times
+    tol scans the skipped points in order instead, as the estimate is not
+    monotone and may pass just below that fail. On a non-increasing
+    sequence the result is the first passing grid point."""
+    lo, i = -1, 0  # lo: the last failing checkpoint
+    while True:
+        est = estimate(grid[i])
+        if est <= tol:
+            while i - lo > 1:
+                mid = (lo + i) // 2
+                if estimate(grid[mid]) <= tol:
+                    i = mid
+                else:
+                    lo = mid
+            return i, True
+        near = est <= _NEAR_TOL * tol
+        if near:
+            skipped = next((j for j in range(lo + 1, i) if estimate(grid[j]) <= tol), None)
+            if skipped is not None:
+                return skipped, True
+        if i == len(grid) - 1:
+            return i, False
+        lo, i = i, i + 1
+        if not near:  # on to the first grid point at or above 1.3 c
+            ceiling = -(-_GROWTH_PERCENT * grid[lo] // 100)
+            i = min(max(i, bisect_left(grid, ceiling)), len(grid) - 1)
+
+
 def _solve(problem: _Problem, opts: SolveOptions | None) -> UpdateFactor:
-    """The stopping rule: every ``batch`` steps the lookahead estimate is
-    formed and, once it drops below ``tol``, the richer (m+d)-step factor is
-    returned. An exhausted problem is exact and converged. When ``max_m`` is
-    reached first, the best factor is returned with ``converged=False``."""
+    """The stopping rule: the lookahead estimate is formed at checkpoints on
+    a grid of ``batch`` steps (``_stopping_index`` picks which) and the
+    richer (m+d)-step factor of the first passing checkpoint is returned.
+    An exhausted problem is exact and converged. When ``max_m`` is reached
+    first, the factor there is returned with ``converged=False``. The
+    history ends at the returned checkpoint; probes past it only grew the
+    basis, which ``basis_dimension`` counts."""
     opts = opts or SolveOptions()
-    last = opts.max_m - opts.lookahead_d
-    history: list = []
-    for checkpoint in [*range(opts.batch, last, opts.batch), last]:
-        target = checkpoint + opts.lookahead_d
-        problem.grow(target)
-        if problem.exhausted:
-            history.append((problem.dimension, 0.0))
-            return replace(problem.factor(problem.dimension), estimate_history=history)
-        x_big = problem.x(target)
-        est = error_estimate(problem.x(checkpoint), x_big)
-        history.append((checkpoint, est))
-        if est <= opts.tol or checkpoint == last:
-            return problem._factor(target, x_big, est <= opts.tol, history)
+    d = opts.lookahead_d
+    last = opts.max_m - d
+    grid = [*range(opts.batch, last, opts.batch), last]
+    probes: dict = {}  # checkpoint -> (m, estimate, X_{m+d} if it may be returned)
+
+    def estimate(c):
+        problem.grow(c + d)
+        if problem.exhausted and problem.dimension <= c + d:
+            m, est, x_big = problem.dimension, 0.0, problem.x(problem.dimension)
+        else:
+            x_big = problem.x(c + d)
+            m, est = c, error_estimate(problem.x(c), x_big)
+        probes[c] = (m, est, x_big if est <= opts.tol or c == last else None)
+        return est
+
+    i, converged = _stopping_index(grid, estimate, opts.tol)
+    stop = grid[i]
+    history = [(m, est) for c, (m, est, _) in sorted(probes.items()) if c <= stop]
+    return problem._factor(stop + d, probes[stop][2], converged, history)
 
 
 def hermitian_update(apply_a, b, f: FunctionSpec, sign=1, opts: SolveOptions | None = None) -> UpdateFactor:

@@ -1,14 +1,18 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import funupdate
 from funupdate import (FunctionSpec, Graph, OracleScaleError, SolveOptions, SparseMatrix, cli,
-                       densefun, gen_convdiff1d)
+                       densefun, gen_convdiff1d, gen_laplace2d)
 from funupdate.cli import (_CSV_CHUNK_ROWS, EdgeOp, _fmt, _solve_options, build_parser, main,
                            subgraph_centrality_baseline, update_subgraph_centrality,
                            write_matrix_csv, write_rows_csv)
@@ -143,6 +147,40 @@ class TestUpdateCommand:
                 assert "invsqrt undefined" in err
                 closest = float(err.split("closest: ")[1].rstrip(")\n"))
                 assert closest == pytest.approx(-1.5e308, rel=1e-12)
+
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+    def test_overflow_prints_only_the_typed_error(self, tmp_path, symmetry):
+        # the console script, so that numpy warnings would reach stderr
+        (tmp_path / "a.mtx").write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n"
+                                        "2 2 2\n1 1 1.5e308\n2 2 -1.5e308\n")
+        src = str(Path(funupdate.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-m", "funupdate.cli", "update", "--matrix",
+                              str(tmp_path / "a.mtx"), "--function", "exp", "--b", "ones",
+                              "--output-dir", str(tmp_path / "out")],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 4
+        assert run.stderr == ("error: exp of the compressed matrix is not finite at m = 2: "
+                              "f overflows on its spectrum\n")
+
+    def test_report_counts_the_basis_built_past_the_stop(self, tmp_path):
+        a = gen_laplace2d(20)
+        rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr))
+        lower = rows >= a.col_idx
+        (tmp_path / "a.mtx").write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            f"{a.n} {a.n} {int(lower.sum())}\n"
+            + "".join(f"{i + 1} {j + 1} {v!r}\n" for i, j, v in
+                      zip(rows[lower].tolist(), a.col_idx[lower].tolist(),
+                          a.values[lower].tolist())))
+        out = tmp_path / "out"
+        assert main(["update", "--matrix", str(tmp_path / "a.mtx"), "--function", "invsqrt",
+                     "--b", "e1", "--tol", "1e-10", "--output-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        ms = [h["m"] for h in report["history"]]
+        assert ms == sorted(ms) and ms[-1] == report["steps"] - report["lookahead"]
+        assert report["history"][-1]["estimate"] <= 1e-10
+        assert report["basis_dimension"] > report["steps"]
 
     def test_general_against_dense_check(self, tmp_path):
         (tmp_path / "a.mtx").write_text(GENERAL3)

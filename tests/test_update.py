@@ -4,14 +4,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from funupdate import (DomainError, FunctionSpec, GeneralProblem, HermitianProblem,
-                       LowRankModification, SolveOptions, dense_update_reference,
+                       LowRankModification, SolveOptions, UpdateFactor, dense_update_reference,
                        error_estimate, extract_diagonal, gen_laplace2d,
                        general_update, hermitian_update, rank_k_update,
                        spectral_norm, split_hermitian, xm_hermitian)
-from funupdate import densefun
+from funupdate import densefun, update
 from funupdate.krylov import ArnoldiProcess
 from funupdate.densefun import eigen_decompose, eval_matrix_function
-from funupdate.update import _assemble_block
+from funupdate.update import _assemble_block, _stopping_index
 from helpers import make_general, make_hermitian, make_spd, unit
 
 EXP = FunctionSpec.exp()
@@ -277,6 +277,153 @@ class TestGeneralUpdate:
                 assert est >= true_err / 100.0
                 checked += 1
         assert checked >= 12
+
+
+# Lookahead estimates at the grid points 5, 10, 15, ... of benchmark solves
+# (lookahead 2, max_m 400), to two digits.
+# cli-update-general seed 9, tol 1e-6: 125 passes and 130 fails within 3 tol.
+GENERAL_SEED9 = [
+    6.7e-4, 4.1e-4, 3.1e-4, 2.6e-4, 2.3e-4, 1.7e-4, 1.7e-4, 1.5e-4, 1.2e-4, 1.2e-4,
+    1.0e-4, 8.7e-5, 7.4e-5, 6.3e-5, 5.1e-5, 4.4e-5, 4.0e-5, 4.4e-5, 4.4e-5, 4.0e-5,
+    3.0e-5, 2.0e-5, 8.4e-6, 1.9e-6, 8.7e-7, 1.1e-6, 7.0e-8, 5.5e-9, 8.2e-10, 1.6e-10,
+    2.7e-11, 3.7e-12, 4.8e-13, 5.5e-14]
+# cli-update-general seed 24, tol 1e-6: 125 fails at 3.0e-6, 130 at 1.2e-6,
+# and no skipped point passes; 135 does.
+GENERAL_SEED24 = [
+    6.4e-4, 4.3e-4, 3.2e-4, 2.6e-4, 2.5e-4, 2.3e-4, 2.2e-4, 1.9e-4, 1.5e-4, 1.3e-4,
+    9.7e-5, 9.2e-5, 8.4e-5, 6.2e-5, 4.6e-5, 4.2e-5, 3.2e-5, 2.6e-5, 1.6e-5, 7.4e-6,
+    6.1e-6, 4.8e-6, 4.2e-6, 2.7e-6, 3.0e-6, 1.2e-6, 6.0e-8, 7.6e-9, 1.7e-9, 3.7e-10,
+    5.2e-11, 6.0e-12, 8.0e-13, 1.2e-13, 2.2e-14]
+# lib-hermitian seed 1, tol 9e-7: non-increasing.
+LIB_HERMITIAN = [
+    1.0e-3, 9.6e-4, 8.9e-4, 8.2e-4, 7.5e-4, 6.9e-4, 6.4e-4, 5.8e-4, 5.3e-4, 4.9e-4,
+    4.4e-4, 4.0e-4, 3.7e-4, 3.3e-4, 3.0e-4, 2.7e-4, 2.4e-4, 2.1e-4, 1.9e-4, 1.7e-4,
+    1.5e-4, 1.3e-4, 1.1e-4, 9.6e-5, 8.2e-5, 6.9e-5, 5.8e-5, 4.8e-5, 3.9e-5, 3.1e-5,
+    2.3e-5, 1.7e-5, 1.1e-5, 7.5e-6, 7.4e-6, 5.8e-6, 4.5e-6, 3.4e-6, 2.6e-6, 1.9e-6,
+    1.4e-6, 1.0e-6, 7.7e-7, 5.9e-7, 4.9e-7]
+
+
+def _grid(batch=5, max_m=400, lookahead_d=2):
+    last = max_m - lookahead_d
+    return [*range(batch, last, batch), last]
+
+
+def _replay(estimates, tol, grid=None):
+    """The schedule on recorded estimates: (stop, converged, probed points)."""
+    grid = grid or _grid()
+    probed = []
+
+    def estimate(c):
+        assert c not in probed  # each grid point is probed at most once
+        probed.append(c)
+        return estimates[grid.index(c)]
+
+    i, converged = _stopping_index(grid, estimate, tol)
+    return grid[i], converged, probed
+
+
+class TestCheckpointSchedule:
+    @pytest.mark.parametrize("estimates, tol, stop, probes", [
+        (GENERAL_SEED9, 1e-6, 125, 15), (GENERAL_SEED24, 1e-6, 135, 16),
+        (LIB_HERMITIAN, 9e-7, 215, 15)], ids=["general-seed9", "general-seed24", "lib-hermitian"])
+    def test_recorded_histories_stop_where_the_linear_rule_does(self, estimates, tol, stop,
+                                                                probes):
+        linear = 5 * next(k for k, e in enumerate(estimates, 1) if e <= tol)
+        got, converged, probed = _replay(estimates, tol)
+        assert converged and got == linear == stop
+        assert len(probed) == probes < linear // 5
+
+    def test_jump_onto_a_fail_near_tol_scans_the_skipped_points(self, monkeypatch):
+        # 100 jumps to 130 (1.1e-6, within 3 tol); the pass at 125 is found in
+        # order. Without the scan, 130 jumps on to 170 and bisects to 135.
+        assert _replay(GENERAL_SEED9, 1e-6)[2][-7:] == [100, 130, 105, 110, 115, 120, 125]
+        monkeypatch.setattr(update, "_NEAR_TOL", 0.0)
+        assert _replay(GENERAL_SEED9, 1e-6)[0] == 135
+
+    def test_jump_onto_a_far_fail_keeps_jumping(self):
+        assert _replay(LIB_HERMITIAN, 9e-7)[2] == [5, 10, 15, 20, 30, 40, 55, 75, 100, 130, 170,
+                                                    225, 195, 210, 215]
+
+    def test_last_grid_point_failing_is_not_converged(self):
+        grid = _grid(max_m=40)
+        assert _replay([1e-3] * len(grid), 1e-6, grid)[:2] == (38, False)
+
+
+_UNITS_OF_TOL = st.one_of(st.integers(0, 16).map(lambda k: k / 4), st.floats(4.0, 1e6))
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), batch=st.integers(1, 7), max_m=st.integers(3, 300),
+       lookahead_d=st.integers(1, 2))
+def test_schedule_on_non_increasing_estimates_stops_at_the_first_pass(data, batch, max_m,
+                                                                      lookahead_d):
+    # estimates in units of tol, exact multiples of tol/4 in and near the
+    # 3 tol band
+    grid = _grid(batch, max_m, lookahead_d)
+    ests = sorted(data.draw(st.lists(_UNITS_OF_TOL, min_size=len(grid), max_size=len(grid))),
+                  reverse=True)
+    first = next((c for c, e in zip(grid, ests) if e <= 1.0), None)
+    stop, converged, _ = _replay(ests, 1.0, grid)
+    assert (stop, converged) == ((first, True) if first is not None else (grid[-1], False))
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), batch=st.integers(1, 7), max_m=st.integers(3, 300))
+def test_schedule_on_any_estimates_returns_a_probed_verdict(data, batch, max_m):
+    grid = _grid(batch, max_m)
+    ests = data.draw(st.lists(_UNITS_OF_TOL, min_size=len(grid), max_size=len(grid)))
+    stop, converged, probed = _replay(ests, 1.0, grid)
+    assert stop in probed
+    if converged:
+        assert ests[grid.index(stop)] <= 1.0
+    else:
+        assert stop == grid[-1] and ests[-1] > 1.0
+
+
+class TestStoppingRule:
+    @staticmethod
+    def _problem():
+        a = gen_laplace2d(20)
+        b = 0.1 * unit(np.random.default_rng(0), a.n)
+        return HermitianProblem(a.matvec, b, INVSQRT)
+
+    def test_stop_equals_the_linear_rule_and_reports_the_overshoot(self):
+        opts = SolveOptions(tol=1e-10)
+        fac = update._solve(self._problem(), opts)
+        problem = self._problem()
+        linear = [(c, error_estimate(problem.x(c), problem.x(c + 2))) for c in range(5, 100, 5)]
+        stop = next(c for c, e in linear if e <= opts.tol)
+        assert fac.converged and fac.m == stop + 2
+        # the history is sorted, ends at the returned checkpoint, and holds
+        # the linear rule's estimates bit for bit at the probed points
+        ms = [m for m, _ in fac.estimate_history]
+        assert ms == sorted(set(ms)) and ms[-1] == stop and len(ms) < len(linear)
+        assert all((m, e) in linear for m, e in fac.estimate_history)
+        assert fac.basis_dimension > fac.m  # a jump grew the basis past the stop
+        want = self._problem().factor(stop + 2)
+        for name in ("U", "X", "V"):
+            assert np.array_equal(getattr(fac, name), getattr(want, name)), name
+
+    def test_exhaustion_found_by_a_jump_is_bisected_back_to_the_linear_stop(self):
+        # Krylov dimension 50 with estimates stuck at rounding far above tol:
+        # 40 jumps to 55, whose growth exhausts the space; 45 is no exact
+        # checkpoint (45 + 2 < 50), 50 is, as for the linear rule
+        n = 50
+        a = np.diag(np.linspace(0.0, 40.0, n))
+        b = np.ones(n) / np.sqrt(n)
+        fac = hermitian_update(lambda x: a @ x, b, EXP, opts=SolveOptions(tol=1e-6))
+        ms = [m for m, _ in fac.estimate_history]
+        assert ms == [5, 10, 15, 20, 30, 40, 45, 50] and fac.estimate_history[-1][1] == 0.0
+        assert fac.converged and fac.m == fac.basis_dimension == n
+        assert fac.U.shape == (n, n) and fac.X.shape == (n, n)
+        ref = dense_update_reference(a, b.reshape(-1, 1), b.reshape(-1, 1), EXP)
+        assert spectral_norm(ref - fac.densify()) <= 1e-12 * spectral_norm(ref)
+
+    def test_fixed_size_factor_reports_its_basis(self):
+        problem = self._problem()
+        problem.grow(12)
+        assert (problem.factor(6).m, problem.factor(6).basis_dimension) == (6, 12)
+        assert UpdateFactor(np.eye(3), np.eye(3), np.eye(3), 3, True).basis_dimension == 3
 
 
 class TestProjectedProblems:
