@@ -25,7 +25,7 @@ from .sparse import (Graph, SparseMatrix, check_declared_symmetry, gen_convdiff1
 from .update import (GeneralProblem, HermitianProblem, LowRankModification,
                      SolveOptions, UpdateFactor, error_estimate, extract_diagonal,
                      general_update, hermitian_update, rank_k_update,
-                     split_hermitian, xm_hermitian)
+                     split_hermitian)
 
 __version__ = "0.1.0"
 

@@ -20,9 +20,6 @@ _EIGVEC_COND_LIMIT = 1e8   # reject the diagonalization path beyond this
 # loss could exceed ~1e-10.
 _INVSQRT_COND_LIMIT = 1e6
 _HERMITIAN_RTOL = 1e-12
-# Kinds whose f of a block upper-triangular matrix is formed from the
-# eigendecompositions of its two diagonal blocks (``triangular_block_function``).
-_DIVIDED_DIFFERENCE_KINDS = ("invsqrt", "invpower")
 
 KINDS = ("exp", "invsqrt", "inverse", "invpower", "log1p-over-z", "polynomial", "resolvent")
 
@@ -214,24 +211,47 @@ def scalar_derivative(f: FunctionSpec, x):
 
 def divided_differences(f: FunctionSpec, lam, mu) -> np.ndarray:
     """F_ij = f[lam_i, mu_j] = (f(lam_i) - f(mu_j)) / (lam_i - mu_j), equal
-    to f'(mu_j) where lam_i = mu_j, for invsqrt and invpower on the
-    principal branch, in forms free of the quotient's cancellation.
+    to f'(mu_j) where lam_i = mu_j, in forms free of the quotient's
+    cancellation. invsqrt, invpower, inverse and resolvent accept complex
+    eigenvalues (invsqrt and invpower on the principal branch); exp and
+    log1p-over-z take real ones. Raises ValueError for a polynomial, and
+    for exp or log1p-over-z on a complex spectrum.
 
     invsqrt: -1 / (s t (s + t)) with s, t the principal square roots.
     invpower gamma: mu^(-gamma-1) expm1(-gamma d) / expm1(d) with
     d = log lam - log mu; for a close pair d is 2 atanh((lam - mu) / (lam + mu)),
     which keeps its relative accuracy (numpy's complex log1p does not), turned
     by the multiple of 2 pi i that log lam - log mu carries across the cut.
+    inverse: -1 / (lam mu). resolvent with pole z: 1 / ((z - lam) (z - mu)).
+    exp: e^max(lam, mu) (-expm1(-|lam - mu|)) / |lam - mu|, which neither
+    overflows nor turns into 0 * inf on a spectrum as wide as [-1e3, 0].
+    log1p-over-z: with l = log1p((lam - mu) / (1 + mu)) / (lam - mu), the
+    divided difference of log1p, F = (l - f(mu)) / lam = (l - f(lam)) / mu,
+    divided by the larger of |lam| and |mu|, which loses about
+    eps / max(|lam|, |mu|); below 0.1 in both, the Taylor series of f, whose
+    x^k contributes sum_{i+j=k-1} lam^i mu^j.
     """
     lam = np.asarray(lam)[:, None]
     mu = np.asarray(mu)[None, :]
-    if np.iscomplexobj(lam) or np.iscomplexobj(mu):
+    complex_ = np.iscomplexobj(lam) or np.iscomplexobj(mu)
+    if complex_:
         lam, mu = lam.astype(complex), mu.astype(complex)
     if f.kind == "invsqrt":
         s, t = np.sqrt(lam), np.sqrt(mu)
         return -1.0 / (s * t * (s + t))
+    if f.kind == "inverse":
+        return -1.0 / (lam * mu)
+    if f.kind == "resolvent":
+        return 1.0 / ((f.shift - lam) * (f.shift - mu))
+    if not complex_ and f.kind == "exp":
+        gap = np.abs(lam - mu)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(gap == 0.0, 1.0, -np.expm1(-gap) / gap)
+        return np.maximum(np.exp(lam), np.exp(mu)) * ratio  # e^max(lam, mu), by monotonicity
+    if not complex_ and f.kind == "log1p-over-z":
+        return _scaled_log_divided_differences(lam, mu)
     if f.kind != "invpower":
-        raise ValueError(f"no divided-difference form for {f.kind!r}")
+        raise ValueError(f"no divided-difference form for {f.label()} on this spectrum")
     gamma = f.power
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (lam - mu) / (lam + mu)
@@ -244,6 +264,27 @@ def divided_differences(f: FunctionSpec, lam, mu) -> np.ndarray:
         d = np.where(near, d_near, d)
         ratio = np.where(den == 0.0, -gamma, np.expm1(-gamma * d) / den)
     return np.power(mu, -gamma - 1.0) * ratio
+
+
+_SCALED_LOG_SERIES_RADIUS = 0.1
+_SCALED_LOG_SERIES_TERMS = 18  # the first term left out is below 1e-18
+
+
+def _scaled_log_divided_differences(lam, mu) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ell = _scaled_log_values((lam - mu) / (1.0 + mu)) / (1.0 + mu)
+        out = np.where(np.abs(lam) >= np.abs(mu), (ell - _scaled_log_values(mu)) / lam,
+                       (ell - _scaled_log_values(lam)) / mu)
+    small = np.maximum(np.abs(lam), np.abs(mu)) < _SCALED_LOG_SERIES_RADIUS
+    if small.any():
+        x, y = np.broadcast_to(lam, small.shape)[small], np.broadcast_to(mu, small.shape)[small]
+        acc, h, x_pow = np.zeros_like(x), np.ones_like(x), np.ones_like(x)
+        for k in range(1, _SCALED_LOG_SERIES_TERMS + 1):  # h = sum_{i+j=k-1} x^i y^j
+            acc += (-1.0) ** k / (k + 1) * h
+            x_pow = x_pow * x
+            h = x_pow + y * h
+        out[small] = acc
+    return out
 
 
 def _check_spectrum(f: FunctionSpec, eigs: np.ndarray) -> None:
@@ -319,45 +360,55 @@ def _eig_with_inverse(m):
     return w, q, q_inv, float(np.linalg.norm(q, 1) * np.linalg.norm(q_inv, 1))
 
 
-def triangular_block_function(m, split, f: FunctionSpec) -> np.ndarray | None:
-    """The (1,2) block of f(M) for block upper-triangular M = [[G, E], [0, K]]
-    with G the leading split x split block, for invsqrt and invpower.
+def triangular_block_function(g, k, coupling, f: FunctionSpec) -> np.ndarray | None:
+    """X, the (1,2) block of f(M) for M = [[G, E], [0, K]] with the one-entry
+    coupling E = coupling e1 e1^*: the coefficient matrix of both projected
+    problems.
 
     With G = P diag(lam) P^{-1} and K = R diag(mu) R^{-1} the block is
     X = P [(P^{-1} E R) o F] R^{-1}, F = ``divided_differences(f, lam, mu)``
-    (Daleckii-Krein; Higham, Functions of Matrices, 2008, ch. 3-4): two
-    split-sized eigendecompositions instead of one of M, whose eigenvectors
-    are ill-conditioned wherever lam_i is close to mu_j. K's runs on a worker
-    thread when more than one core is usable. Returns None for any other
-    kind, and when either eigenvector matrix's 1-norm condition number
-    exceeds the limit ``eval_matrix_function`` diagonalizes f under; the
-    caller then evaluates the whole of M. Raises DomainError for a spectrum
-    off the domain of f.
-    """
-    if f.kind not in _DIVIDED_DIFFERENCE_KINDS:
-        return None
-    m = np.asarray(m)
-    g, e, k = m[:split, :split], m[:split, split:], m[split:, split:]
-    if _usable_cores() > 1:
-        # imported on first use, so that importing the package does not pay for it
-        from concurrent.futures import ThreadPoolExecutor
+    (Daleckii-Krein; Higham, Functions of Matrices, 2008, ch. 3-4), where
+    P^{-1} E R is coupling times the outer product of P^{-1}'s first column
+    and R's first row: two eigendecompositions of the sides instead of one
+    of M, whose eigenvectors are ill-conditioned wherever lam_i is close
+    to mu_j.
 
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            pending = pool.submit(_eig_with_inverse, k)
-            lam, p, p_inv, p_cond = _eig_with_inverse(g)
-            mu, r, r_inv, r_cond = pending.result()
-    else:
-        lam, p, p_inv, p_cond = _eig_with_inverse(g)
-        mu, r, r_inv, r_cond = _eig_with_inverse(k)
-    _check_spectrum(f, np.concatenate([lam, mu]))
-    limit = _INVSQRT_COND_LIMIT if f.kind == "invsqrt" else _EIGVEC_COND_LIMIT
-    if max(p_cond, r_cond) > limit:
+    When G and K are both exactly Hermitian (every Lanczos side), they are
+    decomposed by ``eigen_decompose`` with P^{-1} = P^* for every kind but
+    a polynomial. Otherwise, for invsqrt and invpower only, by ``eig`` and
+    an inverse, K's on a worker thread when more than one core is usable;
+    this returns None when either eigenvector matrix's 1-norm condition
+    number exceeds the limit ``eval_matrix_function`` diagonalizes f under.
+    None means the caller evaluates f of the whole of M: Pade, Horner or
+    one inverse for exp, a polynomial, inverse and resolvent. Raises
+    DomainError for a spectrum off the domain of f.
+    """
+    g, k = np.asarray(g), np.asarray(k)
+    hermitian = np.array_equal(g, g.conj().T) and np.array_equal(k, k.conj().T)
+    if f.kind == "polynomial" or not (hermitian or f.kind in ("invsqrt", "invpower")):
         return None
-    # P^{-1} E R over E's nonzero rows and columns only: the coupling of a
-    # Krylov block compression is one entry, which makes it O(split^2)
-    rows, cols = np.flatnonzero(e.any(axis=1)), np.flatnonzero(e.any(axis=0))
-    coupled = p_inv[:, rows] @ e[np.ix_(rows, cols)] @ r[cols] * divided_differences(f, lam, mu)
-    return _maybe_real(p @ coupled @ r_inv, m, f)
+    if hermitian:
+        left, right = eigen_decompose(g, hermitian=True), eigen_decompose(k, hermitian=True)
+        lam, p, mu, r = left.eigenvalues, left.eigenvectors, right.eigenvalues, right.eigenvectors
+        p_inv, r_inv, cond = p.conj().T, r.conj().T, 1.0
+    else:
+        if _usable_cores() > 1:
+            # imported on first use, so that importing the package does not pay for it
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                pending = pool.submit(_eig_with_inverse, k)
+                lam, p, p_inv, p_cond = _eig_with_inverse(g)
+                mu, r, r_inv, r_cond = pending.result()
+        else:
+            lam, p, p_inv, p_cond = _eig_with_inverse(g)
+            mu, r, r_inv, r_cond = _eig_with_inverse(k)
+        cond = max(p_cond, r_cond)
+    _check_spectrum(f, np.concatenate([lam, mu]))
+    if cond > (_INVSQRT_COND_LIMIT if f.kind == "invsqrt" else _EIGVEC_COND_LIMIT):
+        return None
+    coupled = (coupling * p_inv[:, :1]) @ r[:1] * divided_differences(f, lam, mu)
+    return _maybe_real(p @ coupled @ r_inv, f, g, k)
 
 
 def spectral_norm(m) -> float:
@@ -442,10 +493,12 @@ def _commutes_with_conjugation(f: FunctionSpec) -> bool:
     return True
 
 
-def _maybe_real(f_of_m: np.ndarray, m: np.ndarray, f: FunctionSpec) -> np.ndarray:
-    """Drops the imaginary part when M is real and f commutes with
-    conjugation: f(M) is then real, and any imaginary part is rounding."""
-    if np.iscomplexobj(m) or not np.iscomplexobj(f_of_m) or not _commutes_with_conjugation(f):
+def _maybe_real(f_of_m: np.ndarray, f: FunctionSpec, *inputs) -> np.ndarray:
+    """Drops the imaginary part when every input matrix is real and f
+    commutes with conjugation: f of a real matrix is then real, and any
+    imaginary part is rounding."""
+    if (any(np.iscomplexobj(m) for m in inputs) or not np.iscomplexobj(f_of_m)
+            or not _commutes_with_conjugation(f)):
         return f_of_m
     return np.ascontiguousarray(f_of_m.real)
 
@@ -472,7 +525,7 @@ def eval_matrix_function(m, f: FunctionSpec) -> np.ndarray:
         _check_spectrum(f, dec.eigenvalues)
         fw = scalar_values(f, dec.eigenvalues)
         out = (dec.eigenvectors * fw) @ dec.eigenvectors.conj().T
-        return _maybe_real(out, m, f)
+        return _maybe_real(out, f, m)
 
     if f.kind == "exp":
         return expm_dense(m)
@@ -485,7 +538,7 @@ def eval_matrix_function(m, f: FunctionSpec) -> np.ndarray:
         eigs = np.linalg.eigvals(m)
         _check_spectrum(f, eigs)
         shifted = f.shift * np.eye(m.shape[0], dtype=np.result_type(m, f.shift)) - m
-        return _maybe_real(np.linalg.inv(shifted), m, f)
+        return _maybe_real(np.linalg.inv(shifted), f, m)
 
     dec = eigen_decompose(m, hermitian=False)
     _check_spectrum(f, dec.eigenvalues)
@@ -493,9 +546,9 @@ def eval_matrix_function(m, f: FunctionSpec) -> np.ndarray:
     if dec.conditioning <= limit:
         fw = scalar_values(f, dec.eigenvalues)
         out = np.linalg.solve(dec.eigenvectors.T, ((dec.eigenvectors * fw).T)).T
-        return _maybe_real(out, m, f)
+        return _maybe_real(out, f, m)
     if f.kind == "invsqrt":
-        return _maybe_real(_inv_sqrt_denman_beavers(m), m, f)
+        return _maybe_real(_inv_sqrt_denman_beavers(m), f, m)
     raise DomainError(
         f"eigenvector matrix too ill-conditioned (cond ~ {dec.conditioning:.2e}) "
         f"and no fallback is available for {f.kind!r}"

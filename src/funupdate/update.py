@@ -77,7 +77,8 @@ class UpdateFactor:
 
 @dataclass(frozen=True)
 class LowRankModification:
-    """Rank-k modification D = B C^* given by its n x k factors.
+    """Rank-k modification D = B C^* given by its n x k factors; a 1-D
+    factor of length n is one column.
 
     Set ``hermitian_flag`` when B C^* is Hermitian and the base operator is
     too; rank-k driving then uses the symmetric splitting path.
@@ -88,8 +89,8 @@ class LowRankModification:
     hermitian_flag: bool = False
 
     def __post_init__(self):
-        b = np.atleast_2d(np.asarray(self.B))
-        c = np.atleast_2d(np.asarray(self.C))
+        b, c = (a[:, None] if a.ndim == 1 else np.atleast_2d(a)
+                for a in (np.asarray(self.B), np.asarray(self.C)))
         if b.ndim != 2 or c.ndim != 2 or b.shape != c.shape:
             raise ValueError("B and C must be n x k arrays of equal shape")
         if b.shape[1] > b.shape[0]:
@@ -105,34 +106,7 @@ class LowRankModification:
 
 
 # -----------------------------------------------------------------------------
-# Compressed problems
-
-def xm_hermitian(g, b_norm, f: FunctionSpec, sign=1) -> np.ndarray:
-    """Coefficient matrix f(G + sign*|b|^2 e1 e1^*) - f(G) of the Hermitian
-    driver; sign=-1 realizes a downdate."""
-    g = np.asarray(g)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError("G must be square")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    bumped = g.copy()
-    bumped[0, 0] = bumped[0, 0] + sign * float(b_norm) ** 2
-    return eval_matrix_function(bumped, f) - eval_matrix_function(g, f)
-
-
-def _assemble_block(g, h, b_norm, c_norm, vt_b) -> np.ndarray:
-    """The block compression [[G, |b||c| e1 e1^*], [0, H^* + |c| (V^* b) e1^*]],
-    whose function value carries the update coefficients in its (1,2) block."""
-    p, q = g.shape[0], h.shape[0]
-    vt_b = np.asarray(vt_b)
-    dtype = np.result_type(g, h, vt_b, np.float64)
-    blk = np.zeros((p + q, p + q), dtype=dtype)
-    blk[:p, :p] = g
-    blk[p:, p:] = h.conj().T
-    blk[p:, p] += c_norm * vt_b
-    blk[0, p] += b_norm * c_norm
-    return blk
-
+# Projected problems
 
 def error_estimate(x_m, x_md) -> float:
     """Spectral norm of X_{m+d} minus the zero-padded X_m; this equals the
@@ -147,14 +121,15 @@ def error_estimate(x_m, x_md) -> float:
     return spectral_norm(diff)
 
 
-# -----------------------------------------------------------------------------
-# Projected problems
-
 class _Problem:
     """Krylov processes grown on demand. ``x(m)`` and ``factor(m)`` read the
     first m vectors of each process, or all it has after a breakdown; they
     equal a fresh problem's bit for bit, as growing never changes a prefix.
-    ``x(m)`` raises DomainError when X is not finite (f overflowed)."""
+    A problem gives its two diagonal blocks G, K and the coupling of
+    E = coupling e1 e1^* (``_blocks``); X is the (1,2) block of f of
+    [[G, E], [0, K]], from ``triangular_block_function`` or, where that
+    returns None, from f of the whole block. ``x(m)`` raises DomainError
+    when X is not finite (f overflowed)."""
 
     def __init__(self, f: FunctionSpec, *processes):
         self.f = f
@@ -179,7 +154,13 @@ class _Problem:
             raise ValueError("m must be at least 1")
         self.grow(m)
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            x = self._x(*(min(m, p.dimension) for p in self._processes))
+            g, k, coupling = self._blocks(*(min(m, p.dimension) for p in self._processes))
+            x = triangular_block_function(g, k, coupling, self.f)
+            if x is None:  # f of the whole block [[G, coupling e1 e1^*], [0, K]]
+                split = g.shape[0]
+                blk = np.zeros((split + k.shape[0],) * 2, dtype=np.result_type(g, k))
+                blk[:split, :split], blk[split:, split:], blk[0, split] = g, k, coupling
+                x = eval_matrix_function(blk, self.f)[:split, split:]
         if not np.isfinite(x).all():
             raise DomainError(f"{self.f.label()} of the compressed matrix is not finite "
                               f"at m = {m}: f overflows on its spectrum")
@@ -197,33 +178,41 @@ class _Problem:
 
 class HermitianProblem(_Problem):
     """f(A + sign*b b^*) - f(A) for Hermitian A on the Lanczos space of b,
-    X_m = f(T_m + sign*|b|^2 e1 e1^*) - f(T_m). The factor's V is its U."""
+    X_m = f(T_m + sign*|b|^2 e1 e1^*) - f(T_m), the (1,2) block of f of
+    [[T_m, sign*|b|^2 e1 e1^*], [0, T_m + sign*|b|^2 e1 e1^*]] (the block
+    lemma, ``oracle.block_lemma_check``); sign=-1 realizes a downdate. The
+    factor's V is its U."""
 
     def __init__(self, apply_a, b, f: FunctionSpec, sign=1, reorth="full"):
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
         super().__init__(f, LanczosProcess(apply_a, b, reorth=reorth))
         self.sign = sign
 
-    def _x(self, m) -> np.ndarray:
+    def _blocks(self, m) -> tuple:
         (proc,) = self._processes
-        return xm_hermitian(proc.compressed(m), proc.start_norm, self.f, self.sign)
+        t = proc.compressed(m)
+        bumped, coupling = t.copy(), self.sign * proc.start_norm ** 2
+        bumped[0, 0] += coupling
+        return t, bumped, coupling
 
 
 class GeneralProblem(_Problem):
     """f(A + b c^*) - f(A) for general A on the Arnoldi spaces of (A, b) and
-    (A^*, c): X is the (1,2) block of f of the block compression, taken from
-    its diagonal blocks' eigendecompositions for invsqrt and invpower
-    (``triangular_block_function``) and from f of the whole block otherwise."""
+    (A^*, c): X is the (1,2) block of f of the block compression
+    [[G, |b||c| e1 e1^*], [0, H^* + |c| (V^* b) e1^*]]."""
 
     def __init__(self, apply_a, apply_a_adj, b, c, f: FunctionSpec):
         self._b = np.asarray(b)
         super().__init__(f, ArnoldiProcess(apply_a, self._b), ArnoldiProcess(apply_a_adj, c))
 
-    def _x(self, mu, mv) -> np.ndarray:
+    def _blocks(self, mu, mv) -> tuple:
         pu, pv = self._processes
-        blk = _assemble_block(pu.compressed(mu), pv.compressed(mv), pu.start_norm,
-                              pv.start_norm, pv.basis_matrix(mv).conj().T @ self._b)
-        x = triangular_block_function(blk, mu, self.f)
-        return x if x is not None else eval_matrix_function(blk, self.f)[:mu, mu:]
+        vt_b = pv.basis_matrix(mv).conj().T @ self._b
+        h_adj = pv.compressed(mv).conj().T
+        k = h_adj.astype(np.result_type(h_adj, vt_b))
+        k[:, 0] += pv.start_norm * vt_b
+        return pu.compressed(mu), k, pu.start_norm * pv.start_norm
 
 
 # -----------------------------------------------------------------------------

@@ -16,10 +16,9 @@ from funupdate import (FunctionSpec, GeneralProblem, Graph, HermitianProblem,
                        block_lemma_check, error_estimate, extract_diagonal,
                        gen_convdiff1d, gen_laplace2d, general_update,
                        graph_distances, rank_k_update, scalar_derivative,
-                       spectral_norm, telescope_check, xm_hermitian)
+                       spectral_norm, telescope_check)
 from funupdate.cli import EdgeOp, edge_modification
 from funupdate.densefun import eval_matrix_function
-from funupdate.krylov import LanczosProcess
 from helpers import make_general, make_hermitian, make_spd, tridiag_sparse, unit
 
 EXP = FunctionSpec.exp()
@@ -117,13 +116,11 @@ def test_05_exp_superlinear_dominance():
     psi1, rho = 0.0, 5.05
 
     ref = dense_update_reference(np.diag(eigs), -b.reshape(-1, 1), b.reshape(-1, 1), EXP)
-    proc = LanczosProcess(lambda x: eigs * x, b, reorth="full")
-    proc.advance(30)
+    prob = HermitianProblem(lambda x: eigs * x, b, EXP, sign=-1)
+    prob.grow(30)
     rates = {}
     for m in range(1, 31):
-        x = xm_hermitian(proc.compressed(m), 1.0, EXP, -1)
-        u = proc.basis_matrix(m)
-        err = spectral_norm(ref - u @ x @ u.T)
+        err = spectral_norm(ref - prob.factor(m).densify())
         result = bound_exp_superlinear(psi1, rho, m, 1.0, 1.0)
         rates[m] = result.rate
         if m + 1 >= np.e * rho:
@@ -145,13 +142,11 @@ def test_06_markov_hpd_dominance():
     assert np.linalg.eigvalsh(np.diag(eigs) + np.outer(b, b)).max() <= 10.1
 
     ref = dense_update_reference(np.diag(eigs), b.reshape(-1, 1), b.reshape(-1, 1), INVSQRT)
-    proc = LanczosProcess(lambda x: eigs * x, b, reorth="full")
-    proc.advance(60)
+    prob = HermitianProblem(lambda x: eigs * x, b, INVSQRT)
+    prob.grow(60)
     f_prime = abs(scalar_derivative(INVSQRT, 0.1))
     for m in range(1, 61):
-        x = xm_hermitian(proc.compressed(m), 1.0, INVSQRT, 1)
-        u = proc.basis_matrix(m)
-        err = spectral_norm(ref - u @ x @ u.T)
+        err = spectral_norm(ref - prob.factor(m).densify())
         assert err <= 8.0 * f_prime * 0.8197**m  # rate derived from kappa* = 101
     _report(6, "Markov HPD bound dominance", started, 30.0)
 

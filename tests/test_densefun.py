@@ -1,4 +1,5 @@
 import threading
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -202,13 +203,80 @@ class TestDividedDifferences:
                                   np.array([2.0, 3.0]))
         assert out.dtype == np.float64
 
-    def test_other_kinds_rejected(self):
+    @pytest.mark.parametrize("f", [FunctionSpec.polynomial([1.0, 2.0]), EXP, FunctionSpec.scaled_log()],
+                             ids=lambda f: f.kind)
+    def test_kinds_without_a_form_rejected(self, f):
+        # a polynomial has none; exp and log1p-over-z have real forms only
+        lam = np.array([1.0]) if f.kind == "polynomial" else np.array([1.0 + 1.0j])
         with pytest.raises(ValueError):
-            divided_differences(EXP, np.array([1.0]), np.array([2.0]))
+            divided_differences(f, lam, np.array([2.0]))
+
+
+def _decimal_divided_difference(f, lam, mu):
+    """f[lam, mu] in 60-digit decimal arithmetic, from the plain quotient
+    and, where lam = mu, the closed-form derivative."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x, y = Decimal(float(lam)), Decimal(float(mu))
+        if f.kind == "exp":
+            value, slope = Decimal.exp, Decimal.exp
+        elif f.kind == "inverse":
+            value, slope = (lambda t: 1 / t), (lambda t: -1 / (t * t))
+        elif f.kind == "resolvent":
+            z = Decimal(float(f.shift.real))
+            value, slope = (lambda t: 1 / (z - t)), (lambda t: 1 / ((z - t) * (z - t)))
+        else:  # log1p-over-z, removable singularity at 0
+            value = lambda t: (1 + t).ln() / t if t else Decimal(1)
+            slope = lambda t: (t / (1 + t) - (1 + t).ln()) / (t * t) if t else Decimal(-0.5)
+        return float(slope(x) if x == y else (value(x) - value(y)) / (x - y))
+
+
+REAL_DD_FUNCTIONS = [EXP, FunctionSpec.inverse(), FunctionSpec.resolvent(-1.5),
+                     FunctionSpec.scaled_log()]
+REAL_DD_POINTS = {"exp": [-3.0, 0.5, 2.0, 0.0],
+                  "inverse": [-3.0, 0.5, 2.0, 1e-3],
+                  "resolvent": [-3.0, 0.5, 2.0, -1.4],
+                  "log1p-over-z": [-0.7, 0.5, 2.0, 0.0, 3e-3, -0.09, 0.11]}
+
+
+class TestRealDividedDifferences:
+    """The forms for exp, inverse, resolvent and log1p-over-z against
+    60-digit decimal arithmetic, at equal, close (relative gap 1e-9) and
+    far pairs."""
+
+    def _check(self, f, lam, mu, rel):
+        got = divided_differences(f, np.asarray(lam), np.asarray(mu))
+        assert got.dtype == np.float64
+        for i, x in enumerate(lam):
+            for j, y in enumerate(mu):
+                want = _decimal_divided_difference(f, x, y)
+                assert abs(got[i, j] - want) <= rel * abs(want), (x, y)
+
+    @pytest.mark.parametrize("f", REAL_DD_FUNCTIONS, ids=lambda f: f.kind)
+    def test_equal_close_and_far_pairs(self, f):
+        pts = np.array(REAL_DD_POINTS[f.kind])
+        close = np.where(pts == 0.0, 1e-9, pts * (1.0 + 1e-9))
+        rel = 2e-14 if f.kind == "log1p-over-z" else 2e-15
+        self._check(f, pts, np.concatenate([pts, close]), rel)
+
+    def test_exp_across_a_wide_spectrum(self):
+        # e^mu expm1(lam - mu) would give 0 * inf = nan for the pair (0, -1e3)
+        pts = [-1e3, -1e3 + 1e-6, -1.0, -1e-3, 0.0, 700.0, -700.0]
+        self._check(EXP, pts, pts, 2e-15)
+
+    def test_scaled_log_at_zero(self):
+        out = divided_differences(FunctionSpec.scaled_log(), np.array([0.0]), np.array([0.0]))
+        assert out[0, 0] == -0.5
+
+    def test_scaled_log_near_zero(self):
+        # the quotient (l - f(mu)) / lam loses about eps / |lam|, up to 1e-13
+        # on these pairs with the series radius at 1e-2 instead of 0.1
+        pts = [*np.random.default_rng(0).uniform(-0.12, 0.12, 30), 0.010000001, -0.0099, 0.0]
+        self._check(FunctionSpec.scaled_log(), pts, pts, 2e-14)
 
 
 def _triangular(g, k, coupling):
-    """[[G, coupling e1 e1^T], [0, K]]."""
+    """[[G, coupling e1 e1^T], [0, K]], the block whose f has X in its (1,2) block."""
     p = g.shape[0]
     m = np.zeros((p + k.shape[0],) * 2, dtype=np.result_type(g, k))
     m[:p, :p], m[p:, p:] = g, k
@@ -225,61 +293,72 @@ def _similar(rng, eigs):
 class TestTriangularBlockFunction:
     def test_diagonal_blocks_with_a_shared_eigenvalue(self):
         f = FunctionSpec.inverse_power(0.3)
-        m = _triangular(np.diag([3.0, 2.0]), np.diag([3.0, 5.0]), 0.7)
         want = np.zeros((2, 2))
         want[0, 0] = 0.7 * _derivatives(f, 3.0)[0]
-        np.testing.assert_allclose(triangular_block_function(m, 2, f), want, rtol=1e-15, atol=0)
+        x = triangular_block_function(np.diag([3.0, 2.0]), np.diag([3.0, 5.0]), 0.7, f)
+        np.testing.assert_allclose(x, want, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("f", [INVSQRT, FunctionSpec.inverse_power(0.5)],
                              ids=lambda f: f.label())
     def test_defective_block_matches_denman_beavers(self, f):
         # 3 is an eigenvalue of G and of K and the coupling joins them: M has
         # a Jordan block, while each side on its own is diagonalizable
-        m = _triangular(np.array([[3.0, 1.0], [0.0, 2.0]]),
-                        np.array([[3.0, 0.0], [1.0, 5.0]]), 0.7)
-        want = _inv_sqrt_denman_beavers(m)[:2, 2:]
-        np.testing.assert_allclose(triangular_block_function(m, 2, f), want, rtol=0, atol=1e-14)
+        g, k = np.array([[3.0, 1.0], [0.0, 2.0]]), np.array([[3.0, 0.0], [1.0, 5.0]])
+        want = _inv_sqrt_denman_beavers(_triangular(g, k, 0.7))[:2, 2:]
+        np.testing.assert_allclose(triangular_block_function(g, k, 0.7, f), want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_near_defective_block_where_the_block_path_iterates(self, complex_):
         rng = np.random.default_rng(5)
         lam = rng.uniform(1.0, 4.0, 6) + (0.5j * rng.standard_normal(6) if complex_ else 0.0)
-        m = _triangular(_similar(rng, lam), _similar(rng, lam + 1e-9), 0.4)
+        g, k = _similar(rng, lam), _similar(rng, lam + 1e-9)
+        m = _triangular(g, k, 0.4)
         assert eigen_decompose(m).conditioning > densefun._INVSQRT_COND_LIMIT
         block = eval_matrix_function(m, INVSQRT)  # Denman-Beavers
-        x = triangular_block_function(m, 6, INVSQRT)
+        x = triangular_block_function(g, k, 0.4, INVSQRT)
         assert x.dtype == block.dtype
         assert np.abs(x - block[:6, 6:]).max() <= 1e-12 * np.abs(block).max()
 
     def test_ill_conditioned_side_returns_none(self):
         g = np.array([[2.0, 1.0], [0.0, 2.0 + 1e-8]])  # eigenvector condition ~ 4e8
-        m = _triangular(g, np.diag([1.0, 3.0]), 0.5)
-        assert triangular_block_function(m, 2, INVSQRT) is None
-        assert triangular_block_function(m, 2, FunctionSpec.inverse_power(0.5)) is None
+        k = np.diag([1.0, 3.0])
+        assert triangular_block_function(g, k, 0.5, INVSQRT) is None
+        assert triangular_block_function(g, k, 0.5, FunctionSpec.inverse_power(0.5)) is None
 
-    def test_other_kinds_return_none(self):
-        m = _triangular(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]), 1.0)
-        for f in (EXP, FunctionSpec.inverse(), FunctionSpec.scaled_log(),
-                  FunctionSpec.resolvent(-1.0), FunctionSpec.polynomial([1.0, 2.0])):
-            assert triangular_block_function(m, 2, f) is None
+    def test_kinds_the_sides_decide(self):
+        # Hermitian sides: every kind but a polynomial; other sides: invsqrt
+        # and invpower only, the rest is f of the whole block
+        rng = np.random.default_rng(4)
+        herm = (np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
+        general = (_similar(rng, [1.0, 2.0]), _similar(rng, [3.0, 4.0]))
+        for f in (EXP, FunctionSpec.inverse(), FunctionSpec.scaled_log(), FunctionSpec.resolvent(-1.0),
+                  FunctionSpec.polynomial([1.0, 2.0]), INVSQRT, FunctionSpec.inverse_power(0.5)):
+            by_dd = f.kind != "polynomial"
+            assert (triangular_block_function(*herm, 1.0, f) is not None) == by_dd, f.kind
+            by_dd = f.kind in ("invsqrt", "invpower")
+            assert (triangular_block_function(*general, 1.0, f) is not None) == by_dd, f.kind
+
+    @pytest.mark.parametrize("f", [EXP, FunctionSpec.inverse(), FunctionSpec.scaled_log(),
+                                   FunctionSpec.resolvent(-1.0), INVSQRT,
+                                   FunctionSpec.inverse_power(0.4)], ids=lambda f: f.label())
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_hermitian_sides_match_the_whole_block(self, f, complex_):
+        rng = np.random.default_rng(6)
+        g = make_hermitian(rng, 5, complex_=complex_) + 2.0 * np.eye(5)
+        k = make_hermitian(rng, 5, complex_=complex_) + 2.5 * np.eye(5)
+        x = triangular_block_function(g, k, 0.6, f)
+        want = eval_matrix_function(_triangular(g, k, 0.6), f)[:5, 5:]
+        assert x.dtype == want.dtype
+        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_spectrum_checked_on_both_sides(self):
-        m = _triangular(np.diag([1.0, 2.0]), np.diag([3.0, -1.5]), 1.0)
-        with pytest.raises(DomainError, match="-1.5"):
-            triangular_block_function(m, 2, INVSQRT)
-
-    def test_full_coupling_block(self):
-        rng = np.random.default_rng(9)
-        m = np.zeros((7, 7))
-        m[:3, :3] = _similar(rng, [1.0, 2.0, 4.0])
-        m[3:, 3:] = _similar(rng, [0.5, 1.5, 3.0, 6.0])
-        m[:3, 3:] = rng.standard_normal((3, 4))
-        np.testing.assert_allclose(triangular_block_function(m, 3, INVSQRT),
-                                   eval_matrix_function(m, INVSQRT)[:3, 3:], rtol=0, atol=1e-13)
+        for g in (np.diag([1.0, 2.0]), _similar(np.random.default_rng(1), [1.0, 2.0])):
+            with pytest.raises(DomainError, match="-1.5"):
+                triangular_block_function(g, np.diag([3.0, -1.5]), 1.0, INVSQRT)
 
     def test_second_side_runs_on_a_worker_only_with_two_cores(self, monkeypatch):
         rng = np.random.default_rng(2)
-        m = _triangular(_similar(rng, [1.0, 2.0, 3.0]), _similar(rng, [1.5, 2.5]), 0.3)
+        g, k = _similar(rng, [1.0, 2.0, 3.0]), _similar(rng, [1.5, 2.5])
         real = densefun._eig_with_inverse
         on_main = []
 
@@ -292,9 +371,24 @@ class TestTriangularBlockFunction:
         for cores in (2, 1):
             monkeypatch.setattr(densefun, "_usable_cores", lambda: cores)
             on_main.clear()
-            xs.append(triangular_block_function(m, 3, INVSQRT))
+            xs.append(triangular_block_function(g, k, 0.3, INVSQRT))
             assert sorted(on_main) == ([False, True] if cores > 1 else [True, True])
         np.testing.assert_allclose(xs[0], xs[1], rtol=1e-13)
+
+    def test_hermitian_sides_run_in_the_calling_thread(self, monkeypatch):
+        real = densefun.eigen_decompose
+        on_main = []
+
+        def recording(a, hermitian=None):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            assert hermitian is True
+            return real(a, hermitian)
+
+        monkeypatch.setattr(densefun, "eigen_decompose", recording)
+        monkeypatch.setattr(densefun, "_eig_with_inverse", None)
+        monkeypatch.setattr(densefun, "_usable_cores", lambda: 2)
+        triangular_block_function(np.diag([1.0, 2.0]), np.diag([1.5, 2.5]), 0.3, INVSQRT)
+        assert on_main == [True, True]
 
 
 class TestSpectralNorm:

@@ -7,11 +7,10 @@ from funupdate import (DomainError, FunctionSpec, GeneralProblem, HermitianProbl
                        LowRankModification, SolveOptions, UpdateFactor, dense_update_reference,
                        error_estimate, extract_diagonal, gen_laplace2d,
                        general_update, hermitian_update, rank_k_update,
-                       spectral_norm, split_hermitian, xm_hermitian)
+                       spectral_norm, split_hermitian)
 from funupdate import densefun, update
-from funupdate.krylov import ArnoldiProcess
-from funupdate.densefun import eigen_decompose, eval_matrix_function
-from funupdate.update import _assemble_block, _stopping_index
+from funupdate.densefun import eigen_decompose, eval_matrix_function, triangular_block_function
+from funupdate.update import _stopping_index
 from helpers import make_general, make_hermitian, make_spd, unit
 
 EXP = FunctionSpec.exp()
@@ -19,65 +18,108 @@ INVSQRT = FunctionSpec.inverse_sqrt()
 IDENT = FunctionSpec.polynomial([0.0, 1.0])
 
 
-class TestXmHermitian:
+def _hermitian_x(a, b, f, m, sign=1):
+    return HermitianProblem(lambda x: a @ x, b, f, sign).x(m)
+
+
+class TestHermitianX:
     def test_linear_function_gives_rank_one(self):
         rng = np.random.default_rng(1)
-        g = make_hermitian(rng, 6)
-        x = xm_hermitian(g, 1.7, IDENT, 1)
+        a = make_hermitian(rng, 20)
+        x = _hermitian_x(a, 1.7 * unit(rng, 20), IDENT, 6)
         want = np.zeros((6, 6))
         want[0, 0] = 1.7**2
         np.testing.assert_allclose(x, want, atol=1e-14)
 
     def test_constant_function_gives_zero(self):
         rng = np.random.default_rng(2)
-        g = make_hermitian(rng, 4)
-        x = xm_hermitian(g, 2.0, FunctionSpec.polynomial([3.0]), 1)
+        a = make_hermitian(rng, 20)
+        x = _hermitian_x(a, 2.0 * unit(rng, 20), FunctionSpec.polynomial([3.0]), 4)
         np.testing.assert_allclose(x, np.zeros((4, 4)), atol=1e-14)
 
     def test_scalar_exponential(self):
-        x = xm_hermitian(np.array([[0.0]]), 1.0, EXP, 1)
+        x = _hermitian_x(np.array([[0.0]]), np.array([1.0]), EXP, 1)
         np.testing.assert_allclose(x, [[np.e - 1.0]], rtol=1e-14)
-        x_down = xm_hermitian(np.array([[0.0]]), 1.0, EXP, -1)
+        x_down = _hermitian_x(np.array([[0.0]]), np.array([1.0]), EXP, 1, sign=-1)
         np.testing.assert_allclose(x_down, [[np.exp(-1.0) - 1.0]], rtol=1e-14)
 
-    def test_sign_validation(self):
-        with pytest.raises(ValueError):
-            xm_hermitian(np.eye(2), 1.0, EXP, 0)
+    def test_sign_validation_before_any_matvec(self):
+        calls = []
+
+        def op(x):
+            calls.append(1)
+            return x
+
+        for sign in (0, 2, -0.5):
+            with pytest.raises(ValueError, match="sign"):
+                hermitian_update(op, np.ones(4), EXP, sign=sign)
+            with pytest.raises(ValueError, match="sign"):
+                HermitianProblem(op, np.ones(4), EXP, sign)
+        assert calls == []
+
+    @pytest.mark.parametrize("f,closed_form", [
+        (EXP, lambda d: np.exp(2.0) * np.expm1(d)),
+        (INVSQRT, lambda d: np.expm1(-0.5 * np.log1p(d / 2.0)) / np.sqrt(2.0)),
+        (FunctionSpec.inverse(), lambda d: -d / (2.0 * (2.0 + d))),
+    ], ids=["exp", "invsqrt", "inverse"])
+    def test_tiny_update_keeps_its_relative_accuracy(self, f, closed_form):
+        # X = f(2 + 2e-10) - f(2): the difference of two evaluations loses
+        # the 1e-6 of 2 + 2e-10 that rounding takes off; the divided
+        # difference keeps it
+        a = np.diag([2.0, 3.0, 5.0])
+        b = np.sqrt(2e-10) * np.eye(3)[0]
+        x = HermitianProblem(lambda v: a @ v, b, f).x(1)
+        want = closed_form(float(np.linalg.norm(b)) ** 2)
+        assert x.shape == (1, 1)
+        assert abs(x[0, 0] - want) <= 1e-14 * abs(want)
 
 
-class TestBlockCompression:
+class TestBlocks:
     def test_scalar_blocks(self):
-        g = np.array([[2.0]])
-        h = np.array([[3.0 + 1.0j]])
-        blk = _assemble_block(g, h, 1.5, 2.0, np.array([0.25]))
-        np.testing.assert_allclose(blk, [[2.0, 3.0], [0.0, 3.0 - 1.0j + 0.5]])
+        # n = 1: G = a, K = a + conj(c) b and the coupling |b||c|; with
+        # f(x) = x^2 the (1,2) block of f([[G, E], [0, K]]) is G E + E K
+        a = np.array([[2.0 + 1.0j]])
+        b, c = np.array([1.5]), np.array([2.0j])
+        problem = GeneralProblem(lambda x: a @ x, lambda x: a.conj().T @ x, b, c,
+                                 FunctionSpec.polynomial([0.0, 0.0, 1.0]))
+        problem.grow(1)
+        g, k, coupling = problem._blocks(1, 1)
+        np.testing.assert_allclose(g, [[2.0 + 1.0j]])
+        np.testing.assert_allclose(k, [[2.0 - 2.0j]])
+        assert coupling == 3.0
+        np.testing.assert_allclose(problem.x(1), [[3.0 * (4.0 - 1.0j)]])
+        want = (a + np.outer(b, c.conj())) @ (a + np.outer(b, c.conj())) - a @ a
+        np.testing.assert_allclose(problem.factor(1).densify(), want, atol=1e-14)
 
     def test_orthogonal_start_leaves_pure_adjoint_block(self):
+        # b orthogonal to the Krylov space of (A^*, c): K is H^*
         rng = np.random.default_rng(3)
-        g = make_general(rng, 4)
-        h = make_general(rng, 4)
-        blk = _assemble_block(g, h, 1.0, 1.0, np.zeros(4))
-        np.testing.assert_allclose(blk[4:, 4:], h.conj().T)
-        assert blk[0, 4] == 1.0
+        a = np.zeros((8, 8))
+        a[:4, :4] = make_general(rng, 4)
+        a[4:, 4:] = make_general(rng, 4)
+        b, c = np.zeros(8), np.zeros(8)
+        b[4:], c[:4] = unit(rng, 4), unit(rng, 4)
+        problem = GeneralProblem(lambda x: a @ x, lambda x: a.T @ x, b, c, EXP)
+        problem.grow(4)
+        g, k, coupling = problem._blocks(4, 4)
+        np.testing.assert_array_equal(k, problem._processes[1].compressed(4).conj().T)
+        assert coupling == pytest.approx(1.0)
 
-    def test_hermitian_case_reduces_to_difference_form(self):
-        # with c = b over Hermitian A both Arnoldi sides coincide, the lower
-        # right block becomes G + |b|^2 e1 e1^T, and the (1,2) block of f of
-        # the assembled matrix equals the Hermitian difference formula
+    def test_hermitian_case_reduces_to_the_hermitian_problem(self):
+        # with c = b over Hermitian A both Arnoldi sides coincide, K becomes
+        # G + |b|^2 e1 e1^T, and X equals the Hermitian problem's
         rng = np.random.default_rng(4)
         a = make_hermitian(rng, 30)
         b = unit(rng, 30) * 1.3
         m = 5
-        pu = ArnoldiProcess(lambda x: a @ x, b)
-        pu.advance(m)
-        g = pu.compressed(m)
-        vtb = pu.basis_matrix(m).conj().T @ b
-        blk = _assemble_block(g, g.conj().T, np.linalg.norm(b), np.linalg.norm(b), vtb)
+        problem = GeneralProblem(lambda x: a @ x, lambda x: a @ x, b, b, EXP)
+        problem.grow(m)
+        g, k, coupling = problem._blocks(m, m)
         bumped = g + np.linalg.norm(b) ** 2 * np.outer(np.eye(m)[0], np.eye(m)[0])
-        np.testing.assert_allclose(blk[m:, m:], bumped, atol=1e-12)
-        f_blk = eval_matrix_function(blk, EXP)[:m, m:]
-        diff = xm_hermitian(g, np.linalg.norm(b), EXP, 1)
-        assert spectral_norm(f_blk - diff) <= 1e-10
+        np.testing.assert_allclose(k, bumped, atol=1e-12)
+        assert coupling == pytest.approx(np.linalg.norm(b) ** 2)
+        diff = HermitianProblem(lambda x: a @ x, b, EXP).x(m)
+        assert spectral_norm(problem.x(m) - diff) <= 1e-10
 
 
 class TestErrorEstimate:
@@ -513,13 +555,35 @@ def test_converged_factor_meets_tolerance(hermitian, n, f, log_tol, b_frac, c_no
         assert spectral_norm(ref - fac.densify()) <= limit
 
 
+@settings(deadline=None, max_examples=120)
+@given(n=st.integers(2, 30), m=st.integers(1, 12), f=st.sampled_from(STOPPING_FUNCTIONS),
+       sign=st.sampled_from([1, -1]), b_norm=st.floats(0.05, 0.55), seed=st.integers(0, 2**16))
+def test_hermitian_x_matches_the_difference_of_two_evaluations(n, m, f, sign, b_norm, seed):
+    # spectrum of A in [0.5, 5] and |b|^2 <= 0.3, so T and T + sign |b|^2 e1 e1^*
+    # stay inside the domain of every kind; the difference of the two
+    # evaluations is the reference, whose rounding is eps |f(T)| per entry
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * rng.uniform(0.5, 5.0, n)) @ q.T
+    problem = HermitianProblem(lambda x: a @ x, b_norm * unit(rng, n), f, sign)
+    x = problem.x(m)
+    t = problem._processes[0].compressed(x.shape[0])
+    bumped = t.copy()
+    bumped[0, 0] += sign * b_norm**2
+    f_t, f_bumped = eval_matrix_function(t, f), eval_matrix_function(bumped, f)
+    ref = f_bumped - f_t
+    assert x.dtype == ref.dtype
+    scale = max(np.abs(f_t).max(), np.abs(f_bumped).max())
+    assert np.abs(x - ref).max() <= 1e-13 * x.shape[0] * scale
+
+
 def _whole_block(problem, m):
-    """The block compression of a GeneralProblem at m and the size of G."""
+    """The block compression [[G, E], [0, K]] of a problem at m and the size of G."""
     problem.grow(m)
-    pu, pv = problem._processes
-    mu, mv = min(m, pu.dimension), min(m, pv.dimension)
-    blk = _assemble_block(pu.compressed(mu), pv.compressed(mv), pu.start_norm, pv.start_norm,
-                          pv.basis_matrix(mv).conj().T @ problem._b)
+    g, k, coupling = problem._blocks(*(min(m, p.dimension) for p in problem._processes))
+    mu = g.shape[0]
+    blk = np.zeros((mu + k.shape[0],) * 2, dtype=np.result_type(g, k))
+    blk[:mu, :mu], blk[mu:, mu:], blk[0, mu] = g, k, coupling
     return blk, mu
 
 
@@ -584,10 +648,23 @@ class TestDividedDifferencePath:
         assert np.abs(xs[0] - xs[1]).max() <= 1e-13 * np.abs(xs[0]).max()
 
     def test_other_kinds_keep_the_block_path(self):
-        for f in (EXP, FunctionSpec.scaled_log(), FunctionSpec.inverse()):
+        # non-Hermitian sides: only invsqrt and invpower take divided differences
+        for f in (EXP, FunctionSpec.scaled_log(), FunctionSpec.inverse(), FunctionSpec.resolvent(-1.0)):
             problem = self._problem(f)
             blk, mu = _whole_block(problem, 6)
             assert np.array_equal(problem.x(6), eval_matrix_function(blk, f)[:mu, mu:])
+
+    def test_hermitian_problem_takes_divided_differences_but_for_polynomials(self):
+        rng = np.random.default_rng(8)
+        a = make_hermitian(rng, 20) + 2.0 * np.eye(20)
+        b = 0.4 * unit(rng, 20)
+        for f in STOPPING_FUNCTIONS:
+            problem = HermitianProblem(lambda x: a @ x, b, f)
+            blk, mu = _whole_block(problem, 6)
+            x_dd = triangular_block_function(blk[:mu, :mu], blk[mu:, mu:], blk[0, mu], f)
+            assert (x_dd is None) == (f.kind == "polynomial"), f.kind
+            want = x_dd if x_dd is not None else eval_matrix_function(blk, f)[:mu, mu:]
+            assert np.array_equal(problem.x(6), want), f.kind
 
 
 class TestRankK:
@@ -768,3 +845,15 @@ class TestOptions:
             LowRankModification(np.ones((2, 3)), np.ones((2, 3)))
         with pytest.raises(ValueError):
             LowRankModification(np.array([[np.nan]]), np.array([[1.0]]))
+
+    def test_vectors_are_columns(self):
+        rng = np.random.default_rng(22)
+        b, c = rng.standard_normal(5), rng.standard_normal(5)
+        flat = LowRankModification(b, c)
+        cols = LowRankModification(b.reshape(-1, 1), c.reshape(-1, 1))
+        assert flat.k == 1 and flat.B.shape == (5, 1)
+        np.testing.assert_array_equal(flat.B, cols.B)
+        np.testing.assert_array_equal(flat.C, cols.C)
+        assert LowRankModification(np.ones(5), np.ones(5)).B.shape == (5, 1)
+        with pytest.raises(ValueError, match="equal shape"):
+            LowRankModification(np.ones(5), np.ones(4))
