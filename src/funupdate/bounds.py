@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densefun import FunctionSpec, scalar_values
+from .densefun import FunctionSpec, on_singular_set, scalar_derivative, scalar_values
 from .errors import DomainError
 
 
@@ -154,6 +154,18 @@ def bound_exp_wedge(region: Wedge, m, b_norm=1.0, c_norm=1.0) -> BoundValue:
     return BoundValue(True, constant * rate * b_norm * c_norm, rate)
 
 
+def markov_rate(region, beta_hi) -> float:
+    """1 / |phi(beta)|, the per-step decay factor of ``bound_markov``."""
+    return 1.0 / phi_abs(region, beta_hi)
+
+
+def cg_rate(kappa) -> float:
+    """(sqrt(k) - 1) / (sqrt(k) + 1), the conjugate-gradient style decay
+    factor of ``bound_markov_hpd`` and of the decay bounds."""
+    s = math.sqrt(kappa)
+    return (s - 1.0) / (s + 1.0)
+
+
 def bound_markov(region, beta_hi, f_prime_omega, m, b_norm=1.0, c_norm=1.0) -> float:
     """Markov-function error bound 8 |f'(omega)| |b| |c| / |phi(beta)|^m for
     a region symmetric to the real axis whose leftmost real point omega lies
@@ -161,20 +173,17 @@ def bound_markov(region, beta_hi, f_prime_omega, m, b_norm=1.0, c_norm=1.0) -> f
     omega = leftmost_real_point(region)
     if not beta_hi < omega:
         raise ValueError("support endpoint must lie strictly left of the region")
-    rate = 1.0 / phi_abs(region, beta_hi)
-    return 8.0 * abs(f_prime_omega) * b_norm * c_norm * rate**m
+    return 8.0 * abs(f_prime_omega) * b_norm * c_norm * markov_rate(region, beta_hi)**m
 
 
 def bound_markov_hpd(kappa_star, f_prime, b_norm, m) -> float:
-    """Hermitian positive definite specialization with the conjugate-gradient
-    style rate ((sqrt(k*)-1)/(sqrt(k*)+1))^m, where k* is the ratio of the
-    largest updated eigenvalue to the smallest original one and f_prime is
-    |f'| at that smallest eigenvalue."""
+    """Hermitian positive definite specialization with the rate
+    ``cg_rate(k*)``^m, where k* is the ratio of the largest updated
+    eigenvalue to the smallest original one and f_prime is |f'| at that
+    smallest eigenvalue."""
     if kappa_star < 1.0:
         raise ValueError("kappa_star must be at least 1")
-    s = math.sqrt(kappa_star)
-    rate = (s - 1.0) / (s + 1.0)
-    return 8.0 * abs(f_prime) * b_norm**2 * rate**m
+    return 8.0 * abs(f_prime) * b_norm**2 * cg_rate(kappa_star)**m
 
 
 def chebyshev_poly_bound(f: FunctionSpec, interval, m) -> float:
@@ -189,7 +198,9 @@ def chebyshev_poly_bound(f: FunctionSpec, interval, m) -> float:
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError("interval needs a < b")
-    _check_analytic_on_interval(f, a, b)
+    # [a, b] meets the singular set iff its point nearest the cut's end or the pole does
+    if f.singular_set and on_singular_set(f, np.clip(np.real(f.singular_set[1]), a, b)):
+        raise DomainError(f"{f.label()} is not analytic on [{a}, {b}]")
 
     def mapped(t):
         return scalar_values(f, 0.5 * (b - a) * (np.asarray(t) + 1.0) + a).real
@@ -199,16 +210,6 @@ def chebyshev_poly_bound(f: FunctionSpec, interval, m) -> float:
     t = np.cos(theta)
     err = np.max(np.abs(mapped(t) - np.polynomial.chebyshev.chebval(t, coeffs)))
     return 4.0 * float(err)
-
-
-def _check_analytic_on_interval(f: FunctionSpec, a, b) -> None:
-    # the branch cut of the powers covers (-inf, 0]; 1/x is singular at 0 only
-    if (f.kind in ("invsqrt", "invpower") and a <= 0.0) or (f.kind == "inverse" and a <= 0.0 <= b):
-        raise DomainError(f"{f.kind} is not analytic on [{a}, {b}]")
-    if f.kind == "log1p-over-z" and a <= -1.0:
-        raise DomainError(f"scaled log is not analytic on [{a}, {b}]")
-    if f.kind == "resolvent" and f.shift.imag == 0 and a <= f.shift.real <= b:
-        raise DomainError("resolvent pole inside the interval")
 
 
 def field_of_values_boundary(m, n_angles) -> np.ndarray:
@@ -258,8 +259,7 @@ class DecayParams:
 
     @property
     def decay_rate(self) -> float:
-        s = math.sqrt(self.kappa)
-        return (s - 1.0) / (s + 1.0)
+        return cg_rate(self.kappa)
 
 
 def demko_decay(params: DecayParams, dist) -> float:
@@ -342,7 +342,5 @@ def decay_params_from_matrix(a_dense, f: FunctionSpec, k, l) -> DecayParams:
     lmin, lmax = float(eigs[0]), float(eigs[-1])
     if lmin <= 0:
         raise ValueError("matrix must be positive definite")
-    from .densefun import scalar_derivative
-
     return DecayParams(lmin, lmax, stieltjes_k_constant(a, k, l),
                        abs(scalar_derivative(f, lmin)))

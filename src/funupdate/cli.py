@@ -411,8 +411,7 @@ def _bounds_rows(spec: _BoundsSpec):
         else:
             fp = abs(scalar_derivative(spec.function(), spec.num("omega")))
         kappa = spec.num("kappa_star")
-        s = np.sqrt(kappa)
-        rate = (s - 1.0) / (s + 1.0)
+        rate = bnd.cg_rate(kappa)
         for m in m_range:
             rows.append((m, bnd.bound_markov_hpd(kappa, fp, b_norm, m), rate**m))
     elif kind == "markov":
@@ -423,7 +422,7 @@ def _bounds_rows(spec: _BoundsSpec):
         beta = spec.num("beta")
         omega = bnd.leftmost_real_point(region)
         fp = abs(scalar_derivative(spec.function(), omega))
-        rate = 1.0 / bnd.phi_abs(region, beta)
+        rate = bnd.markov_rate(region, beta)
         for m in m_range:
             rows.append((m, bnd.bound_markov(region, beta, fp, m, b_norm, c_norm), rate**m))
     elif kind == "chebyshev":
@@ -609,9 +608,8 @@ def _demo_markov_invsqrt(outdir, rng, size, max_m):
     rows = []
     for m in range(1, prob.dimension + 1):
         err = spectral_norm(ref - prob.factor(m).densify())
-        s = np.sqrt(kappa_star)
         rows.append((m, err, bnd.bound_markov_hpd(kappa_star, fp, 1.0, m),
-                     ((s - 1.0) / (s + 1.0)) ** m))
+                     bnd.cg_rate(kappa_star) ** m))
     write_rows_csv(outdir / "markov_invsqrt.csv", ["m", "true_error", "bound", "rate"], rows)
     write_report(outdir / "markov_invsqrt.json", {"n": n, "kappa_star": kappa_star})
 

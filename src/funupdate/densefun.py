@@ -23,13 +23,12 @@ _HERMITIAN_RTOL = 1e-12
 
 KINDS = ("exp", "invsqrt", "inverse", "invpower", "log1p-over-z", "polynomial", "resolvent")
 
-# Markov-representable kinds: support interval of the defining measure.
-_MARKOV_SUPPORT = {
-    "invsqrt": (-math.inf, 0.0),
-    "invpower": (-math.inf, 0.0),
-    "inverse": (-math.inf, 0.0),
-    "log1p-over-z": (-math.inf, -1.0),
-}
+# The singular set of each kind: the branch cut (-inf, c] or the pole z. A
+# resolvent's pole is its shift; exp and polynomials have none.
+_SINGULAR_SETS = {"invsqrt": ("cut", 0.0), "invpower": ("cut", 0.0),
+                  "log1p-over-z": ("cut", -1.0), "inverse": ("pole", 0.0)}
+# Markov functions: their measure lives on the cut, or at the pole 0 of 1/x.
+_MARKOV_KINDS = ("invsqrt", "invpower", "inverse", "log1p-over-z")
 
 
 @dataclass(frozen=True)
@@ -94,11 +93,18 @@ class FunctionSpec:
     @property
     def markov_support(self) -> tuple | None:
         """(alpha, beta) support interval of the representing measure, or None."""
-        return _MARKOV_SUPPORT.get(self.kind)
+        return (-math.inf, self.singular_set[1]) if self.is_markov else None
+
+    @property
+    def singular_set(self) -> tuple | None:
+        """("cut", c) for the branch cut (-inf, c], ("pole", z), or None."""
+        if self.kind == "resolvent":
+            return ("pole", self.shift)
+        return _SINGULAR_SETS.get(self.kind)
 
     @property
     def is_markov(self) -> bool:
-        return self.kind in _MARKOV_SUPPORT
+        return self.kind in _MARKOV_KINDS
 
     def label(self) -> str:
         if self.kind == "invpower":
@@ -153,16 +159,12 @@ def scalar_values(f: FunctionSpec, x) -> np.ndarray:
     x = np.asarray(x)
     if f.kind == "exp":
         return np.exp(x)
-    if f.kind == "invsqrt":
-        if np.iscomplexobj(x) or np.any(np.asarray(x).real <= 0):
-            return np.power(x.astype(complex), -0.5)
-        return np.power(x, -0.5)
+    if f.kind in ("invsqrt", "invpower"):
+        if np.iscomplexobj(x) or np.any(x.real <= 0):
+            x = x.astype(complex)
+        return np.power(x, -0.5 if f.kind == "invsqrt" else -f.power)
     if f.kind == "inverse":
         return 1.0 / x
-    if f.kind == "invpower":
-        if np.iscomplexobj(x) or np.any(np.asarray(x).real <= 0):
-            return np.power(x.astype(complex), -f.power)
-        return np.power(x, -f.power)
     if f.kind == "log1p-over-z":
         return _scaled_log_values(x)
     if f.kind == "polynomial":
@@ -175,47 +177,34 @@ def scalar_values(f: FunctionSpec, x) -> np.ndarray:
     raise AssertionError(f.kind)
 
 
+def on_singular_set(f: FunctionSpec, z, tol=0.0) -> np.ndarray:
+    """Mask of the points z within tol of the singular set of f: for a cut,
+    real part at most c + tol and imaginary part at most tol in modulus."""
+    z = np.asarray(z)
+    if f.singular_set is None:
+        return np.zeros(z.shape, dtype=bool)
+    shape, at = f.singular_set
+    if shape == "cut":
+        return (z.real - at <= tol) & (np.abs(z.imag) <= tol)
+    return np.abs(z - at) <= tol
+
+
 def scalar_derivative(f: FunctionSpec, x):
-    """Closed-form f'(x) at a scalar point strictly inside the domain of f."""
-    if f.kind == "exp":
-        return math.exp(x) if not isinstance(x, complex) else np.exp(x)
-    if f.kind == "invsqrt":
-        if np.real(x) <= 0:
-            raise DomainError("invsqrt derivative requires a point off the nonpositive axis")
-        return -0.5 * x ** (-1.5)
-    if f.kind == "inverse":
-        if x == 0:
-            raise DomainError("inverse derivative undefined at 0")
-        return -(x ** -2.0)
-    if f.kind == "invpower":
-        if np.real(x) <= 0:
-            raise DomainError("invpower derivative requires a point off the nonpositive axis")
-        return -f.power * x ** (-f.power - 1.0)
-    if f.kind == "log1p-over-z":
-        if np.real(x) <= -1:
-            raise DomainError("scaled log derivative requires x > -1")
-        if abs(x) < 1e-4:
-            return -0.5 + x * (2.0 / 3.0 + x * (-0.75))
-        return 1.0 / (x * (1.0 + x)) - math.log1p(x) / x**2
-    if f.kind == "polynomial":
-        val = sum(k * c * x ** (k - 1) for k, c in enumerate(f.coefficients) if k >= 1)
-        if isinstance(x, complex) or isinstance(val, complex):
-            return complex(val)
-        return float(val)
-    if f.kind == "resolvent":
-        if x == f.shift:
-            raise DomainError("resolvent derivative undefined at the pole")
-        return (f.shift - x) ** -2.0
-    raise AssertionError(f.kind)
+    """f'(x) as the confluent divided difference f[x, x], at a point off the
+    singular set of f."""
+    if on_singular_set(f, x):
+        raise DomainError(f"{f.label()} derivative undefined at {x}")
+    point = np.array([x], dtype=np.result_type(x, np.float64))
+    return divided_differences(f, point, point)[0, 0].item()
 
 
 def divided_differences(f: FunctionSpec, lam, mu) -> np.ndarray:
     """F_ij = f[lam_i, mu_j] = (f(lam_i) - f(mu_j)) / (lam_i - mu_j), equal
     to f'(mu_j) where lam_i = mu_j, in forms free of the quotient's
-    cancellation. invsqrt, invpower, inverse and resolvent accept complex
-    eigenvalues (invsqrt and invpower on the principal branch); exp and
-    log1p-over-z take real ones. Raises ValueError for a polynomial, and
-    for exp or log1p-over-z on a complex spectrum.
+    cancellation. invsqrt, invpower, inverse, resolvent and polynomials
+    accept complex eigenvalues (invsqrt and invpower on the principal
+    branch); exp and log1p-over-z take real ones. Raises ValueError for exp
+    or log1p-over-z on a complex spectrum.
 
     invsqrt: -1 / (s t (s + t)) with s, t the principal square roots.
     invpower gamma: mu^(-gamma-1) expm1(-gamma d) / expm1(d) with
@@ -223,13 +212,14 @@ def divided_differences(f: FunctionSpec, lam, mu) -> np.ndarray:
     which keeps its relative accuracy (numpy's complex log1p does not), turned
     by the multiple of 2 pi i that log lam - log mu carries across the cut.
     inverse: -1 / (lam mu). resolvent with pole z: 1 / ((z - lam) (z - mu)).
+    polynomial sum_k a_k x^k: a_k contributes a_k sum_{i+j=k-1} lam^i mu^j.
     exp: e^max(lam, mu) (-expm1(-|lam - mu|)) / |lam - mu|, which neither
     overflows nor turns into 0 * inf on a spectrum as wide as [-1e3, 0].
     log1p-over-z: with l = log1p((lam - mu) / (1 + mu)) / (lam - mu), the
     divided difference of log1p, F = (l - f(mu)) / lam = (l - f(lam)) / mu,
     divided by the larger of |lam| and |mu|, which loses about
-    eps / max(|lam|, |mu|); below 0.1 in both, the Taylor series of f, whose
-    x^k contributes sum_{i+j=k-1} lam^i mu^j.
+    eps / max(|lam|, |mu|); below 0.1 in both, the polynomial form of the
+    Taylor series of f.
     """
     lam = np.asarray(lam)[:, None]
     mu = np.asarray(mu)[None, :]
@@ -243,6 +233,8 @@ def divided_differences(f: FunctionSpec, lam, mu) -> np.ndarray:
         return -1.0 / (lam * mu)
     if f.kind == "resolvent":
         return 1.0 / ((f.shift - lam) * (f.shift - mu))
+    if f.kind == "polynomial":
+        return _power_series_divided_differences(f.coefficients, lam, mu)
     if not complex_ and f.kind == "exp":
         gap = np.abs(lam - mu)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -266,8 +258,21 @@ def divided_differences(f: FunctionSpec, lam, mu) -> np.ndarray:
     return np.power(mu, -gamma - 1.0) * ratio
 
 
+def _power_series_divided_differences(coefficients, x, y) -> np.ndarray:
+    """Divided differences of sum_k a_k z^k, a_k contributing
+    a_k sum_{i+j=k-1} x^i y^j."""
+    acc = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.result_type(x, y, *coefficients))
+    h, x_pow = np.ones_like(acc), np.ones_like(x)
+    for a in coefficients[1:]:  # h = sum_{i+j=k-1} x^i y^j
+        acc = acc + a * h
+        x_pow = x_pow * x
+        h = x_pow + y * h
+    return acc
+
+
 _SCALED_LOG_SERIES_RADIUS = 0.1
-_SCALED_LOG_SERIES_TERMS = 18  # the first term left out is below 1e-18
+# Taylor coefficients (-1)^k / (k + 1) of log1p(x) / x; the first left out is below 1e-18
+_SCALED_LOG_SERIES = tuple((-1.0) ** k / (k + 1) for k in range(19))
 
 
 def _scaled_log_divided_differences(lam, mu) -> np.ndarray:
@@ -278,36 +283,26 @@ def _scaled_log_divided_differences(lam, mu) -> np.ndarray:
     small = np.maximum(np.abs(lam), np.abs(mu)) < _SCALED_LOG_SERIES_RADIUS
     if small.any():
         x, y = np.broadcast_to(lam, small.shape)[small], np.broadcast_to(mu, small.shape)[small]
-        acc, h, x_pow = np.zeros_like(x), np.ones_like(x), np.ones_like(x)
-        for k in range(1, _SCALED_LOG_SERIES_TERMS + 1):  # h = sum_{i+j=k-1} x^i y^j
-            acc += (-1.0) ** k / (k + 1) * h
-            x_pow = x_pow * x
-            h = x_pow + y * h
-        out[small] = acc
+        out[small] = _power_series_divided_differences(_SCALED_LOG_SERIES, x, y)
     return out
 
 
 def _check_spectrum(f: FunctionSpec, eigs: np.ndarray) -> None:
     """Rejects eigenvalues on or numerically touching the singular set of f."""
+    if f.singular_set is None:
+        return
     eigs = np.atleast_1d(eigs)
     scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 1.0)
-    tol = 1e-12 * scale
-    if f.kind in ("invsqrt", "invpower"):
-        bad = (eigs.real <= tol) & (np.abs(eigs.imag) <= tol)
-        if np.any(bad):
-            raise DomainError(f"{f.kind} undefined: eigenvalue on the nonpositive real axis "
-                              f"(closest: {eigs[bad][0]})")
-    elif f.kind == "inverse":
-        if np.any(np.abs(eigs) <= tol):
-            raise DomainError("inverse undefined: eigenvalue at 0")
-    elif f.kind == "log1p-over-z":
-        shifted = eigs + 1.0
-        bad = (shifted.real <= tol) & (np.abs(shifted.imag) <= tol)
-        if np.any(bad):
-            raise DomainError("scaled log undefined: eigenvalue on the branch cut x <= -1")
-    elif f.kind == "resolvent":
-        if np.any(np.abs(eigs - f.shift) <= tol):
-            raise DomainError("resolvent undefined: eigenvalue at the pole")
+    bad = on_singular_set(f, eigs, 1e-12 * scale)
+    if np.any(bad):
+        shape, at = f.singular_set
+        where = f"on the branch cut x <= {at:g}" if shape == "cut" else f"at the pole {at}"
+        raise DomainError(f"{f.kind} undefined: eigenvalue {where} (closest: {eigs[bad][0]})")
+
+
+def _cond_limit(f: FunctionSpec) -> float:
+    """Eigenvector condition estimate past which f(M) is not diagonalized."""
+    return _INVSQRT_COND_LIMIT if f.kind == "invsqrt" else _EIGVEC_COND_LIMIT
 
 
 # -----------------------------------------------------------------------------
@@ -405,7 +400,7 @@ def triangular_block_function(g, k, coupling, f: FunctionSpec) -> np.ndarray | N
             mu, r, r_inv, r_cond = _eig_with_inverse(k)
         cond = max(p_cond, r_cond)
     _check_spectrum(f, np.concatenate([lam, mu]))
-    if cond > (_INVSQRT_COND_LIMIT if f.kind == "invsqrt" else _EIGVEC_COND_LIMIT):
+    if cond > _cond_limit(f):
         return None
     coupled = (coupling * p_inv[:, :1]) @ r[:1] * divided_differences(f, lam, mu)
     return _maybe_real(p @ coupled @ r_inv, f, g, k)
@@ -542,8 +537,7 @@ def eval_matrix_function(m, f: FunctionSpec) -> np.ndarray:
 
     dec = eigen_decompose(m, hermitian=False)
     _check_spectrum(f, dec.eigenvalues)
-    limit = _INVSQRT_COND_LIMIT if f.kind == "invsqrt" else _EIGVEC_COND_LIMIT
-    if dec.conditioning <= limit:
+    if dec.conditioning <= _cond_limit(f):
         fw = scalar_values(f, dec.eigenvalues)
         out = np.linalg.solve(dec.eigenvectors.T, ((dec.eigenvectors * fw).T)).T
         return _maybe_real(out, f, m)

@@ -1,5 +1,6 @@
 import threading
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from funupdate import (DomainError, FunctionSpec, eigen_decompose,
                        eval_matrix_function, expm_dense, function_from_name,
                        scalar_derivative, scalar_values, spectral_norm)
 from funupdate import densefun
+from funupdate.bounds import chebyshev_poly_bound
 from funupdate.densefun import (_inv_sqrt_denman_beavers, divided_differences,
                                 triangular_block_function)
 from helpers import make_general, make_hermitian, make_spd
@@ -176,7 +178,8 @@ class TestDividedDifferences:
     @pytest.mark.parametrize("mu", [3.0, 0.7 + 2.0j, -2.0 + 0.5j])
     def test_equal_eigenvalues_give_the_derivative(self, f, mu):
         got = divided_differences(f, np.array([mu]), np.array([mu]))[0, 0]
-        assert got == pytest.approx(_derivatives(f, complex(mu))[0], rel=1e-15)
+        want = _derivatives(f, complex(mu))[0]
+        assert abs(got - want) <= 1e-15 * abs(want)
 
     @pytest.mark.parametrize("f", DD_FUNCTIONS, ids=lambda f: f.label())
     @pytest.mark.parametrize("mu", [3.0, 0.7 + 2.0j, -2.0 + 0.5j])
@@ -188,7 +191,8 @@ class TestDividedDifferences:
         h = lam[0] - mu[0]
         d1, d2, d3 = _derivatives(f, mu[0])
         got = divided_differences(f, lam, mu)[0, 0]
-        assert got == pytest.approx(d1 + d2 * h / 2 + d3 * h * h / 6, rel=1e-14)
+        want = d1 + d2 * h / 2 + d3 * h * h / 6
+        assert abs(got - want) <= 1e-14 * abs(want)
 
     def test_close_pair_across_the_branch_cut(self):
         # log lam - log mu = -2 pi i + O(1e-3) for this pair, so the divided
@@ -203,13 +207,58 @@ class TestDividedDifferences:
                                   np.array([2.0, 3.0]))
         assert out.dtype == np.float64
 
-    @pytest.mark.parametrize("f", [FunctionSpec.polynomial([1.0, 2.0]), EXP, FunctionSpec.scaled_log()],
-                             ids=lambda f: f.kind)
+    @pytest.mark.parametrize("f", [EXP, FunctionSpec.scaled_log()], ids=lambda f: f.kind)
     def test_kinds_without_a_form_rejected(self, f):
-        # a polynomial has none; exp and log1p-over-z have real forms only
-        lam = np.array([1.0]) if f.kind == "polynomial" else np.array([1.0 + 1.0j])
+        # exp and log1p-over-z have real forms only; every other kind has a
+        # form on a complex spectrum
         with pytest.raises(ValueError):
-            divided_differences(f, lam, np.array([2.0]))
+            divided_differences(f, np.array([1.0 + 1.0j]), np.array([2.0]))
+
+
+# Fraction(float) is exact, so the reference below carries no rounding
+RATIONAL_POLY = FunctionSpec.polynomial([0.5, -1.25, 0.375, 2.0, -0.75, 1.5, 0.0, -0.125])
+POLY_POINTS = [-1.75, -0.5, 0.0, 0.25, 1.5, 3.0]
+
+
+def _fraction_divided_difference(coefficients, x, y):
+    """p[x, y] in exact rational arithmetic: the quotient, or p'(x) at x = y."""
+    a, x, y = [Fraction(c) for c in coefficients], Fraction(x), Fraction(y)
+    if x == y:
+        return sum(k * c * x ** (k - 1) for k, c in enumerate(a) if k)
+    return (sum(c * x**k for k, c in enumerate(a)) - sum(c * y**k for k, c in enumerate(a))) / (x - y)
+
+
+class TestPolynomialDividedDifferences:
+    def test_equal_close_and_far_pairs_against_fractions(self):
+        coefficients = RATIONAL_POLY.coefficients
+        pts = np.array(POLY_POINTS)
+        mu = np.concatenate([pts, pts + 1e-9])
+        got = divided_differences(RATIONAL_POLY, pts, mu)
+        assert got.dtype == np.float64
+        for i, x in enumerate(pts):
+            for j, y in enumerate(mu):
+                want = _fraction_divided_difference(coefficients, x, y)
+                # rounding of sum_k a_k sum_{i+j=k-1} x^i y^j is relative to its terms' moduli
+                terms = sum(abs(c) * sum(abs(x) ** i * abs(y) ** (k - 1 - i) for i in range(k))
+                            for k, c in enumerate(coefficients))
+                assert abs(Fraction(float(got[i, j])) - want) <= 2 * len(coefficients) * 2.0**-53 * terms, (x, y)
+
+    def test_complex_coefficients_match_the_quotient_at_far_pairs(self):
+        f = FunctionSpec.polynomial([1.0 + 2.0j, -0.5j, 0.25, 1.0 - 1.0j, 0.5])
+        lam = np.array([0.3, 2.0 + 1.5j, -1.0])
+        mu = np.array([1.5, 0.2 - 3.0j])
+        want = ((scalar_values(f, lam)[:, None] - scalar_values(f, mu)[None, :])
+                / (lam[:, None] - mu[None, :]))
+        got = divided_differences(f, lam, mu)
+        assert got.dtype == np.complex128
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
+    @pytest.mark.parametrize("x", [0.9, 0.5 + 1.0j])
+    def test_derivative_is_the_confluent_divided_difference(self, x):
+        f = FunctionSpec.polynomial([1.0, 2.0, -1.0, 0.25])
+        want = 2.0 - 2.0 * x + 0.75 * x**2
+        got = scalar_derivative(f, x)
+        assert type(got) is type(x) and abs(got - want) <= 1e-15 * abs(want)
 
 
 def _decimal_divided_difference(f, lam, mu):
@@ -442,6 +491,36 @@ class TestScalarCalculus:
             scalar_derivative(FunctionSpec.inverse(), 0.0)
         with pytest.raises(DomainError):
             scalar_derivative(FunctionSpec.scaled_log(), -1.5)
+
+    @pytest.mark.parametrize("x", [2e-4, 1e-3, 0.1])
+    def test_scaled_log_derivative_against_decimals(self, x):
+        # the closed form 1/(x(1+x)) - log1p(x)/x^2 cancels: 1.9e-12 off at 2e-4
+        want = _decimal_divided_difference(FunctionSpec.scaled_log(), x, x)
+        assert abs(scalar_derivative(FunctionSpec.scaled_log(), x) - want) <= 4e-16 * abs(want)
+
+    @pytest.mark.parametrize("f,point", [
+        (INVSQRT, 0.0), (FunctionSpec.inverse_power(0.5), 0.0), (FunctionSpec.scaled_log(), -1.0),
+        (FunctionSpec.inverse(), 0.0), (FunctionSpec.resolvent(2.5), 2.5),
+    ], ids=["invsqrt", "invpower", "log1p-over-z", "inverse", "resolvent"])
+    def test_one_singular_set_serves_every_check(self, f, point):
+        def rejected(x):
+            checks = (lambda: scalar_derivative(f, x),
+                      lambda: eval_matrix_function(np.diag([x, x + 1.0]), f),
+                      lambda: chebyshev_poly_bound(f, (x, x + 1.0), 3))
+            outcomes = []
+            for check in checks:
+                try:
+                    check()
+                except DomainError:
+                    outcomes.append(True)
+                else:
+                    outcomes.append(False)
+            return outcomes
+
+        assert rejected(point) == [True, True, True]
+        assert rejected(point + 1e-9) == [False, False, False]
+        if f.singular_set[0] == "cut":
+            assert rejected(point - 1.0) == [True, True, True]
 
     def test_scaled_log_series_patch(self):
         x = np.array([1e-9, -1e-9, 0.0])
