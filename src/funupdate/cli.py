@@ -14,9 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import shutil
 import sys
+import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -135,6 +138,54 @@ def _history_json(history):
 # -----------------------------------------------------------------------------
 # update subcommand
 
+def _fork_csv_writer(path, m):
+    """Forks a child that writes ``m`` to ``path`` and leaves through
+    ``os._exit``: 0 once written, 1 after reporting its error on standard
+    error. Returns the child's pid, or None without forking where ``os.fork``
+    is missing, one core is usable or another Python thread is alive (the
+    solvers join their pools before returning, so none is on this path)."""
+    if (not hasattr(os, "fork") or densefun._usable_cores() < 2
+            or threading.active_count() > 1):
+        return None
+    with warnings.catch_warnings():
+        # Python 3.12 warns when native threads such as the BLAS pool exist.
+        # The child runs no BLAS, and OpenBLAS stops its pool across a fork.
+        warnings.filterwarnings("ignore", r"This process .*multi-threaded, use of fork\(\)",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        write_matrix_csv(path, m)
+        code = 0
+    except Exception as exc:
+        os.write(2, f"error: {exc}\n".encode("ascii", "backslashreplace"))
+    finally:
+        os._exit(code)  # never returns into the parent's stack, handlers or buffers
+
+
+def _write_factor_csvs(outdir, fac) -> None:
+    """Writes U.csv, X.csv and V.csv of a factor to the Path ``outdir``. On the
+    Hermitian path V.csv is a byte copy of U.csv. Otherwise a forked child
+    writes V.csv while this process writes U.csv and X.csv, the bytes those
+    of writing the three in turn; an unwritten V.csv raises OSError."""
+    u_path, x_path, v_path = (outdir / f"{k}.csv" for k in "UXV")
+    child = None if fac.V is fac.U else _fork_csv_writer(v_path, fac.V)
+    try:
+        write_matrix_csv(u_path, fac.U)
+        write_matrix_csv(x_path, fac.X)
+    finally:
+        status = os.waitpid(child, 0)[1] if child is not None else 0
+    if fac.V is fac.U:
+        shutil.copyfile(u_path, v_path)
+    elif child is None:
+        write_matrix_csv(v_path, fac.V)
+    elif status:
+        raise OSError(f"{v_path} not written: its writer process exited with "
+                      f"status {os.waitstatus_to_exitcode(status)}")
+
+
 def _cmd_update(args) -> int:
     rng = np.random.default_rng(args.seed)
     a = load_matrix_market(args.matrix)
@@ -160,12 +211,7 @@ def _cmd_update(args) -> int:
 
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_matrix_csv(outdir / "U.csv", fac.U)
-    write_matrix_csv(outdir / "X.csv", fac.X)
-    if fac.V is fac.U:
-        shutil.copyfile(outdir / "U.csv", outdir / "V.csv")
-    else:
-        write_matrix_csv(outdir / "V.csv", fac.V)
+    _write_factor_csvs(outdir, fac)
     report = {
         "function": f.label(),
         "algorithm": algorithm,
@@ -807,7 +853,7 @@ def main(argv=None) -> int:
     except NonFiniteOperatorError as exc:
         print(f"error: NonFiniteOperatorError: {exc}", file=sys.stderr)
         return 4
-    except (MatrixMarketError, FileNotFoundError, ValueError) as exc:
+    except (MatrixMarketError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +96,13 @@ class SparseMatrix:
         rows = np.repeat(np.arange(self.n), np.diff(self.row_ptr))
         return SparseMatrix.from_coo(self.n, self.col_idx, rows, np.conj(self.values), self.symmetry_flag)
 
+    @cached_property
+    def _nonempty_rows(self):
+        """(mask of the nonempty rows, or None when every row is; storage
+        offset of each nonempty row's first entry), the row sums' layout."""
+        nonempty = np.diff(self.row_ptr) > 0
+        return (None if nonempty.all() else nonempty), self.row_ptr[:-1][nonempty]
+
     def matvec(self, x) -> np.ndarray:
         return spmv(self, x)
 
@@ -120,11 +128,12 @@ def spmv(a: SparseMatrix, x) -> np.ndarray:
     if x.shape != (a.n,):
         raise ValueError(f"dimension mismatch: matrix is {a.n}x{a.n}, vector has length {x.shape}")
     prod = a.values * x[a.col_idx]
+    nonempty, starts = a._nonempty_rows
+    if nonempty is None and prod.size:
+        return np.add.reduceat(prod, starts)
     y = np.zeros(a.n, dtype=np.result_type(a.values, x))
-    counts = np.diff(a.row_ptr)
-    nz = counts > 0
     if prod.size:
-        y[nz] = np.add.reduceat(prod, a.row_ptr[:-1][nz])
+        y[nonempty] = np.add.reduceat(prod, starts)
     return y
 
 

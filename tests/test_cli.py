@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,141 @@ class TestUpdateCommand:
         assert x.shape == (40, 40) and np.all(np.isfinite(x))
         report = json.loads((out / "report.json").read_text())
         assert report["true_error_relative"] <= 1e-6
+
+
+def _general_update(tmp_path, out):
+    """``funupdate update`` of exp on a 30x30 nonsymmetric tridiagonal matrix
+    with b = ones and a seeded random c."""
+    mtx = tmp_path / "general.mtx"
+    if not mtx.exists():
+        n = 30
+        entries = [(i, i, 2.0) for i in range(n)]
+        entries += [(i + 1, i, -1.2) for i in range(n - 1)] + [(i, i + 1, -0.8) for i in range(n - 1)]
+        mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
+                       f"{n} {n} {len(entries)}\n"
+                       + "".join(f"{i + 1} {j + 1} {v!r}\n" for i, j, v in entries))
+    return main(["update", "--matrix", str(mtx), "--function", "exp", "--b", "ones",
+                 "--c", "randn", "--seed", "4", "--tol", "1e-10", "--output-dir", str(out)])
+
+
+def _factor_bytes(out):
+    return [(out / f"{k}.csv").read_bytes() for k in "UXV"]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts os.fork calls, with two usable cores whatever the machine has."""
+    calls = []
+    real_fork = os.fork
+
+    def counted_fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(densefun, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return calls
+
+
+def _no_fork():
+    raise AssertionError("os.fork called")
+
+
+class TestUpdateFactorCsvs:
+    """V.csv of a general factor is written by a forked child while the
+    parent writes U.csv and X.csv, when a second core is usable."""
+
+    def test_forked_bytes_equal_serial_bytes(self, tmp_path, monkeypatch, forks):
+        assert _general_update(tmp_path, tmp_path / "forked") == 0
+        # the solve joins its worker threads, so the general path forks
+        assert forks == [1]
+        _assert_no_child_left()
+        forked = _factor_bytes(tmp_path / "forked")
+        assert json.loads((tmp_path / "forked" / "report.json").read_text())["algorithm"] == "general"
+        assert forked[0].count(b"\r\n") == 31 and forked[0] != forked[2]
+
+        monkeypatch.setattr(os, "fork", _no_fork)
+        monkeypatch.setattr(densefun, "_usable_cores", lambda: 1)
+        assert _general_update(tmp_path, tmp_path / "one_core") == 0
+        assert _factor_bytes(tmp_path / "one_core") == forked
+
+        monkeypatch.setattr(densefun, "_usable_cores", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        assert _general_update(tmp_path, tmp_path / "no_fork") == 0
+        assert _factor_bytes(tmp_path / "no_fork") == forked
+
+    def test_live_thread_means_no_fork(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(os, "fork", _no_fork)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert _general_update(tmp_path, tmp_path / "out") == 0
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert (tmp_path / "out" / "V.csv").stat().st_size > 0
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_unwritable_v_is_input_error(self, tmp_path, monkeypatch, capsys, forks, cores):
+        monkeypatch.setattr(densefun, "_usable_cores", lambda: cores)
+        (tmp_path / "out" / "V.csv").mkdir(parents=True)
+        assert _general_update(tmp_path, tmp_path / "out") == 2
+        assert len(forks) == (cores > 1)
+        _assert_no_child_left()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "V.csv" in err.splitlines()[-1]
+        assert "Traceback" not in err
+        assert (tmp_path / "out" / "X.csv").stat().st_size > 0
+
+    def test_failing_u_write_still_reaps_the_child(self, tmp_path, monkeypatch, capsys, forks):
+        monkeypatch.setattr(densefun, "_usable_cores", lambda: 1)
+        assert _general_update(tmp_path, tmp_path / "serial") == 0
+        monkeypatch.setattr(densefun, "_usable_cores", lambda: 2)
+        (tmp_path / "out" / "U.csv").mkdir(parents=True)
+        assert _general_update(tmp_path, tmp_path / "out") == 2
+        assert forks == [1]
+        _assert_no_child_left()
+        assert "U.csv" in capsys.readouterr().err
+        assert (tmp_path / "out" / "V.csv").read_bytes() == (tmp_path / "serial" / "V.csv").read_bytes()
+
+    def test_hermitian_path_copies_u_without_forking(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(os, "fork", _no_fork)
+        (tmp_path / "a.mtx").write_text(IDENTITY3)
+        out = tmp_path / "out"
+        assert main(["update", "--matrix", str(tmp_path / "a.mtx"), "--function", "exp",
+                     "--b", "ones", "--output-dir", str(out)]) == 0
+        assert (out / "V.csv").read_bytes() == (out / "U.csv").read_bytes()
+
+    def test_unwritable_hermitian_v_is_input_error(self, tmp_path, capsys):
+        (tmp_path / "a.mtx").write_text(IDENTITY3)
+        (tmp_path / "out" / "V.csv").mkdir(parents=True)
+        assert main(["update", "--matrix", str(tmp_path / "a.mtx"), "--function", "exp",
+                     "--b", "ones", "--output-dir", str(tmp_path / "out")]) == 2
+        assert "V.csv" in capsys.readouterr().err
+
+    def test_threaded_fork_warning_is_not_raised(self, tmp_path, monkeypatch, forks):
+        # Python 3.12 warns thus from os.fork when the process has other OS
+        # threads, such as the BLAS pool; the writer child runs no BLAS
+        counted_fork = os.fork
+
+        def warning_fork():
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return counted_fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _general_update(tmp_path, tmp_path / "out") == 0
+        assert forks == [1]
+        _assert_no_child_left()
 
 
 def reference_matrix_csv(path, m):

@@ -202,6 +202,18 @@ class TestDividedDifferences:
         want = (scalar_values(f, lam) - scalar_values(f, mu)) / (lam - mu)
         np.testing.assert_allclose(divided_differences(f, lam, mu)[0], want, rtol=1e-12)
 
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.95])
+    @pytest.mark.parametrize("s", [1e-8, 1e-4])
+    def test_conjugate_pair_straddling_the_cut(self, gamma, s):
+        # eigenvalues -1 +- s i of a real matrix: f(lam) and f(mu) differ by
+        # O(1), so the plain quotient is accurate (within 8.3e-16 of 50-digit
+        # mpmath), while expm1(log lam - log mu) near 2 pi i loses eps / s
+        f = FunctionSpec.inverse_power(gamma)
+        lam, mu = np.linalg.eigvals(np.array([[-1.0, s], [-s, -1.0]]))
+        want = (lam ** -gamma - mu ** -gamma) / (lam - mu)
+        got = divided_differences(f, np.array([lam]), np.array([mu]))[0, 0]
+        assert abs(got - want) <= 4e-15 * abs(want)
+
     def test_real_input_stays_real(self):
         out = divided_differences(FunctionSpec.inverse_power(0.4), np.array([1.0, 2.0]),
                                   np.array([2.0, 3.0]))

@@ -163,6 +163,22 @@ class TestSpmv:
         a = SparseMatrix.from_coo(4, [0, 3], [1, 2], [2.0, 5.0])
         np.testing.assert_allclose(spmv(a, np.arange(4.0)), [2.0, 0.0, 0.0, 10.0])
 
+    @pytest.mark.parametrize("density", [0.003, 0.05], ids=["empty-rows", "full-rows"])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_bitwise_equal_to_row_sums_recomputed_per_call(self, density, complex_):
+        # the reference recomputes the nonempty-row starts on every call;
+        # spmv reads them once per matrix, the sums unchanged
+        rng = np.random.default_rng(11)
+        a = random_sparse(rng, 300, density=density, complex_=complex_)
+        assert (np.diff(a.row_ptr) == 0).any() == (density < 0.01)
+        for _ in range(3):
+            x = rng.standard_normal(a.n)
+            nz = np.diff(a.row_ptr) > 0
+            want = np.zeros(a.n, dtype=a.values.dtype)
+            want[nz] = np.add.reduceat(a.values * x[a.col_idx], a.row_ptr[:-1][nz])
+            got = spmv(a, x)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
 
 class TestGraphDistance:
     def test_same_node(self):
