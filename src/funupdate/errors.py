@@ -29,3 +29,7 @@ class NonFiniteOperatorError(ArithmeticError):
                          "or overflows")
         self.process = process
         self.step = step
+
+    def __reduce__(self):
+        # the default rebuilds from the message alone, which __init__ rejects
+        return type(self), (self.process, self.step)

@@ -14,6 +14,7 @@ callers can grow a decomposition while monitoring convergence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,17 @@ _REORTH_TRIGGER = 3e-14
 
 def _norm(v) -> float:
     """Euclidean norm of v; rescaled by max |v_i| when the sum of squares
-    overflows although every entry is finite (entries beyond ~1e154)."""
+    overflows although every entry is finite (entries beyond ~1e154).
+
+    A contiguous float64 vector with a finite sum of squares skips the
+    ``errstate``: sqrt(vdot(v, v)) is what ``np.linalg.norm`` computes, and
+    ``vdot``, unlike ``dot``, does not warn on overflow. A strided vector
+    keeps the path below, as ``vdot`` sums it in another order than the
+    contiguous copy ``np.linalg.norm`` makes."""
+    if v.dtype == np.float64 and v.flags.c_contiguous:
+        sq = float(np.vdot(v, v))
+        if math.isfinite(sq):
+            return math.sqrt(sq)
     with np.errstate(over="ignore"):
         nrm = float(np.linalg.norm(v))
     if nrm == np.inf and np.isfinite(v).all():
@@ -141,11 +152,12 @@ class ArnoldiProcess:
             r -= q @ c
             h += c
 
-    def _close(self, j) -> None:
+    def _close(self, j, beta=None) -> None:
         """Ends step j, whose residual sits in basis column j + 1: stores its
-        norm beta below the coefficients, tests breakdown and normalizes."""
+        norm beta (computed here unless given) below the coefficients, tests
+        breakdown and normalizes."""
         r, col = self._q[:, j + 1], self._h[: j + 2, j]
-        col[j + 1] = beta = _norm(r)
+        col[j + 1] = beta = _norm(r) if beta is None else beta
         # every entry of the operator output reaches the residual norm, so
         # this O(j) check catches any NaN or inf it holds
         if not np.isfinite(col).all():
@@ -210,11 +222,14 @@ class LanczosProcess(ArnoldiProcess):
         self._h[j, j] = alpha
         q, r = self._q[:, : j + 1], self._q[:, j + 1]
         r[:] = w
+        beta = None
         if self.reorth == "full":
             c = (r.conj() @ q).conj()
-            if _norm(c) > _REORTH_TRIGGER * _norm(r):
+            beta = _norm(r)
+            if _norm(c) > _REORTH_TRIGGER * beta:
                 self._cgs2(j, c)
-        self._close(j)
+                beta = None  # the correction changed r
+        self._close(j, beta)
 
     def compressed(self, m=None) -> np.ndarray:
         """The real symmetric tridiagonal, mirrored from the diagonal and

@@ -51,7 +51,11 @@ class SolveOptions:
 class UpdateFactor:
     """Factored approximation U X V^* of a matrix-function update.
 
-    V is the same array as U for Hermitian solves. ``estimate_history``
+    A factor from a solve or a problem holds U and V as read-only,
+    Fortran-ordered views of the Krylov basis buffers, which they keep
+    alive (the capacity, at most max(32, 2 basis_dimension) columns);
+    ``np.array(fac.U)`` is an owned copy. V is the same array as U for
+    Hermitian solves. ``estimate_history``
     holds the (m, estimate) pairs of the checkpoints up to the returned
     one, sorted by m. ``basis_dimension`` is the number of Krylov steps
     built (at least m): a checkpoint schedule that overshoots and bisects
@@ -171,7 +175,12 @@ class _Problem:
         return self._factor(m, self.x(m), self.exhausted and m >= self.dimension, [])
 
     def _factor(self, m, x, converged, history) -> UpdateFactor:
-        bases = [p.basis_matrix(min(m, p.dimension)).copy() for p in self._processes]
+        """The bases are read-only views of the processes' buffers, not
+        copies: growth writes no finished column, and a buffer that growth
+        replaces stays alive under its views."""
+        bases = [p.basis_matrix(min(m, p.dimension)) for p in self._processes]
+        for basis in bases:
+            basis.flags.writeable = False
         return UpdateFactor(bases[0], x, bases[-1], min(m, self.dimension), converged, history,
                             self.dimension)
 
@@ -399,7 +408,30 @@ def rank_k_update(apply_a, apply_a_adj, mod: LowRankModification, f: FunctionSpe
     return factors
 
 
+# Rows of U and V per block of extract_diagonal: its temporaries are then
+# a few blocks of m columns, whatever n is.
+_DIAGONAL_BLOCK_ROWS = 2048
+
+
 def extract_diagonal(fac: UpdateFactor) -> np.ndarray:
-    """diag(U X V^*) as rowwise bilinear forms, O(m^2 n) and never n x n."""
-    w = fac.U @ fac.X
-    return np.sum(w * fac.V.conj(), axis=1)
+    """diag(U X V^*) as rowwise bilinear forms, O(m^2 n) and never n x n,
+    computed over row blocks in O(block m) memory beside the factor."""
+    u, x, v = fac.U, fac.X, fac.V
+    n = u.shape[0]
+    # numpy takes a one-row product as vector times matrix, which sums in
+    # another order than the matrix product: the last block absorbs that row
+    edges = [*range(0, max(n - 1, 1), _DIAGONAL_BLOCK_ROWS), n]
+    diag = np.empty(n, dtype=np.result_type(u, x, v))
+    for s, e in zip(edges, edges[1:]):
+        diag[s:e] = _row_forms(u[s:e], x, v[s:e], diag.dtype)
+    return diag
+
+
+def _row_forms(u, x, v, dtype) -> np.ndarray:
+    """Row i of U X times conj(V) row i, summed, with one (rows, m) temporary
+    (and conj(V) for complex V). The product is conj(V) times U X: numpy
+    forms (U X) * V.conj() on large arrays in that order, in the temporary
+    conj(V), and complex products round differently in the other."""
+    w = (u @ x).astype(dtype, copy=False)
+    np.multiply(v.conj(), w, out=w)
+    return np.sum(w, axis=1)

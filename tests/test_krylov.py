@@ -1,11 +1,14 @@
+import pickle
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funupdate import (NonFiniteOperatorError, arnoldi, as_operator, gen_laplace2d, lanczos,
-                       spectral_norm)
-from funupdate.krylov import ArnoldiProcess, LanczosProcess
+from funupdate import (DomainError, MatrixMarketError, NonFiniteOperatorError, OracleScaleError,
+                       arnoldi, as_operator, gen_laplace2d, lanczos, spectral_norm)
+from funupdate.krylov import ArnoldiProcess, LanczosProcess, _norm
 from helpers import make_hermitian, tridiag_sparse, unit
 
 
@@ -359,6 +362,37 @@ class TestNonFiniteOperator:
                                    rtol=1e-15)
         u = proc.basis_matrix()
         np.testing.assert_allclose(u.T @ u, np.eye(2), atol=1e-15)
+
+
+    @pytest.mark.parametrize("error", [
+        NonFiniteOperatorError("LanczosProcess", 3), DomainError("exp overflows"),
+        MatrixMarketError("bad header"), OracleScaleError("n is too large"),
+    ], ids=lambda e: type(e).__name__)
+    def test_errors_survive_pickling(self, error):
+        # a worker process reports its error to the parent by pickling it
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is type(error)
+        assert str(back) == str(error) and back.args == error.args
+        assert vars(back) == vars(error)
+
+
+class TestNorm:
+    def test_float64_is_bitwise_np_linalg_norm_and_silent(self):
+        rng = np.random.default_rng(31)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(200):
+                g = rng.standard_normal(2 * int(rng.integers(1, 2000)))
+                v = g * 10.0 ** rng.uniform(-150, 150)
+                for w in (v, v[::2], v * (1 + 1j), g.astype(np.float32)):
+                    assert _norm(w) == float(np.linalg.norm(w))
+
+    def test_non_finite_and_overflowing_vectors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _norm(np.array([np.inf, 1.0])) == np.inf
+            assert np.isnan(_norm(np.array([np.nan, 1.0])))
+            assert _norm(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
 
 
 class TestOperatorAdapter:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,7 +13,8 @@ from funupdate import (DomainError, FunctionSpec, GeneralProblem, HermitianProbl
 from funupdate import densefun, update
 from funupdate.densefun import eigen_decompose, eval_matrix_function, triangular_block_function
 from funupdate.update import _stopping_index
-from helpers import make_general, make_hermitian, make_spd, unit
+from funupdate.krylov import LanczosProcess
+from helpers import make_general, make_hermitian, make_spd, tridiag_sparse, unit
 
 EXP = FunctionSpec.exp()
 INVSQRT = FunctionSpec.inverse_sqrt()
@@ -790,6 +793,96 @@ class TestExtractDiagonal:
         fac = GeneralProblem(lambda x: a @ x, lambda x: a.T @ x,
                              unit(rng, 200), unit(rng, 200), EXP).factor(10)
         np.testing.assert_allclose(extract_diagonal(fac), np.diag(fac.densify()), atol=1e-13)
+
+    @pytest.mark.parametrize("n", [update._DIAGONAL_BLOCK_ROWS - 1, 2 * update._DIAGONAL_BLOCK_ROWS,
+                                   2 * update._DIAGONAL_BLOCK_ROWS + 1],
+                             ids=["below-a-block", "two-blocks", "above-two-blocks"])
+    @pytest.mark.parametrize("kind", ["hermitian", "general", "complex"])
+    def test_row_blocks_equal_the_unblocked_formula(self, kind, n):
+        rng = np.random.default_rng(n)
+        if kind == "general":
+            a, a_adj = tridiag_sparse(n, -1.3, 2.5, -0.7), tridiag_sparse(n, -0.7, 2.5, -1.3)
+            problem = GeneralProblem(a.matvec, a_adj.matvec, unit(rng, n), unit(rng, n), EXP)
+        else:
+            a = tridiag_sparse(n, -1.0, 2.5, -1.0)
+            problem = HermitianProblem(a.matvec, unit(rng, n, complex_=kind == "complex"), EXP)
+        fac = problem.factor(12)
+        u, v = np.ascontiguousarray(fac.U), np.ascontiguousarray(fac.V)
+        # (u @ X) * v.conj() as numpy forms it on arrays this large: in the
+        # temporary v.conj(), that is as v.conj() * (u @ X)
+        want = np.sum(np.multiply(v.conj(), u @ fac.X), axis=1)
+        got = extract_diagonal(fac)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["V-is-U", "V-apart"])
+    def test_memory_is_a_few_row_blocks(self, hermitian):
+        rng = np.random.default_rng(28)
+        n, m = 20_000, 100
+        u = rng.standard_normal((n, m))
+        v = u if hermitian else rng.standard_normal((n, m))
+        fac = UpdateFactor(u, rng.standard_normal((m, m)), v, m, True)
+        _, peak = _traced_peak(lambda: extract_diagonal(fac))
+        assert peak < n * m * 8 / 4
+
+
+def _traced_peak(run) -> tuple:
+    """``run()`` and the peak bytes numpy and Python allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFactorViews:
+    """Factors are read-only views of the basis buffers, not copies."""
+
+    def test_factor_is_read_only(self):
+        rng = np.random.default_rng(29)
+        a = make_general(rng, 30)
+        hermitian = hermitian_update(lambda x: a @ x + a.T @ x, unit(rng, 30), EXP)
+        general = GeneralProblem(lambda x: a @ x, lambda x: a.T @ x,
+                                 unit(rng, 30), unit(rng, 30), EXP).factor(5)
+        assert hermitian.V is hermitian.U and general.V is not general.U
+        for basis in (hermitian.U, general.U, general.V):
+            assert not basis.flags.writeable
+            with pytest.raises(ValueError):
+                basis[0, 0] = 1.0
+
+    def test_factor_outlives_capacity_doubling_and_promotion(self):
+        rng = np.random.default_rng(30)
+        a = make_hermitian(rng, 100)
+        calls = [0]
+
+        def apply(x):  # real values, returned as complex from the 20th product on
+            calls[0] += 1
+            y = a @ x
+            return y.astype(complex) if calls[0] >= 20 else y
+
+        problem = HermitianProblem(apply, unit(rng, 100), EXP)
+        fac = problem.factor(5)
+        u, x = fac.U.copy(), fac.X.copy()
+        problem.grow(40)  # capacity 32 -> 64, and float64 -> complex128 at step 20
+        assert problem.factor(40).U.dtype == complex
+        assert fac.U.dtype == u.dtype == np.float64
+        assert np.array_equal(fac.U, u) and np.array_equal(fac.X, x) and fac.V is fac.U
+
+    def test_solve_and_extraction_stay_near_the_basis_buffer(self):
+        # The peak is the buffer's last doubling (old and new, 1.5 times the
+        # final buffer) plus vectors of length n. This solve builds 102 of
+        # 128 columns, so a factor that copied the basis, or an extraction
+        # that held an n x m product, would add 0.8 times the buffer.
+        a = gen_laplace2d(60)
+        b = np.full(a.n, 1.0 / 60)
+
+        def solve_and_extract():
+            fac = hermitian_update(a.matvec, b, INVSQRT, opts=SolveOptions(tol=1e-8, max_m=300))
+            return fac, extract_diagonal(fac)
+
+        (fac, _), peak = _traced_peak(solve_and_extract)
+        proc = LanczosProcess(a.matvec, b)
+        proc.advance(fac.basis_dimension)
+        assert peak <= 1.6 * proc._q.nbytes
 
 
 class TestComplexScalars:
