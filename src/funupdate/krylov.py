@@ -73,6 +73,7 @@ class KrylovDecomposition:
     Lanczos, upper Hessenberg for Arnoldi), ``next_norm`` the trailing
     recurrence norm, ``next_vector`` the would-be next basis vector (None
     after breakdown) and ``start_norm`` the norm of the starting vector.
+    ``basis`` and ``next_vector`` are read-only views of the process's buffer.
     """
 
     basis: np.ndarray
@@ -94,7 +95,9 @@ class ArnoldiProcess:
     coefficients one (capacity + 1, capacity) buffer; the two grow by
     doubling and promote their dtype together, never re-stacked. Step j
     writes column j of the coefficients as (Q^* A u_j, beta), which makes
-    the leading m x m block the Hessenberg matrix.
+    the leading m x m block the Hessenberg matrix. Basis accessors return
+    read-only views, which never change: growth writes no finished column,
+    and a buffer it replaces stays alive under its views.
     """
 
     def __init__(self, apply_a, b):
@@ -176,7 +179,9 @@ class ArnoldiProcess:
         return m
 
     def basis_matrix(self, m=None) -> np.ndarray:
-        return self._q[:, : self._checked(m)]
+        view = self._q[:, : self._checked(m)]
+        view.flags.writeable = False
+        return view
 
     def compressed(self, m=None) -> np.ndarray:
         m = self._checked(m)
@@ -185,9 +190,10 @@ class ArnoldiProcess:
     def decomposition(self, m=None) -> KrylovDecomposition:
         m = self._checked(m, lo=1)
         broke = self.breakdown and m == self.dimension
-        return KrylovDecomposition(self._q[:, :m], self.compressed(m),
-                                   float(np.real(self._h[m, m - 1])),
-                                   None if broke else self._q[:, m], self.start_norm, broke)
+        q = self._q[:, : m + 1]
+        q.flags.writeable = False
+        return KrylovDecomposition(q[:, :m], self.compressed(m), float(np.real(self._h[m, m - 1])),
+                                   None if broke else q[:, m], self.start_norm, broke)
 
 
 class LanczosProcess(ArnoldiProcess):

@@ -85,7 +85,8 @@ class LowRankModification:
     factor of length n is one column.
 
     Set ``hermitian_flag`` when B C^* is Hermitian and the base operator is
-    too; rank-k driving then uses the symmetric splitting path.
+    too; rank-k driving then uses the symmetric splitting path, which tests
+    the claim about B C^* exactly and trusts the one about the operator.
     """
 
     B: np.ndarray
@@ -175,12 +176,7 @@ class _Problem:
         return self._factor(m, self.x(m), self.exhausted and m >= self.dimension, [])
 
     def _factor(self, m, x, converged, history) -> UpdateFactor:
-        """The bases are read-only views of the processes' buffers, not
-        copies: growth writes no finished column, and a buffer that growth
-        replaces stays alive under its views."""
         bases = [p.basis_matrix(min(m, p.dimension)) for p in self._processes]
-        for basis in bases:
-            basis.flags.writeable = False
         return UpdateFactor(bases[0], x, bases[-1], min(m, self.dimension), converged, history,
                             self.dimension)
 
@@ -317,33 +313,30 @@ def general_update(apply_a, apply_a_adj, b, c, f: FunctionSpec,
 # -----------------------------------------------------------------------------
 # Rank-k driving
 
+def _compressed(mod: LowRankModification) -> tuple:
+    """Q with orthonormal columns and S = R_B R_C^*, so that B C^* = Q S Q^*,
+    from one reduced QR of [B C] = Q [R_B R_C]."""
+    q, r = np.linalg.qr(np.hstack([mod.B, mod.C]))
+    return q, r[:, : mod.k] @ r[:, mod.k:].conj().T
+
+
 def split_hermitian(mod: LowRankModification, tol=1e-10) -> list:
     """Decomposes a Hermitian B C^* into signed rank-1 terms.
 
-    Eigendecomposes the compression of D = B C^* onto an orthonormal basis
-    of range([B C]) and returns (vector, sign) pairs with
-    D = sum_i sign_i v_i v_i^*, positive signs first. Raises ValueError when
-    a probe vector reveals D is not Hermitian.
+    Compresses D = B C^* to Q S Q^* (``_compressed``) and returns (vector,
+    sign) pairs with D = sum_i sign_i v_i v_i^*, positive signs first, from
+    the eigenpairs of S above tol times the largest |lambda|. Raises
+    ValueError when |S - S^*|_F > tol |S|_F, which is |D - D^*|_F > tol |D|_F
+    as Q has orthonormal columns. The test and the cut both allow for the
+    rounding of S, n eps |B|_F |C|_F, which exceeds tol |S|_F where B C^*
+    cancels. A numerically zero D gives no terms.
     """
-    b, c = mod.B, mod.C
-    n = b.shape[0]
-    probe = np.cos(1.7 * np.arange(n)) + 0.3  # fixed generic probe
-    forward = b @ (c.conj().T @ probe)
-    adjoint = c @ (b.conj().T @ probe)
-    scale = np.linalg.norm(b) * np.linalg.norm(c) * np.linalg.norm(probe) + 1e-300
-    if np.linalg.norm(forward - adjoint) > tol * scale:
+    q, s = _compressed(mod)
+    noise = mod.B.shape[0] * np.finfo(float).eps * np.linalg.norm(mod.B) * np.linalg.norm(mod.C)
+    if np.linalg.norm(s - s.conj().T) > tol * np.linalg.norm(s) + noise:
         raise ValueError("modification B C^* is not Hermitian")
-
-    stack = np.hstack([b, c])
-    q, svals, _ = np.linalg.svd(stack, full_matrices=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return []
-    r = int(np.sum(svals > max(stack.shape) * np.finfo(float).eps * svals[0]))
-    q = q[:, :r]
-    small = (q.conj().T @ b) @ (c.conj().T @ q)
-    small = 0.5 * (small + small.conj().T)
-    lam, w = np.linalg.eigh(small)
-    keep = np.abs(lam) > tol * max(np.abs(lam).max(), 1e-300)
+    lam, w = np.linalg.eigh(0.5 * (s + s.conj().T))
+    keep = np.abs(lam) > max(tol * np.abs(lam).max(initial=0.0), noise)
     lam, w = lam[keep], w[:, keep]
     vectors = q @ (w * np.sqrt(np.abs(lam)))
     terms = [(vectors[:, i], 1 if lam[i] > 0 else -1) for i in range(lam.size)]
@@ -370,13 +363,14 @@ def rank_k_update(apply_a, apply_a_adj, mod: LowRankModification, f: FunctionSpe
                   opts: SolveOptions | None = None) -> list:
     """Incorporates a rank-k modification as a sequence of rank-1 solves.
 
-    B C^* is first compressed to its exact numerical rank r. Update i then
-    runs against the operator already carrying the first i-1 corrections,
-    because those earlier terms change the Krylov spaces the later ones
-    must use. Hermitian modifications (over a Hermitian base) route through
-    the signed symmetric splitting and the Hermitian driver. Returns one
-    factor per rank-1 term; their sum approximates f(A + BC^*) - f(A), and
-    an empty list means the modification was numerically zero.
+    B C^* is first compressed to Q S Q^* by one QR of [B C]. Hermitian
+    modifications (over a Hermitian base) take signed terms from
+    ``split_hermitian``; others take (Q w_i sigma_i)(Q z_i)^* from the SVD of
+    S, cut at k eps sigma_0. Update i runs against the operator already
+    carrying the first i-1 corrections, because those earlier terms change
+    the Krylov spaces the later ones must use. Returns one factor per
+    rank-1 term; their sum approximates f(A + BC^*) - f(A), and an empty
+    list means the modification was numerically zero.
     """
     base = as_operator(apply_a)
     factors: list = []
@@ -389,14 +383,13 @@ def rank_k_update(apply_a, apply_a_adj, mod: LowRankModification, f: FunctionSpe
         return factors
 
     adj = as_operator(apply_a_adj)
-    qb, rb = np.linalg.qr(mod.B)
-    qc, rc = np.linalg.qr(mod.C)
-    w, svals, zh = np.linalg.svd(rb @ rc.conj().T)
+    q, s = _compressed(mod)
+    w, svals, zh = np.linalg.svd(s)
     if svals.size == 0 or svals[0] == 0.0:
         return []
     r = int(np.sum(svals > mod.k * np.finfo(float).eps * svals[0]))
-    bs = qb @ (w[:, :r] * svals[:r])
-    cs = qc @ zh[:r, :].conj().T
+    bs = q @ (w[:, :r] * svals[:r])
+    cs = q @ zh[:r, :].conj().T
     fwd_pairs: list = []
     adj_pairs: list = []
     for i in range(r):

@@ -211,6 +211,22 @@ class TestBasisKernel:
             assert spectral_norm(u - ref.basis) <= 1e-12
             assert spectral_norm(dec.compressed - ref.compressed) <= 1e-12
 
+    @pytest.mark.parametrize("process", [LanczosProcess, ArnoldiProcess])
+    def test_views_are_read_only(self, process):
+        a = gen_laplace2d(10)
+        b = np.cos(np.arange(a.n))
+        proc, twin = process(a.matvec, b), process(a.matvec, b)
+        proc.advance(5)
+        twin.advance(5)
+        dec = proc.decomposition()
+        for view in (dec.basis, dec.next_vector, proc.basis_matrix()):
+            with pytest.raises(ValueError, match="read-only"):
+                view *= 2.0
+        proc.advance(3)
+        twin.advance(3)
+        assert np.array_equal(proc.compressed(), twin.compressed())
+        assert np.array_equal(proc.basis_matrix(), twin.basis_matrix())
+
     @pytest.mark.parametrize("complex_", [False, True])
     def test_lanczos_matches_arnoldi_on_hermitian(self, complex_):
         rng = np.random.default_rng(53)

@@ -723,6 +723,17 @@ class TestRankK:
                              SolveOptions(tol=1e-10, max_m=30))
         assert len(facs) == 1
 
+    def test_general_rank_three_matches_dense(self):
+        rng = np.random.default_rng(30)
+        n = 5
+        a = make_general(rng, n)
+        b, c = 0.3 * rng.standard_normal((n, 3)), 0.3 * rng.standard_normal((n, 3))
+        facs = rank_k_update(lambda x: a @ x, lambda x: a.T @ x, LowRankModification(b, c),
+                             EXP, SolveOptions(tol=1e-12, max_m=20))
+        assert len(facs) == 3 and all(f.converged for f in facs)
+        ref = dense_update_reference(a, b, c, EXP)
+        assert spectral_norm(sum(f.densify() for f in facs) - ref) <= 1e-11 * spectral_norm(ref)
+
 
 class TestSplitHermitian:
     def test_single_unit_vector(self):
@@ -765,6 +776,69 @@ class TestSplitHermitian:
         c = rng.standard_normal((10, 1))
         with pytest.raises(ValueError, match="not Hermitian"):
             split_hermitian(LowRankModification(b, c))
+
+    def test_rejects_skew_modification_orthogonal_to_a_probe(self):
+        # D = u v^* - v u^* is skew with |D|_F near 130; u and v are
+        # orthogonal to a fixed vector p, so D p = D^* p = 0 and no test of
+        # D on p can see that D is not Hermitian
+        n = 100
+        rng = np.random.default_rng(29)
+        p = np.cos(1.7 * np.arange(n)) + 0.3
+        u, v = (w - p * (p @ w) / (p @ p) for w in rng.standard_normal((2, n)))
+        mod = LowRankModification(np.column_stack([u, -v]), np.column_stack([v, u]),
+                                  hermitian_flag=True)
+        assert np.linalg.norm(mod.B @ mod.C.T) > 100.0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            split_hermitian(mod)
+        a = gen_laplace2d(10)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            rank_k_update(a.matvec, a.matvec, mod, EXP)
+
+    def test_cancelling_factors_are_split_to_their_rounding(self):
+        # D = u u^* - v v^* with v = u + 1e-9 w: |B|_F |C|_F is about 1e9 |D|_F,
+        # so S carries rounding far above tol |S|_F; D = u u^* - u u^* is zero
+        rng = np.random.default_rng(31)
+        u, w = rng.standard_normal((2, 50))
+        eps = np.finfo(float).eps
+        for v, rank in ((u + 1e-9 * w, 2), (u, 0)):
+            b, c = np.column_stack([u, v]), np.column_stack([u, -v])
+            terms = split_hermitian(LowRankModification(b, c, hermitian_flag=True))
+            assert len(terms) == rank
+            rebuilt = sum((sgn * np.outer(vec, vec) for vec, sgn in terms), np.zeros((50, 50)))
+            assert np.linalg.norm(rebuilt - b @ c.T) <= 50 * eps * np.linalg.norm(b) * np.linalg.norm(c)
+
+
+def _random_factor(rng, n, k, complex_):
+    z = rng.standard_normal((n, k))
+    return z + 1j * rng.standard_normal((n, k)) if complex_ else z
+
+
+@settings(deadline=None, max_examples=200)
+@given(k=st.integers(1, 4), extra=st.integers(0, 8), complex_=st.booleans(),
+       seed=st.integers(0, 2**16))
+@example(k=3, extra=0, complex_=False, seed=0)  # n = k: Q is square
+@example(k=4, extra=2, complex_=True, seed=1)  # k < n < 2k: Q is square
+def test_split_hermitian_rebuilds_hermitian_and_rejects_general(k, extra, complex_, seed):
+    n = min(k + extra, 3 * k)
+    rng = np.random.default_rng(seed)
+    # D = W Lambda W^* with orthonormal W and |lambda_i| in [0.5, 2]: every
+    # eigenvalue is far above the split's cut, so D is rebuilt in full
+    w, _ = np.linalg.qr(_random_factor(rng, n, k, complex_))
+    lam = rng.choice([-1.0, 1.0], k) * rng.uniform(0.5, 2.0, k)
+    d = (w * lam) @ w.conj().T
+    terms = split_hermitian(LowRankModification(w * lam, w, hermitian_flag=True))
+    assert len(terms) == k
+    rebuilt = sum(sgn * np.outer(vec, vec.conj()) for vec, sgn in terms)
+    assert np.linalg.norm(rebuilt - d) <= 1e-12 * np.linalg.norm(d)
+    signs = [sgn for _, sgn in terms]
+    assert signs == sorted(signs, reverse=True)
+    assert signs.count(1) == np.count_nonzero(lam > 0)
+
+    b, c = _random_factor(rng, n, k, complex_), _random_factor(rng, n, k, complex_)
+    general = b @ c.conj().T
+    assume(np.linalg.norm(general - general.conj().T) > 1e-6 * np.linalg.norm(general))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        split_hermitian(LowRankModification(b, c, hermitian_flag=True))
 
 
 class TestExtractDiagonal:
