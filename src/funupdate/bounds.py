@@ -288,9 +288,10 @@ def stieltjes_update_decay(params: DecayParams, d_ik, d_lj) -> float:
 
 
 _K_GRID = (0.0, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
+_K_RTOL = 1e-6  # the golden-section search stops at this relative change
 
 
-def stieltjes_k_constant(a_dense, k, l, rtol=1e-6) -> float:
+def stieltjes_k_constant(a_dense, k, l) -> float:
     """Floor K = min_{t >= 0} |1 + e_l^* (A + tI)^{-1} e_k| of the shifted
     resolvent entries, by a logarithmic grid search refined with a
     golden-section pass around the best grid point; the t -> infinity limit
@@ -324,7 +325,7 @@ def stieltjes_k_constant(a_dense, k, l, rtol=1e-6) -> float:
             x2 = lo + inv_phi * (hi - lo)
             f2 = objective(x2)
         new_best = min(f1, f2)
-        if abs(k_best - new_best) <= rtol * max(new_best, 1e-300):
+        if abs(k_best - new_best) <= _K_RTOL * max(new_best, 1e-300):
             k_best = min(k_best, new_best)
             break
         k_best = min(k_best, new_best)

@@ -36,7 +36,7 @@ from .errors import (DomainError, MatrixMarketError, NonFiniteOperatorError,
 from .oracle import DENSE_UPDATE_LIMIT, dense_update_reference
 from .sparse import (Graph, SparseMatrix, gen_convdiff1d, gen_laplace2d,
                      graph_distances, load_matrix_market)
-from .update import (GeneralProblem, HermitianProblem, LowRankModification,
+from .update import (LOOKAHEAD, GeneralProblem, HermitianProblem, LowRankModification,
                      SolveOptions, error_estimate, extract_diagonal, general_update,
                      hermitian_update, rank_k_update)
 
@@ -197,6 +197,8 @@ def _cmd_update(args) -> int:
     if sign == -1 and not (a.symmetry_flag and same_vectors):
         print("error: --sign minus requires a symmetric matrix and c = b", file=sys.stderr)
         return 2
+    if args.check and a.n > DENSE_UPDATE_LIMIT:
+        raise OracleScaleError("matrix too large for --check")
     opts = _solve_options(args)
 
     c = b if same_vectors else parse_vector_spec(c_spec, a.n, rng)
@@ -218,7 +220,7 @@ def _cmd_update(args) -> int:
         "matrix": {"n": a.n, "nnz": a.nnz, "symmetric": bool(a.symmetry_flag)},
         "sign": sign,
         "tol": opts.tol,
-        "lookahead": opts.lookahead_d,
+        "lookahead": LOOKAHEAD,
         "max_m": opts.max_m,
         "steps": int(fac.m),
         "basis_dimension": int(fac.basis_dimension),
@@ -227,8 +229,6 @@ def _cmd_update(args) -> int:
         "history": _history_json(fac.estimate_history),
     }
     if args.check:
-        if a.n > DENSE_UPDATE_LIMIT:
-            raise OracleScaleError("matrix too large for --check")
         b_fac = (sign * b if algorithm == "hermitian" else b).reshape(-1, 1)
         ref = dense_update_reference(a.to_dense(), b_fac, c.reshape(-1, 1), f)
         err = float(spectral_norm(ref - fac.densify()))
@@ -392,7 +392,7 @@ def _cmd_centrality(args) -> int:
         "n": graph.n,
         "edits": len(edits),
         "tol": opts.tol,
-        "lookahead": opts.lookahead_d,
+        "lookahead": LOOKAHEAD,
         "engine_seconds": result["engine_seconds"],
         "trace_before": float(result["baseline_diag"].sum()),
         "trace_after": float(result["diag"].sum()),
@@ -690,22 +690,18 @@ def _demo_convdiff(outdir, rng, size, max_m):
         at = a.conjugate_transpose()
 
         prob = GeneralProblem(a.matvec, at.matvec, b, c_vec, f)
-        xs = {m: prob.x(m) for m in range(1, m_cap + 3)}
+        xs = {m: prob.x(m) for m in range(1, m_cap + LOOKAHEAD + 1)}
         counts_stiff[str(int(c_tilde))] = last_crossing(
-            {m: error_estimate(xs[m], xs[m + 2]) for m in range(1, m_cap + 1)})
+            {m: error_estimate(xs[m], xs[m + LOOKAHEAD]) for m in range(1, m_cap + 1)})
 
         b_s, c_s = b, h2 * c_vec
         ref = dense_update_reference(h2 * a.to_dense(), b_s.reshape(-1, 1),
                                      c_s.reshape(-1, 1), f)
         prob = GeneralProblem(lambda x: h2 * a.matvec(x), lambda x: h2 * at.matvec(x),
                               b_s, c_s, f)
-        ests, errs = [], []
-        ahead = [prob.factor(m) for m in (1, 2)]
-        for m in range(3, m_cap + 3):
-            ahead.append(prob.factor(m))
-            fac = ahead.pop(0)  # the factor at m - 2; ahead holds the next two
-            ests.append(error_estimate(fac.X, ahead[-1].X))
-            errs.append(spectral_norm(ref - fac.densify()))
+        facs = [prob.factor(m) for m in range(1, m_cap + LOOKAHEAD + 1)]
+        ests = [error_estimate(fac.X, ahead.X) for fac, ahead in zip(facs, facs[LOOKAHEAD:])]
+        errs = [spectral_norm(ref - fac.densify()) for fac in facs[:m_cap]]
         columns += [ests, errs]
         counts[str(int(c_tilde))] = last_crossing(dict(enumerate(ests, start=1)))
 
@@ -793,8 +789,7 @@ def _cmd_demo(args) -> int:
 
 def _solve_options(args) -> SolveOptions:
     """The stopping-rule flags shared by ``update`` and ``centrality``."""
-    return SolveOptions(tol=args.tol, lookahead_d=args.lookahead,
-                        max_m=args.max_m, batch=args.batch)
+    return SolveOptions(tol=args.tol, max_m=args.max_m)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -803,9 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     solve = argparse.ArgumentParser(add_help=False)
     solve.add_argument("--tol", type=float, default=1e-6)
-    solve.add_argument("--lookahead", type=int, default=2)
     solve.add_argument("--max-m", type=int, default=200)
-    solve.add_argument("--batch", type=int, default=5)
 
     up = sub.add_parser("update", parents=[solve], help="approximate f(A + b c^*) - f(A)")
     up.add_argument("--matrix", required=True)

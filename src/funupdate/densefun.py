@@ -324,12 +324,12 @@ class EigenDecomposition:
     conditioning: float
 
 
-def is_hermitian(m: np.ndarray, rtol=_HERMITIAN_RTOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m)
     scale = np.linalg.norm(m, np.inf)
     if scale == 0.0:
         return True
-    return np.linalg.norm(m - m.conj().T, np.inf) <= rtol * scale
+    return np.linalg.norm(m - m.conj().T, np.inf) <= _HERMITIAN_RTOL * scale
 
 
 def eigen_decompose(m, hermitian: bool | None = None) -> EigenDecomposition:

@@ -79,11 +79,11 @@ class SparseMatrix:
         return SparseMatrix(n, row_ptr, cols, vals, symmetry_flag)
 
     @staticmethod
-    def from_dense(dense, symmetry_flag=False, drop_tol=0.0) -> "SparseMatrix":
+    def from_dense(dense, symmetry_flag=False) -> "SparseMatrix":
         dense = np.asarray(dense)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValueError("square matrix required")
-        rows, cols = np.nonzero(np.abs(dense) > drop_tol)
+        rows, cols = np.nonzero(np.abs(dense) > 0.0)
         return SparseMatrix.from_coo(dense.shape[0], rows, cols, dense[rows, cols], symmetry_flag)
 
     def to_dense(self) -> np.ndarray:

@@ -19,32 +19,29 @@ from .errors import DomainError
 from .krylov import ArnoldiProcess, LanczosProcess, as_operator
 
 
+# The stopping rule compares the coefficient matrices of steps m and
+# m + LOOKAHEAD at checkpoints on a grid of _BATCH steps (``_solve``).
+LOOKAHEAD = 2
+_BATCH = 5
+
+
 @dataclass(frozen=True)
 class SolveOptions:
-    """Stopping-rule knobs for the iterative drivers.
+    """Tolerance and step cap of the iterative drivers.
 
-    The estimator compares the coefficient matrices of steps m and
-    m + lookahead_d. It is evaluated at checkpoints on a grid of ``batch``
-    steps, spaced geometrically while the estimate is far from ``tol`` and
-    bisected back to the first passing grid point. ``max_m`` caps the total
-    number of Krylov steps a solve may build (the reported factor never
-    exceeds it).
+    A solve stops when the lookahead estimate (``_solve``) meets ``tol``;
+    ``max_m`` caps the total number of Krylov steps a solve may build (the
+    reported factor never exceeds it).
     """
 
     tol: float = 1e-6
-    lookahead_d: int = 2
     max_m: int = 200
-    batch: int = 5
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.lookahead_d < 1:
-            raise ValueError("lookahead_d must be at least 1")
-        if self.max_m < self.lookahead_d + 1:
-            raise ValueError("max_m must be at least lookahead_d + 1")
-        if self.batch < 1:
-            raise ValueError("batch must be at least 1")
+        if self.max_m < LOOKAHEAD + 1:
+            raise ValueError(f"max_m must be at least {LOOKAHEAD + 1}")
 
 
 @dataclass
@@ -266,17 +263,18 @@ def _stopping_index(grid, estimate, tol) -> tuple:
 
 
 def _solve(problem: _Problem, opts: SolveOptions | None) -> UpdateFactor:
-    """The stopping rule: the lookahead estimate is formed at checkpoints on
-    a grid of ``batch`` steps (``_stopping_index`` picks which) and the
-    richer (m+d)-step factor of the first passing checkpoint is returned.
-    An exhausted problem is exact and converged. When ``max_m`` is reached
-    first, the factor there is returned with ``converged=False``. The
-    history ends at the returned checkpoint; probes past it only grew the
-    basis, which ``basis_dimension`` counts."""
+    """The stopping rule: the lookahead estimate of steps m and
+    m + LOOKAHEAD is formed at checkpoints on a grid of _BATCH steps
+    (``_stopping_index`` picks which) and the richer (m + LOOKAHEAD)-step
+    factor of the first passing checkpoint is returned. An exhausted
+    problem is exact and converged. When ``max_m`` is reached first, the
+    factor there is returned with ``converged=False``. The history ends at
+    the returned checkpoint; probes past it only grew the basis, which
+    ``basis_dimension`` counts."""
     opts = opts or SolveOptions()
-    d = opts.lookahead_d
+    d = LOOKAHEAD
     last = opts.max_m - d
-    grid = [*range(opts.batch, last, opts.batch), last]
+    grid = [*range(_BATCH, last, _BATCH), last]
     probes: dict = {}  # checkpoint -> (m, estimate, X_{m+d} if it may be returned)
 
     def estimate(c):
@@ -313,30 +311,36 @@ def general_update(apply_a, apply_a_adj, b, c, f: FunctionSpec,
 # -----------------------------------------------------------------------------
 # Rank-k driving
 
+# Relative size below which an eigenvalue of the compressed Hermitian
+# modification is dropped, and the relative skew part it may carry.
+_HERMITIAN_TOL = 1e-10
+
+
 def _compressed(mod: LowRankModification) -> tuple:
     """Q with orthonormal columns and S = R_B R_C^*, so that B C^* = Q S Q^*,
-    from one reduced QR of [B C] = Q [R_B R_C]."""
+    from one reduced QR of [B C] = Q [R_B R_C], and the rounding floor of S,
+    n eps |B|_F |C|_F, below which a part of B C^* is numerically zero."""
     q, r = np.linalg.qr(np.hstack([mod.B, mod.C]))
-    return q, r[:, : mod.k] @ r[:, mod.k:].conj().T
+    floor = mod.B.shape[0] * np.finfo(float).eps * np.linalg.norm(mod.B) * np.linalg.norm(mod.C)
+    return q, r[:, : mod.k] @ r[:, mod.k:].conj().T, floor
 
 
-def split_hermitian(mod: LowRankModification, tol=1e-10) -> list:
+def split_hermitian(mod: LowRankModification) -> list:
     """Decomposes a Hermitian B C^* into signed rank-1 terms.
 
     Compresses D = B C^* to Q S Q^* (``_compressed``) and returns (vector,
     sign) pairs with D = sum_i sign_i v_i v_i^*, positive signs first, from
-    the eigenpairs of S above tol times the largest |lambda|. Raises
-    ValueError when |S - S^*|_F > tol |S|_F, which is |D - D^*|_F > tol |D|_F
-    as Q has orthonormal columns. The test and the cut both allow for the
-    rounding of S, n eps |B|_F |C|_F, which exceeds tol |S|_F where B C^*
-    cancels. A numerically zero D gives no terms.
+    the eigenpairs of S above _HERMITIAN_TOL times the largest |lambda|.
+    Raises ValueError when |S - S^*|_F > _HERMITIAN_TOL |S|_F, which is
+    |D - D^*|_F > _HERMITIAN_TOL |D|_F as Q has orthonormal columns. The
+    test and the cut both allow for the rounding floor of S. A numerically
+    zero D gives no terms.
     """
-    q, s = _compressed(mod)
-    noise = mod.B.shape[0] * np.finfo(float).eps * np.linalg.norm(mod.B) * np.linalg.norm(mod.C)
-    if np.linalg.norm(s - s.conj().T) > tol * np.linalg.norm(s) + noise:
+    q, s, floor = _compressed(mod)
+    if np.linalg.norm(s - s.conj().T) > _HERMITIAN_TOL * np.linalg.norm(s) + floor:
         raise ValueError("modification B C^* is not Hermitian")
     lam, w = np.linalg.eigh(0.5 * (s + s.conj().T))
-    keep = np.abs(lam) > max(tol * np.abs(lam).max(initial=0.0), noise)
+    keep = np.abs(lam) > max(_HERMITIAN_TOL * np.abs(lam).max(initial=0.0), floor)
     lam, w = lam[keep], w[:, keep]
     vectors = q @ (w * np.sqrt(np.abs(lam)))
     terms = [(vectors[:, i], 1 if lam[i] > 0 else -1) for i in range(lam.size)]
@@ -366,11 +370,12 @@ def rank_k_update(apply_a, apply_a_adj, mod: LowRankModification, f: FunctionSpe
     B C^* is first compressed to Q S Q^* by one QR of [B C]. Hermitian
     modifications (over a Hermitian base) take signed terms from
     ``split_hermitian``; others take (Q w_i sigma_i)(Q z_i)^* from the SVD of
-    S, cut at k eps sigma_0. Update i runs against the operator already
-    carrying the first i-1 corrections, because those earlier terms change
-    the Krylov spaces the later ones must use. Returns one factor per
-    rank-1 term; their sum approximates f(A + BC^*) - f(A), and an empty
-    list means the modification was numerically zero.
+    S, cut at the larger of k eps sigma_0 and the rounding floor of S. Update
+    i runs against the operator already carrying the first i-1 corrections,
+    because those earlier terms change the Krylov spaces the later ones must
+    use. Returns one factor per rank-1 term; their sum approximates
+    f(A + BC^*) - f(A), and an empty list means the modification was
+    numerically zero.
     """
     base = as_operator(apply_a)
     factors: list = []
@@ -383,11 +388,9 @@ def rank_k_update(apply_a, apply_a_adj, mod: LowRankModification, f: FunctionSpe
         return factors
 
     adj = as_operator(apply_a_adj)
-    q, s = _compressed(mod)
+    q, s, floor = _compressed(mod)
     w, svals, zh = np.linalg.svd(s)
-    if svals.size == 0 or svals[0] == 0.0:
-        return []
-    r = int(np.sum(svals > mod.k * np.finfo(float).eps * svals[0]))
+    r = int(np.sum(svals > max(mod.k * np.finfo(float).eps * svals[0], floor)))
     bs = q @ (w[:, :r] * svals[:r])
     cs = q @ zh[:r, :].conj().T
     fwd_pairs: list = []

@@ -85,7 +85,7 @@ def test_04_estimator_tracking_laplacian():
     c = rng.standard_normal(a.n)
     b *= 0.1 / np.linalg.norm(b)
     c *= 0.1 / np.linalg.norm(c)
-    opts = SolveOptions(tol=1e-7, lookahead_d=2, max_m=200, batch=5)
+    opts = SolveOptions(tol=1e-7, max_m=200)
     fac = general_update(a.matvec, a.conjugate_transpose().matvec, b, c, INVSQRT, opts)
     assert fac.converged and fac.estimate_history[-1][1] <= 1e-7
 
@@ -216,7 +216,7 @@ def test_08_centrality_updates():
         edits.append(EdgeOp("add", *non_edges[k]))
         edits.append(EdgeOp("remove", *removals[k]))
 
-    opts = SolveOptions(tol=1e-6, lookahead_d=2, max_m=120, batch=5)
+    opts = SolveOptions(tol=1e-6, max_m=120)
     diag = np.diag(eval_matrix_function(dense, EXP)).copy()
     current_dense = dense.copy()
     current_graph = graph

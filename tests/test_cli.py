@@ -88,7 +88,7 @@ class TestUpdateCommand:
         out = tmp_path / "out"
         code = main(["update", "--matrix", str(tmp_path / "a.mtx"), "--function", "exp",
                      "--b", "ones", "--c", "e1", "--tol", "1e-30", "--max-m", "6",
-                     "--lookahead", "1", "--output-dir", str(out)])
+                     "--output-dir", str(out)])
         assert code == 3
         report = json.loads((out / "report.json").read_text())
         assert not report["converged"]
@@ -193,6 +193,24 @@ class TestUpdateCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["algorithm"] == "general"
         assert report["true_error"] <= 1e-9
+
+    def test_check_scale_guard_precedes_the_solve(self, tmp_path, monkeypatch, capsys):
+        n = 2001
+        (tmp_path / "a.mtx").write_text(
+            f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {n}\n"
+            + "".join(f"{i} {i} 2.0\n" for i in range(1, n + 1)))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve before the --check scale guard")
+
+        monkeypatch.setattr(cli, "hermitian_update", no_solve)
+        monkeypatch.setattr(cli, "general_update", no_solve)
+        out = tmp_path / "out"
+        code = main(["update", "--matrix", str(tmp_path / "a.mtx"), "--function", "invsqrt",
+                     "--b", "e1", "--check", "--output-dir", str(out)])
+        assert code == 4
+        assert "matrix too large for --check" in capsys.readouterr().err
+        assert not any((out / name).exists() for name in ("U.csv", "X.csv", "V.csv", "report.json"))
 
     def test_random_vectors_check_uses_solved_pair(self, tmp_path):
         # the trailing space makes --c a distinct spec, so b and c are two
@@ -792,8 +810,8 @@ def test_update_and_centrality_share_solve_options():
     centrality = ["centrality", "--graph", "g.mtx"]
     assert _solve_options(parser.parse_args(update)) == SolveOptions()
     assert _solve_options(parser.parse_args(centrality)) == SolveOptions()
-    flags = ["--tol", "1e-9", "--lookahead", "3", "--max-m", "77", "--batch", "4"]
-    want = SolveOptions(tol=1e-9, lookahead_d=3, max_m=77, batch=4)
+    flags = ["--tol", "1e-9", "--max-m", "77"]
+    want = SolveOptions(tol=1e-9, max_m=77)
     assert _solve_options(parser.parse_args(update + flags)) == want
     assert _solve_options(parser.parse_args(centrality + flags)) == want
 

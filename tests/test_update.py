@@ -207,7 +207,7 @@ class TestHermitianUpdate:
         rng = np.random.default_rng(10)
         a = make_spd(rng, 40, kappa=1e4)
         fac = hermitian_update(lambda x: a @ x, unit(rng, 40), INVSQRT,
-                               opts=SolveOptions(tol=1e-14, max_m=8, batch=2))
+                               opts=SolveOptions(tol=1e-14, max_m=8))
         assert not fac.converged
         assert fac.m == 8
         ms = [m for m, _ in fac.estimate_history]
@@ -293,7 +293,7 @@ class TestGeneralUpdate:
         b[:3] = unit(rng, 3)
         c = unit(rng, 23)
         fac = general_update(lambda x: blk @ x, lambda x: blk.T @ x, b, c, EXP,
-                             SolveOptions(tol=1e-11, max_m=40, batch=3))
+                             SolveOptions(tol=1e-11, max_m=40))
         assert fac.U.shape[1] == 3
         assert fac.X.shape == (fac.U.shape[1], fac.V.shape[1])
         ref = dense_update_reference(blk, b.reshape(-1, 1), c.reshape(-1, 1), EXP)
@@ -348,7 +348,7 @@ LIB_HERMITIAN = [
     1.4e-6, 1.0e-6, 7.7e-7, 5.9e-7, 4.9e-7]
 
 
-def _grid(batch=5, max_m=400, lookahead_d=2):
+def _grid(batch=update._BATCH, max_m=400, lookahead_d=update.LOOKAHEAD):
     last = max_m - lookahead_d
     return [*range(batch, last, batch), last]
 
@@ -711,6 +711,17 @@ class TestRankK:
         mod = LowRankModification(np.ones((10, 2)), np.zeros((10, 2)))
         assert rank_k_update(lambda x: a @ x, lambda x: a.T @ x, mod, EXP) == []
 
+    def test_cancelling_factors_give_no_factors(self):
+        # B C^* = u v^* - u v^* is zero; S holds only the rounding of the QR,
+        # which is large next to k eps times its own largest singular value
+        rng = np.random.default_rng(32)
+        n = 49
+        a = make_general(rng, n)
+        u, v = unit(rng, n), unit(rng, n)
+        mod = LowRankModification(np.column_stack([u, u]), np.column_stack([v, -v]))
+        assert np.linalg.norm(mod.B @ mod.C.T) <= 1e-15
+        assert rank_k_update(lambda x: a @ x, lambda x: a.T @ x, mod, EXP) == []
+
     def test_svd_compression_collapses_redundant_columns(self):
         rng = np.random.default_rng(20)
         a = make_general(rng, 25)
@@ -999,11 +1010,7 @@ class TestOptions:
         with pytest.raises(ValueError):
             SolveOptions(tol=0.0)
         with pytest.raises(ValueError):
-            SolveOptions(lookahead_d=0)
-        with pytest.raises(ValueError):
-            SolveOptions(max_m=2, lookahead_d=2)
-        with pytest.raises(ValueError):
-            SolveOptions(batch=0)
+            SolveOptions(max_m=2)
 
     def test_modification_validation(self):
         with pytest.raises(ValueError):
