@@ -303,9 +303,14 @@ def _check_spectrum(f: FunctionSpec, eigs: np.ndarray) -> None:
         raise DomainError(f"{f.kind} undefined: eigenvalue {where} (closest: {eigs[bad][0]})")
 
 
+def _is_inverse_sqrt(f: FunctionSpec) -> bool:
+    """invsqrt, or invpower with exponent 1/2: the kinds Denman-Beavers serves."""
+    return f.kind == "invsqrt" or (f.kind == "invpower" and f.power == 0.5)
+
+
 def _cond_limit(f: FunctionSpec) -> float:
     """Eigenvector condition estimate past which f(M) is not diagonalized."""
-    return _INVSQRT_COND_LIMIT if f.kind == "invsqrt" else _EIGVEC_COND_LIMIT
+    return _INVSQRT_COND_LIMIT if _is_inverse_sqrt(f) else _EIGVEC_COND_LIMIT
 
 
 # -----------------------------------------------------------------------------
@@ -507,8 +512,9 @@ def eval_matrix_function(m, f: FunctionSpec) -> np.ndarray:
     Hermitian input goes through the eigendecomposition. General input uses
     scaling-and-squaring for exp and Horner for polynomials; the remaining
     kinds diagonalize, guarded by an eigenvector condition estimate; the
-    inverse square root switches to the Denman-Beavers iteration at a
-    tighter estimate than the other kinds are rejected at. Raises
+    inverse square root (invsqrt, or invpower with exponent 1/2) switches
+    to the Denman-Beavers iteration at a tighter estimate than the other
+    kinds are rejected at. Raises
     DomainError when the spectrum violates the domain of f or no
     trustworthy path exists.
     """
@@ -544,7 +550,7 @@ def eval_matrix_function(m, f: FunctionSpec) -> np.ndarray:
         fw = scalar_values(f, dec.eigenvalues)
         out = np.linalg.solve(dec.eigenvectors.T, ((dec.eigenvectors * fw).T)).T
         return _maybe_real(out, f, m)
-    if f.kind == "invsqrt":
+    if _is_inverse_sqrt(f):
         return _maybe_real(_inv_sqrt_denman_beavers(m), f, m)
     raise DomainError(
         f"eigenvector matrix too ill-conditioned (cond ~ {dec.conditioning:.2e}) "

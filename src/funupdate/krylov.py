@@ -7,7 +7,10 @@ Gram-Schmidt applied twice (CGS2). Arnoldi runs CGS2 on every step.
 Lanczos runs the three-term recurrence on the same buffers; with
 ``reorth="full"`` it then measures the loss of orthogonality of the new
 vector with one product against the stored basis and runs CGS2 only on
-the steps where that loss exceeds ``_REORTH_TRIGGER``. Both are exposed as
+the steps where that loss exceeds ``_REORTH_TRIGGER``. Above
+``_DEFER_BYTES`` of basis that measurement is batched: one product per
+block of up to ``_DEFER_BLOCK`` steps, with a rollback to the first
+failing step, which is then replayed probe by probe. Both are exposed as
 single-shot functions and as incrementally extensible processes so that
 callers can grow a decomposition while monitoring convergence.
 """
@@ -28,6 +31,16 @@ _EPS = np.finfo(np.float64).eps
 # U^* U - I then has norm at most this, so the loss after m steps is at
 # most sqrt(2 m) times it: 1e-12 up to m = 555.
 _REORTH_TRIGGER = 3e-14
+
+# Above this basis size, n (dimension + 1) itemsize bytes, full
+# reorthogonalization measures a block of up to _DEFER_BLOCK steps with one
+# product, reading the basis once per block instead of once per step. A
+# smaller basis keeps the per-step probe: reading it is cheap, while a
+# rollback repeats up to a block of steps, and short bases that lose
+# orthogonality early, as the centrality solves do, would pay for one on
+# every solve.
+_DEFER_BYTES = 1 << 20
+_DEFER_BLOCK = 16
 
 
 def _norm(v) -> float:
@@ -129,7 +142,10 @@ class ArnoldiProcess:
             self._q, self._h = q, h
 
     def advance(self, steps: int) -> None:
-        for _ in range(max(0, int(steps))):
+        self._advance(max(0, int(steps)))
+
+    def _advance(self, steps) -> None:
+        for _ in range(steps):
             if self.breakdown:
                 return
             self._step()
@@ -206,8 +222,17 @@ class LanczosProcess(ArnoldiProcess):
     step, its first pass reusing c, only when |c| > ``_REORTH_TRIGGER`` |r|;
     the corrections add into coefficient column j as Arnoldi's do, so
     the basis stays orthonormal to 1e-12 on spectra where the plain
-    recurrence loses orthogonality, at the cost of the probe alone on the
-    steps that keep it.
+    recurrence loses orthogonality.
+
+    Once the basis outgrows ``_DEFER_BYTES``, the probe is deferred: the
+    process runs blocks of up to ``_DEFER_BLOCK`` plain steps, never past
+    the end of the running ``advance``, and then measures each new column
+    u_k against u_0..u_{k-1} with one product for the whole block. At the
+    first column that fails the probe's test, or at a breakdown in the
+    block, it rolls back to the step that made the column and probes every
+    step from there on. The probe's test is the deferred one up to
+    rounding, so the process ends as the per-step one does, reading the
+    basis once per block instead of once per step.
     """
 
     def __init__(self, apply_a, b, reorth="full"):
@@ -215,8 +240,43 @@ class LanczosProcess(ArnoldiProcess):
         if reorth not in ("full", "none"):
             raise ValueError("reorth must be 'full' or 'none'")
         self.reorth = reorth
+        self._defer = reorth == "full"  # cleared for good by a rollback
 
-    def _step(self) -> None:
+    def _advance(self, steps) -> None:
+        end = self.dimension + steps
+        while self.dimension < end and not self.breakdown:
+            if self._defer and self.n * (self.dimension + 1) * self._q.itemsize > _DEFER_BYTES:
+                self._block(min(_DEFER_BLOCK, end - self.dimension))
+            else:
+                self._step()
+
+    def _block(self, steps) -> None:
+        """Runs up to ``steps`` unprobed steps, then tests the normalized
+        columns they made. At the first failure it returns to the step that
+        made the failing column, restoring the state that step began with,
+        and probes every step from there on. Only columns written by the
+        running ``advance`` change, so no view handed out before it does."""
+        start = self.dimension
+        for _ in range(steps):
+            self._step(probe=False)
+            if self.breakdown:
+                break
+        top = self.dimension + (not self.breakdown)  # columns 0..top-1 are normalized
+        q = self._q[:, :top]
+        w = (q[:, start + 1:].conj().T @ q).conj()  # row t: Q^* u_{start+1+t}
+        for k in range(start + 1, top):
+            if _norm(w[k - start - 1, :k]) > _REORTH_TRIGGER:
+                break
+        else:
+            if not self.breakdown:
+                return
+            k = self.dimension  # the breakdown's residual: replay its step probed
+        m = k - 1
+        self.dimension, self.breakdown, self._defer = m, False, False
+        self._h[:, m:] = 0  # _cgs2 adds into column m on the replay
+        self._scale = float(np.abs(self._h[: m + 1, :m]).max(initial=0.0))
+
+    def _step(self, probe=True) -> None:
         j = self.dimension
         u = self._q[:, j]
         w = self._apply(u)
@@ -229,7 +289,7 @@ class LanczosProcess(ArnoldiProcess):
         q, r = self._q[:, : j + 1], self._q[:, j + 1]
         r[:] = w
         beta = None
-        if self.reorth == "full":
+        if probe and self.reorth == "full":
             c = (r.conj() @ q).conj()
             beta = _norm(r)
             if _norm(c) > _REORTH_TRIGGER * beta:

@@ -130,6 +130,15 @@ class TestEvalMatrixFunction:
         assert out.dtype == np.float64
         np.testing.assert_allclose(out, want, rtol=0, atol=1e-13)
 
+    def test_invpower_half_is_the_inverse_sqrt(self):
+        # invpower:0.5 shares invsqrt's condition limit and Denman-Beavers
+        # fallback; diagonalizing at cond ~6e6 was 4e-10 off
+        a, d, b = 2.0, 2.0 + 1e-6, 3.0
+        sa, sd = np.sqrt(a), np.sqrt(d)
+        want = np.array([[1.0 / sa, -b / (sa * sd * (sa + sd))], [0.0, 1.0 / sd]])
+        out = eval_matrix_function(np.array([[a, b], [0.0, d]]), FunctionSpec.inverse_power(0.5))
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-13)
+
     def test_domain_violations(self):
         with pytest.raises(DomainError):
             eval_matrix_function(np.diag([1.0, -2.0]), INVSQRT)
@@ -144,8 +153,8 @@ class TestEvalMatrixFunction:
 
     def test_ill_conditioned_without_fallback_raises(self):
         a = np.array([[1.0, 5.0], [0.0, 1.0 + 1e-9]])
-        with pytest.raises(DomainError, match="ill-conditioned"):
-            eval_matrix_function(a, FunctionSpec.inverse_power(0.5))
+        with pytest.raises(DomainError, match="no fallback is available for 'invpower'"):
+            eval_matrix_function(a, FunctionSpec.inverse_power(0.3))
 
     def test_complex_hermitian(self):
         rng = np.random.default_rng(14)

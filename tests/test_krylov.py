@@ -7,9 +7,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funupdate import (DomainError, MatrixMarketError, NonFiniteOperatorError, OracleScaleError,
-                       arnoldi, as_operator, gen_laplace2d, lanczos, spectral_norm)
-from funupdate.krylov import ArnoldiProcess, LanczosProcess, _norm
+                       arnoldi, as_operator, gen_laplace2d, krylov, lanczos, spectral_norm)
+from funupdate.krylov import _DEFER_BLOCK, ArnoldiProcess, LanczosProcess, _norm
 from helpers import make_hermitian, tridiag_sparse, unit
+
+NEVER = 1 << 62  # a deferral gate no basis reaches
+
+
+def grown(apply_a, b, splits, gate):
+    """A fully reorthogonalized Lanczos process advanced by each of
+    ``splits`` in turn with the deferral gate set to ``gate`` bytes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(krylov, "_DEFER_BYTES", gate)
+        proc = LanczosProcess(apply_a, b)
+        for steps in splits:
+            proc.advance(steps)
+    return proc
+
+
+def counted(a):
+    """x -> a @ x, and the list whose one entry counts its calls."""
+    calls = [0]
+
+    def apply(x):
+        calls[0] += 1
+        return a @ x
+
+    return apply, calls
+
+
+@pytest.fixture(scope="class", params=["probed", "deferred"])
+def defer_gate(request):
+    """Runs a class once with Lanczos probing every step and once with
+    every fully reorthogonalized step deferred to a block check."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(krylov, "_DEFER_BYTES", 0 if request.param == "deferred" else NEVER)
+        yield request.param
 
 
 def relation_residual(apply_a, dec):
@@ -162,6 +195,7 @@ def banded_operator(n, hermitian, complex_):
 KERNEL_CASES = [(h, c) for h in (True, False) for c in (False, True)]
 
 
+@pytest.mark.usefixtures("defer_gate")
 class TestBasisKernel:
     @pytest.mark.parametrize("hermitian,complex_", KERNEL_CASES)
     def test_orthogonality_at_scale(self, hermitian, complex_):
@@ -269,6 +303,7 @@ def hermitian_problems(draw):
     return a, b, draw(st.integers(1, n))
 
 
+@pytest.mark.usefixtures("defer_gate")
 class TestMeasuredReorthogonalization:
     """Full reorthogonalization corrects only the loss its probe measures;
     the basis stays orthonormal where the plain recurrence loses it."""
@@ -295,6 +330,67 @@ class TestMeasuredReorthogonalization:
         assert dec.m == 300
         assert spectral_norm(u.T @ u - np.eye(300)) <= 1e-12
         assert relation_residual(a.matvec, dec) <= 1e-10 * 8.0  # ||A|| < 8
+
+
+class TestDeferredCheck:
+    """Above the gate, full reorthogonalization checks a block of steps with
+    one product and replays from the first failing column with the per-step
+    probe, so it ends with the probed process, bit for bit."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(hermitian_problems(), st.data())
+    def test_deferred_equals_probed(self, case, data):
+        a, b, m = case
+        splits = data.draw(st.lists(st.integers(1, m), min_size=1, max_size=4))
+        deferred, probed = (grown(lambda x: a @ x, b, splits, gate) for gate in (0, NEVER))
+        assert deferred.dimension == probed.dimension
+        assert deferred.breakdown == probed.breakdown
+        assert np.array_equal(deferred.basis_matrix(), probed.basis_matrix())
+        assert np.array_equal(deferred.compressed(), probed.compressed())
+        assert deferred.decomposition().next_norm == probed.decomposition().next_norm
+
+    def test_breakdown_inside_a_block(self):
+        # b lies on 7 eigenvectors: the recurrence breaks down at step 7 of
+        # a 16-step block, which replays that step with the probe
+        a = np.diag(np.linspace(1.0, 2.0, 50))
+        b = np.zeros(50)
+        b[:7] = 1.0
+        apply, calls = counted(a)
+        deferred, probed = grown(apply, b, [16], 0), grown(lambda x: a @ x, b, [16], NEVER)
+        for proc in (deferred, probed):
+            assert proc.breakdown and proc.dimension == 7
+        assert calls[0] == 8
+        assert np.array_equal(deferred.compressed(), probed.compressed())
+        assert deferred.decomposition().next_norm == probed.decomposition().next_norm
+
+    def test_rollback_costs_at_most_one_block_and_keeps_views(self):
+        # on this Laplacian the probe first corrects at step 23: the first
+        # advance passes its checks, the second rolls back into its block
+        a = gen_laplace2d(10).to_dense()
+        b = np.cos(np.arange(100))
+        apply, calls = counted(a)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(krylov, "_DEFER_BYTES", 0)
+            proc = LanczosProcess(apply, b)
+            proc.advance(20)
+            assert calls[0] == proc.dimension == 20
+            dec = proc.decomposition()
+            kept = dec.basis.copy(), dec.next_vector.copy()
+            proc.advance(40)
+        assert 0 < calls[0] - proc.dimension <= _DEFER_BLOCK
+        assert np.array_equal(dec.basis, kept[0]) and np.array_equal(dec.next_vector, kept[1])
+        probed = grown(lambda x: a @ x, b, [20, 40], NEVER)
+        assert np.array_equal(proc.basis_matrix(), probed.basis_matrix())
+        assert np.array_equal(proc.compressed(), probed.compressed())
+
+    def test_small_basis_keeps_the_probe(self):
+        # 100 x 61 doubles is below the gate: no block, so no rollback
+        # repeats a step although the probe corrects from step 23 on
+        a = gen_laplace2d(10)
+        apply, calls = counted(a.to_dense())
+        proc = LanczosProcess(apply, np.cos(np.arange(100)))
+        proc.advance(60)
+        assert calls[0] == proc.dimension == 60
 
 
 PROCESSES = [
