@@ -21,7 +21,9 @@ class SparseMatrix:
 
     ``symmetry_flag`` declares that the matrix equals its conjugate
     transpose entry by entry in stored form. Instances are immutable and
-    safe to share across threads.
+    safe to share across threads. A float64 matrix whose rows all hold 1
+    to _PADDED_MAX_ROW entries also keeps a padded copy for ``spmv``
+    (``_padded_layout``), built here rather than on the first product.
     """
 
     n: int
@@ -47,6 +49,7 @@ class SparseMatrix:
             raise ValueError("row_ptr, col_idx and values are inconsistent")
         if len(self.col_idx) and (self.col_idx.min() < 0 or self.col_idx.max() >= self.n):
             raise ValueError("column index out of range")
+        object.__setattr__(self, "_padded", _padded_layout(self))
 
     @property
     def nnz(self) -> int:
@@ -122,11 +125,52 @@ def _check_range(what, indices, n) -> None:
             raise ValueError(f"{what} {k} outside 0..{n - 1} (n = {n})")
 
 
+# Rows of at most this many entries are summed from the padded layout:
+# np.add.reduceat sums a segment that short as p0 + ((p1 + p2) + ...), and
+# longer ones pairwise, in an order the layout does not repeat.
+_PADDED_MAX_ROW = 8
+
+
+def _padded_layout(a: SparseMatrix):
+    """Position-major padded copy of a float64 matrix whose rows all hold 1
+    to _PADDED_MAX_ROW entries, or None: w x n column indices and values
+    for the widest row's w entries, entry k of row r at [k, r]. Padding
+    has the value 0 and reads column n, where ``spmv`` puts -0.0, so it
+    adds -0.0, which leaves every sum as it is, signed zeros included."""
+    counts = np.diff(a.row_ptr)
+    if a.values.dtype != np.float64 or not a.n or counts.min() < 1:
+        return None
+    width = int(counts.max())
+    if width > _PADDED_MAX_ROW:
+        return None
+    rows = np.repeat(np.arange(a.n), counts)
+    slot = np.arange(a.nnz) - a.row_ptr[rows]
+    cols = np.full((width, a.n), a.n, dtype=np.int64)
+    vals = np.zeros((width, a.n))
+    cols[slot, rows] = a.col_idx
+    vals[slot, rows] = a.values
+    return cols, vals
+
+
 def spmv(a: SparseMatrix, x) -> np.ndarray:
-    """CSR matrix-vector product A @ x, summed row by row in storage order."""
+    """Matrix-vector product A @ x, summed row by row in storage order.
+
+    A float64 product on a matrix with the padded layout sums each row in
+    the order ``np.add.reduceat`` does, from w gathered rows of products;
+    others sum the CSR products with ``np.add.reduceat``. Both give the
+    same bits."""
     x = np.asarray(x)
     if x.shape != (a.n,):
         raise ValueError(f"dimension mismatch: matrix is {a.n}x{a.n}, vector has length {x.shape}")
+    if a._padded is not None and np.result_type(a.values, x) == np.float64:
+        cols, vals = a._padded
+        xe = np.empty(a.n + 1)
+        xe[:-1], xe[-1] = x, -0.0
+        prod = xe[cols]
+        np.multiply(vals, prod, out=prod)
+        for k in range(2, len(prod)):
+            prod[1] += prod[k]
+        return prod[0] + prod[1] if len(prod) > 1 else prod[0]
     prod = a.values * x[a.col_idx]
     nonempty, starts = a._nonempty_rows
     if nonempty is None and prod.size:

@@ -8,8 +8,10 @@ n x n correction.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -29,17 +31,20 @@ _BATCH = 5
 class SolveOptions:
     """Tolerance and step cap of the iterative drivers.
 
-    A solve stops when the lookahead estimate (``_solve``) meets ``tol``;
-    ``max_m`` caps the total number of Krylov steps a solve may build (the
-    reported factor never exceeds it).
+    A solve stops when the lookahead estimate (``_solve``) meets ``tol``,
+    a positive finite number; ``max_m``, an integer (a Python or numpy
+    integer, not a bool), caps the total number of Krylov steps a solve may
+    build (the reported factor never exceeds it).
     """
 
     tol: float = 1e-6
     max_m: int = 200
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        if isinstance(self.max_m, bool) or not isinstance(self.max_m, Integral):
+            raise ValueError(f"max_m must be an integer, got {self.max_m!r}")
         if self.max_m < LOOKAHEAD + 1:
             raise ValueError(f"max_m must be at least {LOOKAHEAD + 1}")
 
@@ -55,7 +60,7 @@ class UpdateFactor:
     Hermitian solves. ``estimate_history``
     holds the (m, estimate) pairs of the checkpoints up to the returned
     one, sorted by m. ``basis_dimension`` is the number of Krylov steps
-    built (at least m): a checkpoint schedule that overshoots and bisects
+    built (at least m): a checkpoint schedule that overshoots and searches
     back builds more steps than it returns.
     """
 
@@ -233,22 +238,21 @@ def _stopping_index(grid, estimate, tol) -> tuple:
 
     The estimate decays roughly geometrically, so while it fails by more
     than _NEAR_TOL times tol the checkpoints grow by 1.3 and skip grid
-    points. A pass is bisected back over the points skipped since the last
-    failing checkpoint. A jump that lands on a fail within _NEAR_TOL times
-    tol scans the skipped points in order instead, as the estimate is not
-    monotone and may pass just below that fail. On a non-increasing
-    sequence the result is the first passing grid point."""
-    lo, i = -1, 0  # lo: the last failing checkpoint
+    points. After two failing checkpoints c' < c, the rate between them,
+    q = (est_c / est_c')^(1 / (c - c')), predicts where the estimate
+    crosses tol; the jump goes at most to the grid point after the first
+    one past that crossing (``_predicted_jump``), so it lands just beyond
+    the stop instead of up to 30 % beyond it. A pass is searched back over
+    the points skipped since the last failing checkpoint (``_first_pass``).
+    A jump that lands on a fail within _NEAR_TOL times tol scans the
+    skipped points in order instead, as the estimate is not monotone and
+    may pass just below that fail. On a non-increasing sequence the result
+    is the first passing grid point."""
+    lo, lo_est, i = -1, None, 0  # lo: the last failing checkpoint
     while True:
         est = estimate(grid[i])
         if est <= tol:
-            while i - lo > 1:
-                mid = (lo + i) // 2
-                if estimate(grid[mid]) <= tol:
-                    i = mid
-                else:
-                    lo = mid
-            return i, True
+            return _first_pass(grid, estimate, tol, lo, lo_est, i, est), True
         near = est <= _NEAR_TOL * tol
         if near:
             skipped = next((j for j in range(lo + 1, i) if estimate(grid[j]) <= tol), None)
@@ -256,10 +260,53 @@ def _stopping_index(grid, estimate, tol) -> tuple:
                 return skipped, True
         if i == len(grid) - 1:
             return i, False
-        lo, i = i, i + 1
+        step = i + 1
         if not near:  # on to the first grid point at or above 1.3 c
-            ceiling = -(-_GROWTH_PERCENT * grid[lo] // 100)
-            i = min(max(i, bisect_left(grid, ceiling)), len(grid) - 1)
+            step = max(step, bisect_left(grid, -(-_GROWTH_PERCENT * grid[i] // 100)))
+            if lo >= 0:
+                step = min(step, _predicted_jump(grid, tol, grid[lo], lo_est, grid[i], est))
+        lo, lo_est, i = i, est, min(step, len(grid) - 1)
+
+
+def _predicted_jump(grid, tol, c_prev, est_prev, c, est) -> int:
+    """The grid index after the first grid point at or above the step where
+    the rate between two failing checkpoints, q = (est / est_prev)^(1 /
+    (c - c_prev)), brings ``est`` down to ``tol``; len(grid) when q makes
+    no prediction (q rounds to 1 or more, or the ratio is not finite)."""
+    q = (est / est_prev) ** (1.0 / (c - c_prev))
+    if not 0.0 < q < 1.0:
+        return len(grid)
+    crossing = c + (math.log(tol) - math.log(est)) / math.log(q)
+    return bisect_left(grid, crossing) + 1
+
+
+def _first_pass(grid, estimate, tol, lo, lo_est, i, i_est) -> int:
+    """The first pass in grid indices (lo, i] when lo fails (or is -1) and
+    i passes.
+
+    Each probe is the grid point just below the crossing of tol that the
+    log-linear interpolation between the bracketing fail and pass predicts,
+    so a geometric decay is bracketed by one probe; whenever a probe did
+    not halve the bracket the next one is its midpoint, which keeps the
+    search within 2 ceil(log2(i - lo)) probes. On a non-increasing
+    sequence the result is the first passing grid point."""
+    halved = True
+    while i - lo > 1:
+        width, j = i - lo, (lo + i) // 2
+        if halved:
+            # a zero estimate (an exact factor) puts the crossing at lo
+            frac = ((math.log(lo_est) - math.log(tol)) / (math.log(lo_est) - math.log(i_est))
+                    if i_est > 0 else 0.0)
+            if math.isfinite(frac):
+                crossing = grid[lo] + frac * (grid[i] - grid[lo])
+                j = min(max(bisect_left(grid, crossing) - 1, lo + 1), i - 1)
+        est = estimate(grid[j])
+        if est <= tol:
+            i, i_est = j, est
+        else:
+            lo, lo_est = j, est
+        halved = 2 * (i - lo) <= width + 1
+    return i
 
 
 def _solve(problem: _Problem, opts: SolveOptions | None) -> UpdateFactor:
@@ -270,7 +317,9 @@ def _solve(problem: _Problem, opts: SolveOptions | None) -> UpdateFactor:
     problem is exact and converged. When ``max_m`` is reached first, the
     factor there is returned with ``converged=False``. The history ends at
     the returned checkpoint; probes past it only grew the basis, which
-    ``basis_dimension`` counts."""
+    ``basis_dimension`` counts. Jumps capped by the predicted crossing and
+    the interpolated search back keep those probes near the stop: on a
+    geometric decay the first pass is about one grid point past it."""
     opts = opts or SolveOptions()
     d = LOOKAHEAD
     last = opts.max_m - d
@@ -375,7 +424,9 @@ def rank_k_update(apply_a, apply_a_adj, mod: LowRankModification, f: FunctionSpe
     because those earlier terms change the Krylov spaces the later ones must
     use. Returns one factor per rank-1 term; their sum approximates
     f(A + BC^*) - f(A), and an empty list means the modification was
-    numerically zero.
+    numerically zero. Each of the r factors meets at best its own ``tol``
+    (the stopping rule's estimate, not a bound), so their sum can err by up
+    to r times ``tol``.
     """
     base = as_operator(apply_a)
     factors: list = []

@@ -180,6 +180,102 @@ class TestSpmv:
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def _reduceat_reference(a, x):
+    """The row sums of ``np.add.reduceat``, zero at empty rows."""
+    y = np.zeros(a.n, dtype=np.result_type(a.values, x))
+    nonempty = np.diff(a.row_ptr) > 0
+    if nonempty.any():
+        y[nonempty] = np.add.reduceat(a.values * x[a.col_idx], a.row_ptr[:-1][nonempty])
+    return y
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    for g, w in ((got.real, want.real), (got.imag, want.imag)):
+        assert np.array_equal(g, w, equal_nan=True)
+        real = ~np.isnan(w)
+        assert np.array_equal(np.signbit(g[real]), np.signbit(w[real]))
+
+
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def _sprinkled(rng, v, share):
+    """v with a share of its entries replaced by signed zeros, infinities
+    and NaN (in each part of a complex v)."""
+    v = v.copy()
+    for part in ((v.real, v.imag) if np.iscomplexobj(v) else (v,)):
+        hit = rng.random(v.size) < share
+        part[hit] = rng.choice(_SPECIAL, int(hit.sum()))
+    return v
+
+
+@settings(deadline=None, max_examples=200)
+@given(n=st.integers(0, 24), rows=st.sampled_from([(1, 1), (1, 8), (9, 14), (0, 12)]),
+       values=st.sampled_from(["float", "complex"]),
+       vector=st.sampled_from(["float", "complex", "int"]),
+       share=st.sampled_from([0.0, 0.2, 0.6]), seed=st.integers(0, 2**32 - 1))
+@example(n=0, rows=(1, 8), values="float", vector="float", share=0.0, seed=0)
+@example(n=1, rows=(1, 8), values="float", vector="float", share=0.6, seed=1)
+def test_spmv_is_bitwise_the_reduceat_row_sums(n, rows, values, vector, share, seed):
+    """Padded or CSR, every product has the bits of np.add.reduceat, signed
+    zeros included, whatever the row lengths and special values."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(min(rows[0], n), min(rows[1], n) + 1, size=n)
+    cols = [np.sort(rng.choice(n, k, replace=False)) for k in counts]
+    vals = rng.standard_normal(int(counts.sum()))
+    if values == "complex":
+        vals = vals + 1j * rng.standard_normal(vals.size)
+    a = SparseMatrix(n, np.concatenate(([0], np.cumsum(counts))),
+                     np.concatenate([np.zeros(0, dtype=np.int64), *cols]),
+                     _sprinkled(rng, vals, share))
+    padded = values == "float" and n > 0 and 1 <= counts.min() and counts.max() <= 8
+    assert (a._padded is not None) == padded
+    x = {"float": lambda: _sprinkled(rng, rng.standard_normal(n), share),
+         "complex": lambda: _sprinkled(rng, rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                                       share),
+         "int": lambda: rng.integers(-3, 4, size=n)}[vector]()
+    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf
+        _assert_same_bits(spmv(a, x), _reduceat_reference(a, x))
+
+
+class TestPaddedLayout:
+    def test_negative_zero_rows_stay_negative(self):
+        # numpy sums [-0.0, -0.0] to -0.0, and a one-entry row of -0.0,
+        # padded to the widest row, stays -0.0
+        a = SparseMatrix.from_coo(3, [0, 0, 1, 2, 2, 2], [0, 1, 2, 0, 1, 2], np.ones(6))
+        assert a._padded is not None and a._padded[0].shape == (3, 3)
+        y = spmv(a, np.array([-0.0, -0.0, -0.0]))
+        assert np.array_equal(y, np.zeros(3)) and np.signbit(y).all()
+
+    def test_model_problems_take_the_layout(self):
+        assert gen_laplace2d(12)._padded[0].shape == (5, 144)
+        a, _, _ = gen_convdiff1d(50, 10.0, 20.0, 7)
+        assert a._padded[0].shape == (3, 50) and a.conjugate_transpose()._padded is not None
+        x = np.random.default_rng(3).standard_normal(144)
+        _assert_same_bits(spmv(gen_laplace2d(12), x), _reduceat_reference(gen_laplace2d(12), x))
+
+    def test_long_complex_and_empty_rows_keep_csr(self):
+        star = Graph.from_edges(10, [(0, j) for j in range(1, 10)])
+        assert star.adjacency._padded is None
+        assert SparseMatrix.from_coo(3, [0, 1, 2], [0, 1, 2], np.ones(3) + 0j)._padded is None
+        assert SparseMatrix.from_coo(3, [0, 2], [0, 2], np.ones(2))._padded is None
+
+    def test_edit_across_the_row_limit_keeps_the_bits(self):
+        # node 0 has 8 neighbours; the edit (0, 9) gives it 9 and back
+        g = Graph.from_edges(10, [(0, j) for j in range(1, 9)] + [(1, 9)])
+        x = _sprinkled(np.random.default_rng(5), np.random.default_rng(6).standard_normal(10),
+                       0.3)
+        wide = g.with_edge(0, 9, True)
+        back = wide.with_edge(0, 9, False)
+        assert g.adjacency._padded is not None and wide.adjacency._padded is None
+        assert back.adjacency._padded is not None
+        with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf
+            for h in (g, wide, back):
+                _assert_same_bits(spmv(h.adjacency, x), _reduceat_reference(h.adjacency, x))
+            _assert_same_bits(spmv(back.adjacency, x), spmv(g.adjacency, x))
+
+
 class TestGraphDistance:
     def test_same_node(self):
         a = tridiag_sparse(6, -1.0, 3.0, -1.0)

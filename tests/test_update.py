@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -370,7 +371,7 @@ def _replay(estimates, tol, grid=None):
 class TestCheckpointSchedule:
     @pytest.mark.parametrize("estimates, tol, stop, probes", [
         (GENERAL_SEED9, 1e-6, 125, 15), (GENERAL_SEED24, 1e-6, 135, 16),
-        (LIB_HERMITIAN, 9e-7, 215, 15)], ids=["general-seed9", "general-seed24", "lib-hermitian"])
+        (LIB_HERMITIAN, 9e-7, 215, 13)], ids=["general-seed9", "general-seed24", "lib-hermitian"])
     def test_recorded_histories_stop_where_the_linear_rule_does(self, estimates, tol, stop,
                                                                 probes):
         linear = 5 * next(k for k, e in enumerate(estimates, 1) if e <= tol)
@@ -386,8 +387,15 @@ class TestCheckpointSchedule:
         assert _replay(GENERAL_SEED9, 1e-6)[0] == 135
 
     def test_jump_onto_a_far_fail_keeps_jumping(self):
+        # the rate from 130 to 170 predicts the crossing at 208: 170 jumps to
+        # 215 instead of 225, and the interpolation probes 210 next
         assert _replay(LIB_HERMITIAN, 9e-7)[2] == [5, 10, 15, 20, 30, 40, 55, 75, 100, 130, 170,
-                                                    225, 195, 210, 215]
+                                                    215, 210]
+
+    def test_rate_that_rounds_to_one_makes_no_prediction(self):
+        # (999999.9999999999 / 1e6)^(1/2) rounds to 1: 4 jumps on by 1.3
+        grid = _grid(batch=2, max_m=8)
+        assert _replay([1e6, 999999.9999999999, 0.0], 1.0, grid) == (6, True, [2, 4, 6])
 
     def test_last_grid_point_failing_is_not_converged(self):
         grid = _grid(max_m=40)
@@ -423,6 +431,37 @@ def test_schedule_on_any_estimates_returns_a_probed_verdict(data, batch, max_m):
         assert ests[grid.index(stop)] <= 1.0
     else:
         assert stop == grid[-1] and ests[-1] > 1.0
+
+
+def _search_back(ests, grid) -> tuple:
+    """(probes after the first pass, their bound 2 ceil(log2(i - lo)) + 1),
+    where i is the first pass and lo the largest point below it probed
+    before it: the last failing checkpoint the search goes back to."""
+    _, _, probed = _replay(ests, 1.0, grid)
+    first = next((k for k, c in enumerate(probed) if ests[grid.index(c)] <= 1.0), None)
+    if first is None:
+        return 0, 0
+    lo = max((grid.index(c) for c in probed[:first] if c < probed[first]), default=-1)
+    return len(probed) - first - 1, 2 * math.ceil(math.log2(grid.index(probed[first]) - lo)) + 1
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), batch=st.integers(1, 7), max_m=st.integers(3, 300))
+def test_search_after_a_pass_takes_logarithmically_many_probes(data, batch, max_m):
+    grid = _grid(batch, max_m)
+    ests = data.draw(st.lists(_UNITS_OF_TOL, min_size=len(grid), max_size=len(grid)))
+    probes, bound = _search_back(ests, grid)
+    assert probes <= bound
+
+
+def test_search_back_to_an_exact_factor_halves_the_bracket():
+    # A flat fail up to an exact factor (estimate 0) is the worst case of
+    # the interpolation, which then predicts the crossing at lo: without the
+    # midpoints it would probe lo + 1, lo + 2, ... in order.
+    grid = _grid(batch=1, max_m=300)
+    for cut in range(len(grid)):
+        probes, bound = _search_back([5.0] * cut + [0.0] * (len(grid) - cut), grid)
+        assert probes <= bound, cut
 
 
 class TestStoppingRule:
@@ -1011,6 +1050,20 @@ class TestOptions:
             SolveOptions(tol=0.0)
         with pytest.raises(ValueError):
             SolveOptions(max_m=2)
+
+    @pytest.mark.parametrize("field, value", [
+        ("tol", float("inf")), ("tol", float("nan")), ("tol", -np.inf),
+        ("max_m", 10.0), ("max_m", np.float64(10.0)), ("max_m", True), ("max_m", np.bool_(True)),
+        ("max_m", "10")])
+    def test_bad_numbers_fail_at_construction_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolveOptions(**{field: value})
+
+    def test_numpy_integers_are_accepted(self):
+        opts = SolveOptions(max_m=np.int64(30))
+        fac = hermitian_update(gen_laplace2d(6).matvec, np.ones(36), EXP, opts=opts)
+        assert fac.basis_dimension <= 30
+        assert SolveOptions(tol=np.float64(1e-8), max_m=np.int32(3)).max_m == 3
 
     def test_modification_validation(self):
         with pytest.raises(ValueError):
