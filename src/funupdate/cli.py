@@ -138,13 +138,19 @@ def _history_json(history):
 # -----------------------------------------------------------------------------
 # update subcommand
 
+def _usable_cores() -> int:
+    """Cores this process may run on (all cores where affinity is unknown)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _fork_csv_writer(path, m):
     """Forks a child that writes ``m`` to ``path`` and leaves through
     ``os._exit``: 0 once written, 1 after reporting its error on standard
     error. Returns the child's pid, or None without forking where ``os.fork``
     is missing, one core is usable or another Python thread is alive (the
-    solvers join their pools before returning, so none is on this path)."""
-    if (not hasattr(os, "fork") or densefun._usable_cores() < 2
+    solvers start no thread, so none is on this path)."""
+    if (not hasattr(os, "fork") or _usable_cores() < 2
             or threading.active_count() > 1):
         return None
     with warnings.catch_warnings():
@@ -326,7 +332,7 @@ def update_subgraph_centrality(graph: Graph, edits, opts: SolveOptions) -> dict:
     held = []  # per-edit corrections waiting for the baseline
     with ThreadPoolExecutor(max_workers=1) as pool:
         pending = pool.submit(subgraph_centrality_baseline, graph)
-        if densefun._usable_cores() == 1:
+        if _usable_cores() == 1:
             pending.result()
         for op in edits:
             if op.kind == "add" and current.has_edge(op.i, op.j):

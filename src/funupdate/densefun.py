@@ -7,7 +7,6 @@ The compressed problems produced by the Krylov machinery are small (m x m or
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,12 +319,14 @@ def _cond_limit(f: FunctionSpec) -> float:
 class EigenDecomposition:
     """Spectral factorization M = Q diag(eigenvalues) Q^{-1}.
 
-    ``conditioning`` estimates the condition number of the eigenvector
-    matrix (exactly 1 when the Hermitian path was taken).
+    ``inverse`` is Q^{-1}: on the Hermitian path the view Q^* of the unitary
+    Q. ``conditioning`` is the 1-norm condition number |Q|_1 |Q^{-1}|_1 of
+    the eigenvector matrix (exactly 1 when the Hermitian path was taken).
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    inverse: np.ndarray
     conditioning: float
 
 
@@ -343,24 +344,10 @@ def eigen_decompose(m, hermitian: bool | None = None) -> EigenDecomposition:
         hermitian = is_hermitian(m)
     if hermitian:
         w, q = np.linalg.eigh(m)
-        return EigenDecomposition(w, q, 1.0)
-    w, v = np.linalg.eig(m)
-    return EigenDecomposition(w, v, float(np.linalg.cond(v)))
-
-
-def _usable_cores() -> int:
-    """Cores this process may run on (all cores where affinity is unknown)."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def _eig_with_inverse(m):
-    """(eigenvalues, Q, Q^{-1}, |Q|_1 |Q^{-1}|_1) of M = Q diag(eigenvalues) Q^{-1}.
-    It calls np.linalg alone because it runs on a worker thread: a benchmark
-    tracer wrapping a name such as ``eigen_decompose`` keeps one span stack."""
+        return EigenDecomposition(w, q, q.conj().T, 1.0)
     w, q = np.linalg.eig(m)
     q_inv = np.linalg.inv(q)
-    return w, q, q_inv, float(np.linalg.norm(q, 1) * np.linalg.norm(q_inv, 1))
+    return EigenDecomposition(w, q, q_inv, float(np.linalg.norm(q, 1) * np.linalg.norm(q_inv, 1)))
 
 
 def triangular_block_function(g, k, coupling, f: FunctionSpec) -> np.ndarray | None:
@@ -376,42 +363,27 @@ def triangular_block_function(g, k, coupling, f: FunctionSpec) -> np.ndarray | N
     of M, whose eigenvectors are ill-conditioned wherever lam_i is close
     to mu_j.
 
-    When G and K are both exactly Hermitian (every Lanczos side), they are
-    decomposed by ``eigen_decompose`` with P^{-1} = P^* for every kind but
-    a polynomial. Otherwise, for invsqrt and invpower only, by ``eig`` and
-    an inverse, K's on a worker thread when more than one core is usable;
-    this returns None when either eigenvector matrix's 1-norm condition
-    number exceeds the limit ``eval_matrix_function`` diagonalizes f under.
-    None means the caller evaluates f of the whole of M: Pade, Horner or
-    one inverse for exp, a polynomial, inverse and resolvent. Raises
+    Each side is decomposed by one ``eigen_decompose`` call in the calling
+    thread: ``eigh`` with P^{-1} = P^* when G and K are both exactly
+    Hermitian (every Lanczos side), for every kind but a polynomial;
+    otherwise, for invsqrt and invpower only, ``eig`` and an inverse. This
+    returns None when either eigenvector matrix's 1-norm condition number
+    exceeds the limit ``eval_matrix_function`` diagonalizes f under. None
+    means the caller evaluates f of the whole of M: Pade, Horner or one
+    inverse for exp, a polynomial, inverse and resolvent. Raises
     DomainError for a spectrum off the domain of f.
     """
     g, k = np.asarray(g), np.asarray(k)
     hermitian = np.array_equal(g, g.conj().T) and np.array_equal(k, k.conj().T)
     if f.kind == "polynomial" or not (hermitian or f.kind in ("invsqrt", "invpower")):
         return None
-    if hermitian:
-        left, right = eigen_decompose(g, hermitian=True), eigen_decompose(k, hermitian=True)
-        lam, p, mu, r = left.eigenvalues, left.eigenvectors, right.eigenvalues, right.eigenvectors
-        p_inv, r_inv, cond = p.conj().T, r.conj().T, 1.0
-    else:
-        if _usable_cores() > 1:
-            # imported on first use, so that importing the package does not pay for it
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                pending = pool.submit(_eig_with_inverse, k)
-                lam, p, p_inv, p_cond = _eig_with_inverse(g)
-                mu, r, r_inv, r_cond = pending.result()
-        else:
-            lam, p, p_inv, p_cond = _eig_with_inverse(g)
-            mu, r, r_inv, r_cond = _eig_with_inverse(k)
-        cond = max(p_cond, r_cond)
+    left, right = eigen_decompose(g, hermitian), eigen_decompose(k, hermitian)
+    lam, mu = left.eigenvalues, right.eigenvalues
     _check_spectrum(f, np.concatenate([lam, mu]))
-    if cond > _cond_limit(f):
+    if max(left.conditioning, right.conditioning) > _cond_limit(f):
         return None
-    coupled = (coupling * p_inv[:, :1]) @ r[:1] * divided_differences(f, lam, mu)
-    return _maybe_real(p @ coupled @ r_inv, f, g, k)
+    coupled = (coupling * left.inverse[:, :1]) @ right.eigenvectors[:1] * divided_differences(f, lam, mu)
+    return _maybe_real(left.eigenvectors @ coupled @ right.inverse, f, g, k)
 
 
 def spectral_norm(m) -> float:
@@ -511,7 +483,8 @@ def eval_matrix_function(m, f: FunctionSpec) -> np.ndarray:
 
     Hermitian input goes through the eigendecomposition. General input uses
     scaling-and-squaring for exp and Horner for polynomials; the remaining
-    kinds diagonalize, guarded by an eigenvector condition estimate; the
+    kinds diagonalize as Q diag(f(eigenvalues)) Q^{-1} with the inverse
+    ``eigen_decompose`` returns, guarded by its 1-norm condition number; the
     inverse square root (invsqrt, or invpower with exponent 1/2) switches
     to the Denman-Beavers iteration at a tighter estimate than the other
     kinds are rejected at. Raises
@@ -524,31 +497,26 @@ def eval_matrix_function(m, f: FunctionSpec) -> np.ndarray:
     if m.shape[0] == 0:
         return m.copy()
 
-    if is_hermitian(m):
-        dec = eigen_decompose(m, hermitian=True)
-        _check_spectrum(f, dec.eigenvalues)
-        fw = scalar_values(f, dec.eigenvalues)
-        out = (dec.eigenvectors * fw) @ dec.eigenvectors.conj().T
-        return _maybe_real(out, f, m)
+    hermitian = is_hermitian(m)
+    if not hermitian:
+        if f.kind == "exp":
+            return expm_dense(m)
+        if f.kind == "polynomial":
+            return _polyval_matrix(f.coefficients, m)
+        if f.kind == "inverse":
+            _check_spectrum(f, np.linalg.eigvals(m))
+            return np.linalg.inv(m)
+        if f.kind == "resolvent":
+            eigs = np.linalg.eigvals(m)
+            _check_spectrum(f, eigs)
+            shifted = f.shift * np.eye(m.shape[0], dtype=np.result_type(m, f.shift)) - m
+            return _maybe_real(np.linalg.inv(shifted), f, m)
 
-    if f.kind == "exp":
-        return expm_dense(m)
-    if f.kind == "polynomial":
-        return _polyval_matrix(f.coefficients, m)
-    if f.kind == "inverse":
-        _check_spectrum(f, np.linalg.eigvals(m))
-        return np.linalg.inv(m)
-    if f.kind == "resolvent":
-        eigs = np.linalg.eigvals(m)
-        _check_spectrum(f, eigs)
-        shifted = f.shift * np.eye(m.shape[0], dtype=np.result_type(m, f.shift)) - m
-        return _maybe_real(np.linalg.inv(shifted), f, m)
-
-    dec = eigen_decompose(m, hermitian=False)
+    dec = eigen_decompose(m, hermitian)
     _check_spectrum(f, dec.eigenvalues)
-    if dec.conditioning <= _cond_limit(f):
+    if dec.conditioning <= _cond_limit(f):  # always on the Hermitian path
         fw = scalar_values(f, dec.eigenvalues)
-        out = np.linalg.solve(dec.eigenvectors.T, ((dec.eigenvectors * fw).T)).T
+        out = (dec.eigenvectors * fw) @ dec.inverse
         return _maybe_real(out, f, m)
     if _is_inverse_sqrt(f):
         return _maybe_real(_inv_sqrt_denman_beavers(m), f, m)

@@ -36,9 +36,7 @@ class SparseMatrix:
         object.__setattr__(self, "row_ptr", np.asarray(self.row_ptr, dtype=np.int64))
         object.__setattr__(self, "col_idx", np.asarray(self.col_idx, dtype=np.int64))
         values = np.asarray(self.values)
-        if values.dtype.kind not in "fc":
-            values = values.astype(np.float64)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", values.astype(np.result_type(values, np.float64), copy=False))
         if self.n < 0:
             raise ValueError("dimension must be nonnegative")
         if self.row_ptr.shape != (self.n + 1,):
@@ -65,8 +63,7 @@ class SparseMatrix:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals)
-        if vals.dtype.kind not in "fc":
-            vals = vals.astype(np.float64)
+        vals = vals.astype(np.result_type(vals, np.float64), copy=False)  # before duplicates are summed
         if len(rows) and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
             raise ValueError("index out of range")
         order = np.lexsort((cols, rows))

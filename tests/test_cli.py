@@ -305,7 +305,7 @@ def forks(monkeypatch):
         calls.append(1)
         return real_fork()
 
-    monkeypatch.setattr(densefun, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
     monkeypatch.setattr(os, "fork", counted_fork)
     return calls
 
@@ -320,7 +320,7 @@ class TestUpdateFactorCsvs:
 
     def test_forked_bytes_equal_serial_bytes(self, tmp_path, monkeypatch, forks):
         assert _general_update(tmp_path, tmp_path / "forked") == 0
-        # the solve joins its worker threads, so the general path forks
+        # the solve starts no thread, so the general path forks
         assert forks == [1]
         _assert_no_child_left()
         forked = _factor_bytes(tmp_path / "forked")
@@ -328,11 +328,11 @@ class TestUpdateFactorCsvs:
         assert forked[0].count(b"\r\n") == 31 and forked[0] != forked[2]
 
         monkeypatch.setattr(os, "fork", _no_fork)
-        monkeypatch.setattr(densefun, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
         assert _general_update(tmp_path, tmp_path / "one_core") == 0
         assert _factor_bytes(tmp_path / "one_core") == forked
 
-        monkeypatch.setattr(densefun, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
         monkeypatch.delattr(os, "fork")
         assert _general_update(tmp_path, tmp_path / "no_fork") == 0
         assert _factor_bytes(tmp_path / "no_fork") == forked
@@ -352,7 +352,7 @@ class TestUpdateFactorCsvs:
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_unwritable_v_is_input_error(self, tmp_path, monkeypatch, capsys, forks, cores):
-        monkeypatch.setattr(densefun, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
         (tmp_path / "out" / "V.csv").mkdir(parents=True)
         assert _general_update(tmp_path, tmp_path / "out") == 2
         assert len(forks) == (cores > 1)
@@ -363,9 +363,9 @@ class TestUpdateFactorCsvs:
         assert (tmp_path / "out" / "X.csv").stat().st_size > 0
 
     def test_failing_u_write_still_reaps_the_child(self, tmp_path, monkeypatch, capsys, forks):
-        monkeypatch.setattr(densefun, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
         assert _general_update(tmp_path, tmp_path / "serial") == 0
-        monkeypatch.setattr(densefun, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
         (tmp_path / "out" / "U.csv").mkdir(parents=True)
         assert _general_update(tmp_path, tmp_path / "out") == 2
         assert forks == [1]

@@ -426,39 +426,22 @@ class TestTriangularBlockFunction:
             with pytest.raises(DomainError, match="-1.5"):
                 triangular_block_function(g, np.diag([3.0, -1.5]), 1.0, INVSQRT)
 
-    def test_second_side_runs_on_a_worker_only_with_two_cores(self, monkeypatch):
-        rng = np.random.default_rng(2)
-        g, k = _similar(rng, [1.0, 2.0, 3.0]), _similar(rng, [1.5, 2.5])
-        real = densefun._eig_with_inverse
-        on_main = []
-
-        def recording(a):
-            on_main.append(threading.current_thread() is threading.main_thread())
-            return real(a)
-
-        monkeypatch.setattr(densefun, "_eig_with_inverse", recording)
-        xs = []
-        for cores in (2, 1):
-            monkeypatch.setattr(densefun, "_usable_cores", lambda: cores)
-            on_main.clear()
-            xs.append(triangular_block_function(g, k, 0.3, INVSQRT))
-            assert sorted(on_main) == ([False, True] if cores > 1 else [True, True])
-        np.testing.assert_allclose(xs[0], xs[1], rtol=1e-13)
-
-    def test_hermitian_sides_run_in_the_calling_thread(self, monkeypatch):
+    def test_both_sides_run_through_eigen_decompose_in_the_calling_thread(self, monkeypatch):
         real = densefun.eigen_decompose
-        on_main = []
+        calls = []
 
         def recording(a, hermitian=None):
-            on_main.append(threading.current_thread() is threading.main_thread())
-            assert hermitian is True
+            calls.append((threading.current_thread() is threading.main_thread(), hermitian))
             return real(a, hermitian)
 
         monkeypatch.setattr(densefun, "eigen_decompose", recording)
-        monkeypatch.setattr(densefun, "_eig_with_inverse", None)
-        monkeypatch.setattr(densefun, "_usable_cores", lambda: 2)
-        triangular_block_function(np.diag([1.0, 2.0]), np.diag([1.5, 2.5]), 0.3, INVSQRT)
-        assert on_main == [True, True]
+        rng = np.random.default_rng(2)
+        cases = [((np.diag([1.0, 2.0]), np.diag([1.5, 2.5])), True),
+                 ((_similar(rng, [1.0, 2.0, 3.0]), _similar(rng, [1.5, 2.5])), False)]
+        for (g, k), hermitian in cases:
+            calls.clear()
+            assert triangular_block_function(g, k, 0.3, INVSQRT) is not None
+            assert calls == [(True, hermitian)] * 2
 
 
 class TestSpectralNorm:
@@ -580,7 +563,12 @@ def test_eigen_decompose_residual():
     for hermitian in (True, False):
         m = make_hermitian(rng, 12) if hermitian else make_general(rng, 12)
         dec = eigen_decompose(m)
-        recon = (dec.eigenvectors * dec.eigenvalues) @ np.linalg.inv(dec.eigenvectors)
+        q, q_inv = dec.eigenvectors, dec.inverse
+        recon = (q * dec.eigenvalues) @ q_inv
         assert spectral_norm(recon - m) <= 1e-10 * max(spectral_norm(m), 1.0)
+        assert spectral_norm(q_inv @ q - np.eye(12)) <= 1e-12 * dec.conditioning
         if hermitian:
+            assert np.shares_memory(q_inv, q) and np.array_equal(q_inv, q.conj().T)
             assert dec.conditioning == 1.0
+        else:
+            assert dec.conditioning == np.linalg.norm(q, 1) * np.linalg.norm(q_inv, 1)

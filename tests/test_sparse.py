@@ -261,6 +261,18 @@ class TestPaddedLayout:
         assert SparseMatrix.from_coo(3, [0, 1, 2], [0, 1, 2], np.ones(3) + 0j)._padded is None
         assert SparseMatrix.from_coo(3, [0, 2], [0, 2], np.ones(2))._padded is None
 
+    def test_single_precision_values_are_promoted(self):
+        a = SparseMatrix.from_coo(2, [0, 1], [0, 1], np.float32([1, 2]))
+        assert a.values.dtype == np.float64 and a._padded is not None
+        assert spmv(a, np.float32([1, 1])).dtype == np.float64
+        direct = SparseMatrix(2, [0, 1, 2], [0, 1], np.float32([1, 2]))
+        assert direct.values.dtype == np.float64 and direct._padded is not None
+        # duplicates are summed after the promotion: in float32, 1 + 1e-8 reads 1
+        dup = SparseMatrix.from_coo(1, [0, 0], [0, 0], np.float32([1.0, 1e-8]))
+        assert dup.values.dtype == np.float64 and dup.values[0] == 1.0 + float(np.float32(1e-8))
+        c = SparseMatrix.from_coo(2, [0, 1], [0, 1], np.complex64([1 + 1j, 2]))
+        assert c.values.dtype == np.complex128 and c.values[0] == 1 + 1j
+
     def test_edit_across_the_row_limit_keeps_the_bits(self):
         # node 0 has 8 neighbours; the edit (0, 9) gives it 9 and back
         g = Graph.from_edges(10, [(0, j) for j in range(1, 9)] + [(1, 9)])

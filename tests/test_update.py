@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -679,15 +680,16 @@ class TestDividedDifferencePath:
         with pytest.raises(DomainError, match="ill-conditioned"):
             self._problem(f).x(8)
 
-    @pytest.mark.parametrize("f", [INVSQRT, FunctionSpec.inverse_power(0.7)],
-                             ids=lambda f: f.label())
-    @pytest.mark.parametrize("complex_", [False, True])
-    def test_one_core_matches_two(self, monkeypatch, f, complex_):
-        xs = []
-        for cores in (2, 1):
-            monkeypatch.setattr(densefun, "_usable_cores", lambda: cores)
-            xs.append(self._problem(f, complex_=complex_).x(10))
-        assert np.abs(xs[0] - xs[1]).max() <= 1e-13 * np.abs(xs[0]).max()
+    def test_general_update_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"general_update started {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        rng = np.random.default_rng(5)
+        a = np.diag(rng.uniform(1.5, 4.0, 30)) + make_general(rng, 30, 0.8)
+        fac = general_update(lambda x: a @ x, lambda x: a.T @ x, 0.3 * unit(rng, 30),
+                             0.3 * unit(rng, 30), INVSQRT, SolveOptions(tol=1e-10, max_m=25))
+        assert fac.converged
 
     def test_other_kinds_keep_the_block_path(self):
         # non-Hermitian sides: only invsqrt and invpower take divided differences
