@@ -680,16 +680,22 @@ class TestDividedDifferencePath:
         with pytest.raises(DomainError, match="ill-conditioned"):
             self._problem(f).x(8)
 
-    def test_general_update_starts_no_thread(self, monkeypatch):
+    @pytest.mark.parametrize("f", [INVSQRT, FunctionSpec.inverse_power(0.7)],
+                             ids=lambda f: f.label())
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_general_update_starts_no_thread(self, monkeypatch, f, complex_):
         def refuse(thread):
             raise AssertionError(f"general_update started {thread.name}")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         rng = np.random.default_rng(5)
-        a = np.diag(rng.uniform(1.5, 4.0, 30)) + make_general(rng, 30, 0.8)
-        fac = general_update(lambda x: a @ x, lambda x: a.T @ x, 0.3 * unit(rng, 30),
-                             0.3 * unit(rng, 30), INVSQRT, SolveOptions(tol=1e-10, max_m=25))
+        a = np.diag(rng.uniform(1.5, 4.0, 30)) + make_general(rng, 30, 0.8, complex_)
+        b, c = 0.3 * unit(rng, 30, complex_), 0.3 * unit(rng, 30, complex_)
+        fac = general_update(lambda x: a @ x, lambda x: a.conj().T @ x, b, c, f,
+                             SolveOptions(tol=1e-10, max_m=25))
         assert fac.converged
+        ref = dense_update_reference(a, b.reshape(-1, 1), c.reshape(-1, 1), f)
+        assert spectral_norm(ref - fac.densify()) <= 10.0 * max(1e-10, 1e-13 * spectral_norm(ref))
 
     def test_other_kinds_keep_the_block_path(self):
         # non-Hermitian sides: only invsqrt and invpower take divided differences
