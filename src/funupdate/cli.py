@@ -35,7 +35,7 @@ from .errors import (DomainError, MatrixMarketError, NonFiniteOperatorError,
                      OracleScaleError)
 from .oracle import DENSE_UPDATE_LIMIT, dense_update_reference
 from .sparse import (Graph, SparseMatrix, gen_convdiff1d, gen_laplace2d,
-                     graph_distances, load_matrix_market)
+                     graph_distances, load_matrix_market, loadtxt_quiet)
 from .update import (LOOKAHEAD, GeneralProblem, HermitianProblem, LowRankModification,
                      SolveOptions, error_estimate, extract_diagonal, general_update,
                      hermitian_update, rank_k_update)
@@ -104,7 +104,8 @@ def write_report(path, report: dict) -> None:
 
 def parse_vector_spec(text, n, rng) -> np.ndarray:
     """Vector argument: 'e<k>' (1-based unit vector), 'ones', 'randn', or a
-    path to a file with one value per line."""
+    path to a file with one value per line, parsed by ``np.loadtxt`` as
+    complex (blank lines skipped; real when every imaginary part is 0)."""
     text = text.strip()
     if text == "ones":
         return np.ones(n)
@@ -117,13 +118,9 @@ def parse_vector_spec(text, n, rng) -> np.ndarray:
         v = np.zeros(n)
         v[k - 1] = 1.0
         return v
-    values = []
-    with open(text, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                values.append(complex(line))
-    vec = np.asarray(values)
+    vec = loadtxt_quiet(text, dtype=complex, comments=None, encoding="ascii")
+    if vec.ndim != 1:
+        raise ValueError("vector file must hold one value per line")
     if np.all(vec.imag == 0):
         vec = vec.real
     if vec.shape != (n,):

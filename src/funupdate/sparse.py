@@ -6,6 +6,7 @@ same length it produces. Dense matrices and vectors are plain numpy arrays.
 
 from __future__ import annotations
 
+import warnings
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -193,8 +194,10 @@ def _stored_as_conjugate_transpose(a: SparseMatrix) -> bool:
 def check_declared_symmetry(a: SparseMatrix) -> None:
     """Verifies that the stored pattern and values satisfy A = A^*.
 
-    Raises ValueError on the first violation. Intended to run right after
-    symmetric/Hermitian input files are expanded to full storage.
+    Raises ValueError on a violation; a NaN never equals its mirror.
+    ``load_matrix_market`` does not need it: mirroring makes what it loads
+    equal its conjugate transpose, and the one exception, a Hermitian
+    diagonal entry that is not real, it rejects itself.
     """
     if not _stored_as_conjugate_transpose(a):
         raise ValueError("matrix marked symmetric/Hermitian but storage is not")
@@ -207,15 +210,31 @@ _MM_FIELDS = {"real", "integer", "complex", "pattern"}
 _MM_SYMMETRIES = {"general", "symmetric", "hermitian"}
 
 
+def loadtxt_quiet(source, **kwargs) -> np.ndarray:
+    """``np.loadtxt(source, ndmin=1, **kwargs)`` without numpy's warning on
+    input that holds no data: an empty body or file is reported by the
+    caller's own size checks."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(source, ndmin=1, **kwargs)
+
+
 def load_matrix_market(path) -> SparseMatrix:
     """Reads a Matrix Market file into CSR storage.
 
     Coordinate and array formats are supported with real, integer, complex
-    and pattern fields and general/symmetric/hermitian headers. Symmetric
-    and Hermitian files are expanded to full storage; pattern entries get
-    the value 1.0. Repeated entries are summed in general files and rejected
-    in the others, counting mirrors. Only square matrices are accepted since
-    everything here is used as an operator.
+    and pattern fields and general/symmetric/hermitian headers. Only square
+    matrices are accepted since everything here is used as an operator.
+    The body goes through one ``np.loadtxt`` call: ``%`` starts a comment
+    anywhere in it, blank lines are skipped, and numbers parse as Python's
+    ``float`` does, digit-grouping underscores aside. Pattern entries get
+    the value 1.0, and a complex file is stored as complex128 (the others
+    as float64). Array bodies are column major, the symmetric ones the
+    packed lower triangle, and their zeros are not stored. Symmetric and
+    Hermitian files are expanded to full storage; a Hermitian diagonal
+    entry must be real (NaN passes, to be caught as a non-finite operator).
+    Repeated entries are summed in general files and rejected in the
+    others, counting mirrors.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
@@ -234,12 +253,10 @@ def load_matrix_market(path) -> SparseMatrix:
         if fmt == "array" and field == "pattern":
             raise MatrixMarketError("array format cannot use the pattern field")
 
-        data_lines = (ln for ln in (raw.strip() for raw in fh) if ln and not ln.startswith("%"))
         try:
-            size_tokens = next(data_lines).split()
+            size_tokens = next(ln for ln in map(str.strip, fh) if ln and not ln.startswith("%")).split()
         except StopIteration:
             raise MatrixMarketError("missing size line") from None
-
         if fmt == "coordinate":
             if len(size_tokens) != 3:
                 raise MatrixMarketError("coordinate size line must be 'rows cols nnz'")
@@ -248,107 +265,83 @@ def load_matrix_market(path) -> SparseMatrix:
             if len(size_tokens) != 2:
                 raise MatrixMarketError("array size line must be 'rows cols'")
             nrows, ncols = (int(t) for t in size_tokens)
-            nnz = -1
         if nrows != ncols:
             raise MatrixMarketError(f"non-square matrix ({nrows}x{ncols}) cannot be used as an operator")
         n = nrows
 
-        complex_values = field == "complex"
-        mirror = symmetry in ("symmetric", "hermitian")
-        conjugate = symmetry == "hermitian"
-        rows, cols, vals = [], [], []
+        fields = [("i", np.int64), ("j", np.int64)] if fmt == "coordinate" else []
+        fields += {"pattern": [], "complex": [("re", np.float64), ("im", np.float64)]}.get(
+            field, [("re", np.float64)])
+        try:
+            body = loadtxt_quiet(fh, dtype=fields, comments="%")
+        except ValueError as exc:
+            cause = str(exc).partition("; use `usecols`")[0]  # less numpy's advice on its API
+            raise MatrixMarketError(f"malformed body line: {cause}") from None
 
-        if fmt == "coordinate":
-            want = 2 if field == "pattern" else (4 if complex_values else 3)
-            count = 0
-            for ln in data_lines:
-                parts = ln.split()
-                if len(parts) != want:
-                    raise MatrixMarketError(f"malformed body line: {ln!r}")
-                i, j = int(parts[0]) - 1, int(parts[1]) - 1
-                if not (0 <= i < n and 0 <= j < n):
-                    raise MatrixMarketError(f"index out of range in line: {ln!r}")
-                if field == "pattern":
-                    v = 1.0
-                elif complex_values:
-                    v = complex(float(parts[2]), float(parts[3]))
-                else:
-                    v = float(parts[2])
-                rows.append(i)
-                cols.append(j)
-                vals.append(v)
-                if mirror and i != j:
-                    rows.append(j)
-                    cols.append(i)
-                    vals.append(np.conj(v) if conjugate else v)
-                count += 1
-            if count != nnz:
-                raise MatrixMarketError(f"expected {nnz} entries, found {count}")
-        else:
-            want = 2 if complex_values else 1
-            entries = []
-            for ln in data_lines:
-                parts = ln.split()
-                if len(parts) != want:
-                    raise MatrixMarketError(f"malformed body line: {ln!r}")
-                entries.append(complex(float(parts[0]), float(parts[1])) if complex_values else float(parts[0]))
-            # column-major dense body; symmetric variants store the packed
-            # lower triangle of each column
-            if mirror:
-                expected = n * (n + 1) // 2
-            else:
-                expected = n * n
-            if len(entries) != expected:
-                raise MatrixMarketError(f"array body has {len(entries)} entries, expected {expected}")
-            pos = 0
-            for j in range(n):
-                i0 = j if mirror else 0
-                for i in range(i0, n):
-                    v = entries[pos]
-                    pos += 1
-                    if v == 0:
-                        continue
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(v)
-                    if mirror and i != j:
-                        rows.append(j)
-                        cols.append(i)
-                        vals.append(np.conj(v) if conjugate else v)
+    if field == "pattern":
+        vals = np.ones(len(body))
+    elif field == "complex":
+        vals = np.empty(len(body), dtype=np.complex128)
+        vals.real, vals.imag = body["re"], body["im"]
+    else:
+        vals = body["re"]
+    mirror = symmetry != "general"
+    if fmt == "coordinate":
+        rows, cols = body["i"] - 1, body["j"] - 1
+        bad = np.flatnonzero((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n))
+        if bad.size:
+            raise MatrixMarketError(f"index out of range in entry {bad[0] + 1}: "
+                                    f"({rows[bad[0]] + 1}, {cols[bad[0]] + 1})")
+        if len(body) != nnz:
+            raise MatrixMarketError(f"expected {nnz} entries, found {len(body)}")
+    else:
+        expected = n * (n + 1) // 2 if mirror else n * n
+        if len(body) != expected:
+            raise MatrixMarketError(f"array body has {len(body)} entries, expected {expected}")
+        cols, rows = np.triu_indices(n) if mirror else np.divmod(np.arange(expected), n)
+        stored = vals != 0
+        rows, cols, vals = rows[stored], cols[stored], vals[stored]
 
-        flag = symmetry == "hermitian" or (symmetry == "symmetric" and not complex_values)
-        out = SparseMatrix.from_coo(n, rows, cols, np.asarray(vals), symmetry_flag=flag)
-        if mirror and out.col_idx.size < len(rows):
-            # from_coo merged a position the expanded triplets hold twice
-            keys = np.sort(np.asarray(rows, dtype=np.int64) * n + np.asarray(cols, dtype=np.int64))
-            i, j = sorted(divmod(int(keys[np.flatnonzero(np.diff(keys) == 0)[0]]), n))
-            raise MatrixMarketError(f"{symmetry} file gives position ({j + 1}, {i + 1}) "
-                                    "more than once, counting the mirror of each entry")
-        if flag:
-            check_declared_symmetry(out)
-        return out
+    if symmetry == "hermitian":
+        # mirrors are conjugates, so only the diagonal can break A = A^*;
+        # a NaN imaginary part passes (abs(nan) > 0 is false)
+        bad = np.flatnonzero((rows == cols) & (np.abs(vals.imag) > 0))
+        if bad.size:
+            k = rows[bad[0]] + 1
+            raise MatrixMarketError(f"hermitian file has a diagonal entry with a nonzero "
+                                    f"imaginary part at ({k}, {k})")
+    if mirror:
+        off = rows != cols
+        mirrored = np.conj(vals[off]) if symmetry == "hermitian" else vals[off]
+        rows, cols, vals = (np.concatenate((rows, cols[off])), np.concatenate((cols, rows[off])),
+                            np.concatenate((vals, mirrored)))
+    flag = symmetry == "hermitian" or (symmetry == "symmetric" and field != "complex")
+    out = SparseMatrix.from_coo(n, rows, cols, vals, symmetry_flag=flag)
+    if mirror and out.nnz < len(rows):
+        # from_coo merged a position the expanded triplets hold twice
+        keys = np.sort(rows * n + cols)
+        i, j = sorted(divmod(int(keys[np.flatnonzero(np.diff(keys) == 0)[0]]), n))
+        raise MatrixMarketError(f"{symmetry} file gives position ({j + 1}, {i + 1}) "
+                                "more than once, counting the mirror of each entry")
+    return out
 
 
 # -----------------------------------------------------------------------------
 # Graph view of a sparse matrix
 
 def _undirected_adjacency(a: SparseMatrix) -> list[np.ndarray]:
-    """Neighbor lists of the undirected graph with an edge wherever either
-    a_ij or a_ji is stored nonzero; the diagonal is ignored."""
-    at = a.conjugate_transpose()
-    neighbors = []
-    for i in range(a.n):
-        fwd = a.col_idx[a.row_ptr[i]:a.row_ptr[i + 1]][a.values[a.row_ptr[i]:a.row_ptr[i + 1]] != 0]
-        bwd = at.col_idx[at.row_ptr[i]:at.row_ptr[i + 1]][at.values[at.row_ptr[i]:at.row_ptr[i + 1]] != 0]
-        nbr = np.union1d(fwd, bwd)
-        neighbors.append(nbr[nbr != i])
-    return neighbors
+    """Sorted neighbor lists of the undirected graph with an edge wherever
+    either a_ij or a_ji is stored nonzero; the diagonal is ignored."""
+    rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr))
+    edge = (a.values != 0) & (rows != a.col_idx)
+    rows, cols = rows[edge], a.col_idx[edge]
+    keys = np.unique(np.concatenate((rows * a.n + cols, cols * a.n + rows)))
+    return np.split(keys % a.n, np.searchsorted(keys, np.arange(1, a.n) * a.n))
 
 
 def graph_distances(a: SparseMatrix, source: int) -> np.ndarray:
     """BFS distances from ``source`` in the graph of A; inf when unreachable."""
-    if not 0 <= source < a.n:
-        raise ValueError("index out of range")
+    _check_range("node", (source,), a.n)
     neighbors = _undirected_adjacency(a)
     dist = np.full(a.n, np.inf)
     dist[source] = 0.0
@@ -364,8 +357,7 @@ def graph_distances(a: SparseMatrix, source: int) -> np.ndarray:
 
 def graph_distance(a: SparseMatrix, i: int, j: int) -> float:
     """Shortest-path length between nodes i and j; inf when disconnected."""
-    if not (0 <= i < a.n and 0 <= j < a.n):
-        raise ValueError("index out of range")
+    _check_range("node", (i, j), a.n)
     if i == j:
         return 0.0
     return float(graph_distances(a, i)[j])
@@ -394,14 +386,12 @@ class Graph:
 
     @staticmethod
     def from_edges(n, edges) -> "Graph":
-        rows, cols = [], []
-        for i, j in edges:
-            if i == j:
-                raise ValueError("self loops are not allowed")
-            rows += [i, j]
-            cols += [j, i]
-        adj = SparseMatrix.from_coo(n, rows, cols, np.ones(len(rows)), symmetry_flag=True)
-        if len(rows) and np.any(adj.values > 1):
+        i, j = np.array(list(edges) or np.empty((0, 2)), dtype=np.int64).T
+        if np.any(i == j):
+            raise ValueError("self loops are not allowed")
+        adj = SparseMatrix.from_coo(n, np.concatenate((i, j)), np.concatenate((j, i)),
+                                    np.ones(2 * i.size), symmetry_flag=True)
+        if np.any(adj.values > 1):
             raise ValueError("duplicate edges")
         return Graph(adj)
 
@@ -462,19 +452,15 @@ def gen_laplace2d(side: int) -> SparseMatrix:
     """
     if side < 2:
         raise ValueError("side must be at least 2")
-    rows, cols, vals = [], [], []
-    for r in range(side):
-        for c in range(side):
-            i = r * side + c
-            rows.append(i)
-            cols.append(i)
-            vals.append(4.0)
-            for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                if 0 <= rr < side and 0 <= cc < side:
-                    rows.append(i)
-                    cols.append(rr * side + cc)
-                    vals.append(-1.0)
-    return SparseMatrix.from_coo(side * side, rows, cols, vals, symmetry_flag=True)
+    n = side * side
+    node = np.arange(n)
+    east = node[node % side != side - 1]  # nodes with a neighbor at +1
+    north = node[:n - side]  # nodes with a neighbor at +side
+    lo = np.concatenate((east, north))
+    hi = np.concatenate((east + 1, north + side))
+    return SparseMatrix.from_coo(n, np.concatenate((node, lo, hi)), np.concatenate((node, hi, lo)),
+                                 np.concatenate((np.full(n, 4.0), np.full(2 * lo.size, -1.0))),
+                                 symmetry_flag=True)
 
 
 def gen_convdiff1d(n: int, c: float, c_tilde: float, pos: int):
@@ -496,20 +482,9 @@ def gen_convdiff1d(n: int, c: float, c_tilde: float, pos: int):
     sub = 1.0 / h**2 + c / (2.0 * h)
     dia = -2.0 / h**2
     sup = 1.0 / h**2 - c / (2.0 * h)
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        rows.append(i)
-        cols.append(i)
-        vals.append(dia)
-        if i > 0:
-            rows.append(i)
-            cols.append(i - 1)
-            vals.append(sub)
-        if i < n - 1:
-            rows.append(i)
-            cols.append(i + 1)
-            vals.append(sup)
-    a = SparseMatrix.from_coo(n, rows, cols, vals)
+    i = np.arange(n)
+    a = SparseMatrix.from_coo(n, np.concatenate((i, i[1:], i[:-1])), np.concatenate((i, i[:-1], i[1:])),
+                              np.concatenate((np.full(n, dia), np.full(n - 1, sub), np.full(n - 1, sup))))
     b = np.zeros(n)
     b[pos] = 1.0
     c_vec = np.zeros(n)

@@ -127,6 +127,23 @@ class TestUpdateCommand:
         err = capsys.readouterr().err
         assert "NonFiniteOperatorError" in err and "ArnoldiProcess step 1" in err
 
+    def test_nan_in_symmetric_file_is_non_finite_operator_output(self, tmp_path, capsys):
+        (tmp_path / "a.mtx").write_text(IDENTITY3.replace("2 2 1.0", "2 2 nan"))
+        code = main(["update", "--matrix", str(tmp_path / "a.mtx"), "--function", "exp",
+                     "--b", "ones", "--output-dir", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "NonFiniteOperatorError" in err and "step 1" in err
+
+    def test_non_real_hermitian_diagonal_is_input_error(self, tmp_path, capsys):
+        (tmp_path / "a.mtx").write_text("%%MatrixMarket matrix coordinate complex hermitian\n"
+                                        "2 2 2\n1 1 2.0 1.0\n2 2 3.0 0.0\n")
+        code = main(["update", "--matrix", str(tmp_path / "a.mtx"), "--function", "exp",
+                     "--b", "ones", "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(1, 1)" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
     def test_huge_finite_entries_reach_the_domain_check(self, tmp_path, capsys, symmetry):
         # |A b| is about 2e308: the Krylov step must not report it as a
@@ -269,6 +286,36 @@ class TestUpdateCommand:
         assert x.shape == (40, 40) and np.all(np.isfinite(x))
         report = json.loads((out / "report.json").read_text())
         assert report["true_error_relative"] <= 1e-6
+
+
+class TestVectorFile:
+    def test_values_parse_as_python_complex(self, tmp_path):
+        tokens = ["1.5", "-0.0", "(3-4j)", "nan", "-inf+1j", "5e-324", "1e308", "-2j"]
+        path = tmp_path / "v.txt"
+        path.write_text("\n".join(tokens[:4]) + "\n\n  " + "\n".join(tokens[4:]) + "\n")
+        vec = cli.parse_vector_spec(str(path), len(tokens), None)
+        assert vec.tobytes() == np.array([complex(t) for t in tokens]).tobytes()
+
+    def test_real_file_gives_a_real_vector(self, tmp_path):
+        tokens = ["0.1", "-0.0", "inf", "1e-310"]
+        (tmp_path / "v.txt").write_text("".join(f"{t}\n" for t in tokens))
+        vec = cli.parse_vector_spec(str(tmp_path / "v.txt"), 4, None)
+        assert vec.dtype == np.float64 and vec.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
+    @pytest.mark.parametrize("text, message", [("1.0 2.0\n3.0 4.0\n", "one value per line"),
+                                               ("1.0\n2.0\n", "length 2, expected 3"),
+                                               ("", "length 0, expected 3"),
+                                               ("1.0\nabc\n2.0\n", "could not convert")])
+    def test_bad_file_is_input_error(self, tmp_path, capsys, text, message):
+        (tmp_path / "a.mtx").write_text(IDENTITY3)
+        (tmp_path / "v.txt").write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["update", "--matrix", str(tmp_path / "a.mtx"), "--function", "exp",
+                         "--b", str(tmp_path / "v.txt"), "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 def _general_update(tmp_path, out):

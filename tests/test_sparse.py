@@ -1,5 +1,6 @@
 import bisect
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,135 @@ class TestMatrixMarket:
 2 2 1
 3 1 1.0
 """))
+
+    def test_entry_count_must_match_the_size_line(self, tmp_path):
+        with pytest.raises(MatrixMarketError, match="expected 3 entries, found 2"):
+            load_matrix_market(write(tmp_path, """%%MatrixMarket matrix coordinate real general
+2 2 3
+1 1 1.0
+2 2 1.0
+"""))
+
+    def test_array_entry_count_must_match_the_size_line(self, tmp_path):
+        with pytest.raises(MatrixMarketError, match="array body has 4 entries, expected 3"):
+            load_matrix_market(write(tmp_path, """%%MatrixMarket matrix array real symmetric
+2 2
+1.0
+2.0
+3.0
+4.0
+"""))
+
+    def test_rejects_non_integer_index(self, tmp_path):
+        with pytest.raises(MatrixMarketError, match="malformed body line: .*'1.5'"):
+            load_matrix_market(write(tmp_path, """%%MatrixMarket matrix coordinate real general
+2 2 1
+1.5 1 2.0
+"""))
+
+    @pytest.mark.parametrize("text", [
+        "%%MatrixMarket matrix coordinate real general\n3 3 0\n",
+        "%%MatrixMarket matrix coordinate complex hermitian\n% none\n3 3 0\n% still none\n",
+        "%%MatrixMarket matrix array real general\n0 0\n",
+    ])
+    def test_empty_body_loads_without_a_warning(self, tmp_path, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = load_matrix_market(write(tmp_path, text))
+        assert a.nnz == 0 and a.values.dtype == (np.complex128 if "complex" in text else np.float64)
+
+    def test_trailing_comments_are_skipped(self, tmp_path):
+        a = load_matrix_market(write(tmp_path, """%%MatrixMarket matrix coordinate real general
+2 2 2
+1 1 1.0 % first
+  % indented
+2 2 -0.0%second
+"""))
+        _assert_same_bits(a.values, np.array([1.0, -0.0]))
+
+    @pytest.mark.parametrize("body", ["1 1 2.0 1.0\n2 2 3.0 0.0", "2 2 3.0 0.0\n1 1 2.0 -inf"])
+    def test_rejects_non_real_hermitian_diagonal(self, tmp_path, body):
+        with pytest.raises(MatrixMarketError, match=re.escape("imaginary part at (1, 1)")):
+            load_matrix_market(write(tmp_path, "%%MatrixMarket matrix coordinate complex hermitian\n"
+                                               f"2 2 2\n{body}\n"))
+
+
+# Every supported (format, field) pair, each written under every symmetry.
+_MM_KINDS = ([("coordinate", f) for f in ("real", "integer", "complex", "pattern")]
+             + [("array", f) for f in ("real", "integer", "complex")])
+_MM_SPECIALS = ["0.0", "-0.0", "inf", "-inf", "nan", "5e-324", "1e308", "-1e308"]
+
+
+def _mm_token(rng, field):
+    """One number as written in a file of the field."""
+    if field == "integer":
+        return ["0", "-0", str(int(rng.integers(-2**60, 2**60)))][rng.integers(3)]
+    if rng.random() < 0.5:
+        return _MM_SPECIALS[rng.integers(len(_MM_SPECIALS))]
+    return repr(float(rng.standard_normal() * 10.0 ** rng.integers(-20, 21)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(kind=st.sampled_from(_MM_KINDS), symmetry=st.sampled_from(["general", "symmetric", "hermitian"]),
+       n=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_matrix_market_round_trip(tmp_path_factory, kind, symmetry, n, seed):
+    """A file written from random triplets loads, bit for bit, as from_coo of
+    the triplets with each off-diagonal entry of a symmetric or Hermitian
+    file mirrored (conjugated if Hermitian) and the zeros of an array body
+    dropped; numbers parse as Python's float does, and a flagged result is
+    its own conjugate transpose, NaN counting as equal to NaN."""
+    fmt, field = kind
+    rng = np.random.default_rng(seed)
+    mirror = symmetry != "general"
+    if fmt == "array":
+        cells = [(i, j) for j in range(n) for i in range(j if mirror else 0, n)]
+    elif mirror:
+        lower = [(i, j) for i in range(n) for j in range(i + 1)]
+        cells = [lower[k] for k in rng.permutation(len(lower))[:rng.integers(len(lower) + 1)]]
+    else:  # positions may repeat, and their values are summed in file order
+        cells = [tuple(c) for c in rng.integers(0, n, size=(rng.integers(2 * n * n + 1), 2))]
+    lines, rows, cols, vals = [], [], [], []
+    for i, j in cells:
+        tokens = [] if field == "pattern" else [_mm_token(rng, field)]
+        if field == "complex":
+            tokens.append(["0.0", "-0.0", "nan"][rng.integers(3)]
+                          if symmetry == "hermitian" and i == j else _mm_token(rng, field))
+        if fmt == "array" and rng.random() < 0.3:
+            tokens = ["-0.0"] * len(tokens)  # zeros of an array body are not stored
+        v = 1.0 if field == "pattern" else float(tokens[0])
+        if field == "complex":
+            v = complex(v, float(tokens[1]))
+        if fmt == "coordinate" or v != 0:
+            rows.append(i)
+            cols.append(j)
+            vals.append(v)
+            if mirror and i != j:
+                rows.append(j)
+                cols.append(i)
+                vals.append(np.conj(v) if symmetry == "hermitian" else v)
+        if fmt == "coordinate":
+            tokens = [str(i + 1), str(j + 1)] + tokens
+        lines += ["% between entries"] * (rng.random() < 0.25) + [""] * (rng.random() < 0.1)
+        lines.append(" ".join(tokens) + " % trailing" * (rng.random() < 0.1))
+    size = f"{n} {n} {len(cells)}" if fmt == "coordinate" else f"{n} {n}"
+    path = tmp_path_factory.mktemp("mm") / "m.mtx"
+    path.write_text("\n".join([f"%%MatrixMarket matrix {fmt} {field} {symmetry}", "% header comment",
+                                size] + lines) + "\n")
+    flag = symmetry == "hermitian" or (symmetry == "symmetric" and field != "complex")
+    with np.errstate(invalid="ignore", over="ignore"):  # repeated positions sum inf - inf
+        got = load_matrix_market(path)
+        want = SparseMatrix.from_coo(
+            n, rows, cols, np.array(vals, dtype=np.complex128 if field == "complex" else np.float64),
+            symmetry_flag=flag)
+    assert got.symmetry_flag == flag
+    np.testing.assert_array_equal(got.row_ptr, want.row_ptr)
+    np.testing.assert_array_equal(got.col_idx, want.col_idx)
+    _assert_same_bits(got.values, want.values)
+    if flag:
+        ah = got.conjugate_transpose()
+        np.testing.assert_array_equal(got.row_ptr, ah.row_ptr)
+        np.testing.assert_array_equal(got.col_idx, ah.col_idx)
+        assert np.array_equal(got.values, ah.values, equal_nan=True)
 
 
 class TestSpmv:
@@ -312,8 +442,28 @@ class TestGraphDistance:
 
     def test_index_out_of_range(self):
         a = tridiag_sparse(3, -1.0, 3.0, -1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"node 5 outside 0\.\.2 \(n = 3\)"):
             graph_distance(a, 0, 5)
+
+    def test_source_out_of_range(self):
+        a = tridiag_sparse(3, -1.0, 3.0, -1.0)
+        with pytest.raises(ValueError, match=r"node -1 outside 0\.\.2 \(n = 3\)"):
+            graph_distances(a, -1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scipy_breadth_first_search(self, seed):
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        from scipy.sparse import csr_matrix
+        rng = np.random.default_rng(seed)
+        a = random_sparse(rng, 40, density=0.03, complex_=seed % 2 == 1)
+        values = a.values.copy()
+        values[rng.random(values.size) < 0.2] = 0.0  # stored zeros are not edges
+        a = SparseMatrix(a.n, a.row_ptr, a.col_idx, values)
+        pattern = csr_matrix(((a.values != 0).astype(float), a.col_idx, a.row_ptr), shape=a.shape)
+        pattern.eliminate_zeros()  # csgraph counts a stored zero as an edge
+        want = csgraph.shortest_path(pattern, directed=False, unweighted=True, indices=[0, 7])
+        for k, source in enumerate((0, 7)):
+            np.testing.assert_array_equal(graph_distances(a, source), want[k])
 
 
 class TestGenerators:
@@ -364,6 +514,27 @@ class TestGenerators:
         svals = np.linalg.svd(diff, compute_uv=False)
         assert svals[0] > 0 and np.all(svals[1:] <= 1e-12 * svals[0])
 
+    @pytest.mark.parametrize("side", [2, 3, 6])
+    def test_laplace2d_is_the_kronecker_sum(self, side):
+        t = 2.0 * np.eye(side) - np.eye(side, k=1) - np.eye(side, k=-1)
+        a = gen_laplace2d(side)
+        assert a.symmetry_flag
+        assert np.array_equal(a.to_dense(), np.kron(np.eye(side), t) + np.kron(t, np.eye(side)))
+
+    @pytest.mark.parametrize("n, pos", [(3, 0), (3, 1), (3, 2), (4, 0), (4, 3), (9, 4)])
+    def test_convdiff_matches_its_three_diagonals(self, n, pos):
+        c, c_tilde = 10.0, 25.0
+        a, b, c_vec = gen_convdiff1d(n, c, c_tilde, pos)
+        h = 1.0 / (n + 1)
+        want = (np.diag(np.full(n - 1, 1.0 / h**2 + c / (2.0 * h)), -1)
+                + np.diag(np.full(n, -2.0 / h**2))
+                + np.diag(np.full(n - 1, 1.0 / h**2 - c / (2.0 * h)), 1))
+        assert not a.symmetry_flag and a.nnz == 3 * n - 2
+        assert np.array_equal(a.to_dense(), want)
+        delta = (c_tilde - c) / (2.0 * h)
+        assert np.array_equal(b, np.eye(n)[pos])
+        assert np.array_equal(c_vec, delta * (np.eye(n, k=-1)[pos] - np.eye(n, k=1)[pos]))
+
     def test_convdiff_invalid_pos(self):
         with pytest.raises(ValueError):
             gen_convdiff1d(16, 10.0, 20.0, 16)
@@ -380,6 +551,15 @@ class TestGraphType:
             Graph(SparseMatrix.from_coo(2, [0], [0], [1.0]))
         with pytest.raises(ValueError, match="0 or 1"):
             Graph(SparseMatrix.from_coo(2, [0, 1], [1, 0], [2.0, 2.0]))
+
+    def test_from_edges_rejects_self_loops_and_duplicates(self):
+        with pytest.raises(ValueError, match="^self loops are not allowed$"):
+            Graph.from_edges(3, [(0, 1), (2, 2)])
+        for edges in ([(0, 1), (0, 1)], [(0, 1), (1, 2), (1, 0)]):
+            with pytest.raises(ValueError, match="^duplicate edges$"):
+                Graph.from_edges(3, edges)
+        assert Graph.from_edges(3, []).adjacency.nnz == 0
+        assert sorted(Graph.from_edges(3, {(2, 0), (0, 1)}).edges()) == [(0, 1), (0, 2)]
 
     def test_with_edge_roundtrip(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2)])
