@@ -33,6 +33,7 @@ from .densefun import (FunctionSpec, function_from_name,
                        scalar_derivative, scalar_values, spectral_norm)
 from .errors import (DomainError, MatrixMarketError, NonFiniteOperatorError,
                      OracleScaleError)
+from .krylov import LanczosProcess
 from .oracle import DENSE_UPDATE_LIMIT, dense_update_reference
 from .sparse import (Graph, SparseMatrix, gen_convdiff1d, gen_laplace2d,
                      graph_distances, load_matrix_market, loadtxt_quiet)
@@ -353,8 +354,7 @@ def update_subgraph_centrality(graph: Graph, edits, opts: SolveOptions) -> dict:
                 "i": op.i,
                 "j": op.j,
                 "steps": [int(f.m) for f in factors],
-                "estimates": [float(f.estimate_history[-1][1]) if f.estimate_history else 0.0
-                              for f in factors],
+                "estimates": [float(f.estimate_history[-1][1]) for f in factors],
                 "converged": all(f.converged for f in factors),
             })
         baseline = pending.result()
@@ -385,11 +385,7 @@ def _cmd_centrality(args) -> int:
                     for i in range(graph.n)])
     write_rows_csv(outdir / "edit_report.csv",
                    ["kind", "i", "j", "steps_1", "steps_2", "estimate_1", "estimate_2"],
-                   [(r["kind"], r["i"], r["j"],
-                     r["steps"][0] if r["steps"] else 0,
-                     r["steps"][1] if len(r["steps"]) > 1 else 0,
-                     r["estimates"][0] if r["estimates"] else 0.0,
-                     r["estimates"][1] if len(r["estimates"]) > 1 else 0.0)
+                   [(r["kind"], r["i"], r["j"], *r["steps"], *r["estimates"])
                     for r in result["edits"]])
     write_report(outdir / "report.json", {
         "n": graph.n,
@@ -499,34 +495,29 @@ def _cmd_bounds(args) -> int:
 # -----------------------------------------------------------------------------
 # Demos
 
-def _norm2_implicit(ref, u, x, v, iters=80) -> float:
-    """Spectral norm of ref - U X V^* by power iteration on the implicit
-    operator; avoids forming the difference when n is large."""
+def _norm2_implicit(ref, u, x, v) -> float:
+    """Spectral norm of E = ref - U X V^*, without forming E: the square
+    root of the largest Ritz value of Lanczos on E^* E, grown until that
+    value, nondecreasing in exact arithmetic, stops increasing or the
+    process breaks down."""
     n = ref.shape[0]
-    refh = ref.conj().T
     vec = np.full(n, 1.0 / np.sqrt(n), dtype=complex if np.iscomplexobj(ref) or np.iscomplexobj(u) else float)
     vec += 1e-3 * np.cos(np.arange(n))
-    vec /= np.linalg.norm(vec)
+    refh, uh, vh, xh = ref.conj().T, u.conj().T, v.conj().T, x.conj().T
 
-    def fwd(t):
-        return ref @ t - u @ (x @ (v.conj().T @ t))
+    def normal(t):
+        w = ref @ t - u @ (x @ (vh @ t))
+        return refh @ w - v @ (xh @ (uh @ w))
 
-    def adj(t):
-        return refh @ t - v @ (x.conj().T @ (u.conj().T @ t))
-
-    sigma = 0.0
-    for _ in range(iters):
-        w = fwd(vec)
-        z = adj(w)
-        zn = np.linalg.norm(z)
-        if zn == 0.0:
-            return 0.0
-        new_sigma = np.sqrt(zn)
-        vec = z / zn
-        if abs(new_sigma - sigma) <= 1e-10 * max(new_sigma, 1e-300):
-            return float(new_sigma)
-        sigma = new_sigma
-    return float(sigma)
+    proc = LanczosProcess(normal, vec)
+    top = 0.0
+    while not proc.breakdown:
+        proc.advance(1)
+        ritz = float(np.linalg.eigvalsh(proc.compressed())[-1])
+        if ritz <= top:
+            break
+        top = ritz
+    return float(np.sqrt(top))
 
 
 def _demo_reorth(outdir, rng, size, max_m):
@@ -723,38 +714,24 @@ def _demo_decay(outdir, rng, size, max_m):
     k = n // 2
     l = n // 2 - 1
     f = FunctionSpec.inverse_sqrt()
-    a = SparseMatrix.from_coo(
-        n,
-        [i for i in range(n)] + [i for i in range(n - 1)] + [i + 1 for i in range(n - 1)],
-        [i for i in range(n)] + [i + 1 for i in range(n - 1)] + [i for i in range(n - 1)],
-        [3.0] * n + [-1.0] * (2 * (n - 1)),
-        symmetry_flag=True,
-    )
-    a_dense = a.to_dense()
-    ek = np.zeros(n)
-    ek[k] = 1.0
-    el = np.zeros(n)
-    el[l] = 1.0
-    fmat = dense_update_reference(a_dense, ek.reshape(-1, 1), el.reshape(-1, 1), f)
+    eye = np.eye(n)
+    a_dense = 3.0 * eye - np.eye(n, k=1) - np.eye(n, k=-1)
+    a = SparseMatrix.from_dense(a_dense, symmetry_flag=True)
+    fmat = dense_update_reference(a_dense, eye[:, [k]], eye[:, [l]], f)
     params = bnd.decay_params_from_matrix(a_dense, f, k, l)
-    dist_k = graph_distances(a, k)
-    dist_l = graph_distances(a, l)
-    bound = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            bound[i, j] = bnd.stieltjes_update_decay(params, int(dist_k[i]), int(dist_l[j]))
-    level = bound > 1e-10
-    outside_max = float(np.abs(fmat[~level]).max()) if np.any(~level) else 0.0
+    # the operator is a connected path, so every distance is finite, and the
+    # bound depends on a pair of distances only through their sum
+    dist_sum = graph_distances(a, k).astype(int)[:, None] + graph_distances(a, l).astype(int)
+    profile = np.array([bnd.stieltjes_update_decay(params, s, 0)
+                        for s in range(max(int(dist_sum.max()), 60) + 1)])
+    level = profile[dist_sum] > 1e-10
+    outside_max = float(np.abs(fmat[~level]).max(initial=0.0))
     half = 40
     window = np.abs(fmat[k - half:k + half + 1, l - half:l + half + 1])
     write_matrix_csv(outdir / "decay_window.csv", window)
-    rows = []
-    for s in range(0, 61):
-        mask = (dist_k[:, None] + dist_l[None, :]) == s
-        rows.append((s, float(np.abs(fmat[mask]).max()) if np.any(mask) else 0.0,
-                     bnd.stieltjes_update_decay(params, s, 0)))
-    write_rows_csv(outdir / "decay_profile.csv",
-                   ["distance_sum", "max_entry", "bound"], rows)
+    write_rows_csv(outdir / "decay_profile.csv", ["distance_sum", "max_entry", "bound"],
+                   [(s, np.abs(fmat[dist_sum == s]).max(initial=0.0), profile[s])
+                    for s in range(61)])
     write_report(outdir / "decay.json", {
         "n": n, "k": k, "l": l,
         "lmin": params.lmin, "lmax": params.lmax,

@@ -6,10 +6,12 @@ same length it produces. Dense matrices and vectors are plain numpy arrays.
 
 from __future__ import annotations
 
+import re
 import warnings
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -219,6 +221,23 @@ def loadtxt_quiet(source, **kwargs) -> np.ndarray:
         return np.loadtxt(source, ndmin=1, **kwargs)
 
 
+def _at_file_line(path, cause) -> str:
+    """numpy's ``loadtxt`` message ``cause``, less its advice on its API,
+    with its "at row R" turned into the 1-based line of ``path`` that holds
+    the entry. numpy counts entries, the lines with content once comments
+    are cut, from 0 in conversion errors and from 1 in the others; in the
+    file, the size line is the first line with content."""
+    cause = cause.partition("; use `usecols`")[0]
+    found = re.search(r"at row (\d+)", cause)
+    if found is None:
+        return cause
+    entry = int(found[1]) + cause.startswith("could not convert")
+    with open(path, "r", encoding="ascii") as fh:
+        lines = (k for k, ln in enumerate(fh, 1) if ln.partition("%")[0].strip())
+        line = next(islice(lines, entry, None), None)
+    return cause if line is None else cause.replace(found[0], f"at line {line}", 1)
+
+
 def load_matrix_market(path) -> SparseMatrix:
     """Reads a Matrix Market file into CSR storage.
 
@@ -226,8 +245,9 @@ def load_matrix_market(path) -> SparseMatrix:
     and pattern fields and general/symmetric/hermitian headers. Only square
     matrices are accepted since everything here is used as an operator.
     The body goes through one ``np.loadtxt`` call: ``%`` starts a comment
-    anywhere in it, blank lines are skipped, and numbers parse as Python's
-    ``float`` does, digit-grouping underscores aside. Pattern entries get
+    anywhere in it, as on the size line, blank lines are skipped, numbers
+    parse as Python's ``float`` does, digit-grouping underscores aside, and
+    a malformed entry is reported with its file line. Pattern entries get
     the value 1.0, and a complex file is stored as complex128 (the others
     as float64). Array bodies are column major, the symmetric ones the
     packed lower triangle, and their zeros are not stored. Symmetric and
@@ -254,7 +274,7 @@ def load_matrix_market(path) -> SparseMatrix:
             raise MatrixMarketError("array format cannot use the pattern field")
 
         try:
-            size_tokens = next(ln for ln in map(str.strip, fh) if ln and not ln.startswith("%")).split()
+            size_tokens = next(t for t in (ln.partition("%")[0].split() for ln in fh) if t)
         except StopIteration:
             raise MatrixMarketError("missing size line") from None
         if fmt == "coordinate":
@@ -275,8 +295,7 @@ def load_matrix_market(path) -> SparseMatrix:
         try:
             body = loadtxt_quiet(fh, dtype=fields, comments="%")
         except ValueError as exc:
-            cause = str(exc).partition("; use `usecols`")[0]  # less numpy's advice on its API
-            raise MatrixMarketError(f"malformed body line: {cause}") from None
+            raise MatrixMarketError(f"malformed body line: {_at_file_line(path, str(exc))}") from None
 
     if field == "pattern":
         vals = np.ones(len(body))

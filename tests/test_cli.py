@@ -12,13 +12,15 @@ import numpy as np
 import pytest
 
 import funupdate
-from funupdate import (FunctionSpec, Graph, OracleScaleError, SolveOptions, SparseMatrix, cli,
-                       densefun, gen_convdiff1d, gen_laplace2d)
+from funupdate import (FunctionSpec, GeneralProblem, Graph, OracleScaleError, SolveOptions,
+                       SparseMatrix, cli, decay_params_from_matrix, dense_update_reference,
+                       densefun, gen_convdiff1d, gen_laplace2d, graph_distances,
+                       stieltjes_update_decay)
 from funupdate.cli import (_CSV_CHUNK_ROWS, EdgeOp, _fmt, _solve_options, build_parser, main,
                            subgraph_centrality_baseline, update_subgraph_centrality,
                            write_matrix_csv, write_rows_csv)
 from funupdate.densefun import eval_matrix_function
-from helpers import MIRRORED_DUPLICATES
+from helpers import MIRRORED_DUPLICATES, tridiag_sparse
 
 IDENTITY3 = """%%MatrixMarket matrix coordinate real symmetric
 3 3 3
@@ -909,13 +911,45 @@ class TestDemoCommand:
         report = json.loads((out / "convdiff.json").read_text())
         assert set(report["steps_to_1e-6"]) == {"20", "40", "60"}
 
+    def test_wedge_error_norm_matches_the_dense_norm(self):
+        # at these m a fixed count of power iterations misses by over 1e-6
+        rng = np.random.default_rng(1)
+        n = 300
+        eigs = cli._wedge_samples(rng, n, 1.5, 100.0)
+        b = rng.standard_normal(n)
+        b /= np.linalg.norm(b)
+        ref = dense_update_reference(np.diag(eigs), -b[:, None], b[:, None], cli._EXP)
+        prob = GeneralProblem(lambda x: eigs * x, lambda x: np.conj(eigs) * x, -b, b, cli._EXP)
+        prob.grow(85)
+        for m in (80, 85):
+            fac = prob.factor(m)
+            want = densefun.spectral_norm(ref - fac.U @ fac.X @ fac.V.conj().T)
+            assert abs(cli._norm2_implicit(ref, fac.U, fac.X, fac.V) - want) <= 1e-9 * want
+
     def test_decay_smoke_confined(self, tmp_path):
         out = tmp_path / "demo"
+        n = 120
         assert main(["demo", "--name", "decay", "--seed", "7",
-                     "--size", "120", "--output-dir", str(out)]) == 0
+                     "--size", str(n), "--output-dir", str(out)]) == 0
         report = json.loads((out / "decay.json").read_text())
         assert report["confined"]
         assert report["max_entry_outside_level_set"] < 1e-10
+        # the level set of the entrywise bound, one bound call per entry
+        k, l = n // 2, n // 2 - 1
+        a = tridiag_sparse(n, -1.0, 3.0, -1.0)
+        f = FunctionSpec.inverse_sqrt()
+        params = decay_params_from_matrix(a.to_dense(), f, k, l)
+        dist_k, dist_l = graph_distances(a, k), graph_distances(a, l)
+        bound = np.array([[stieltjes_update_decay(params, int(dk), int(dl)) for dl in dist_l]
+                          for dk in dist_k])
+        level = bound > 1e-10
+        assert level.any() and not level.all()
+        unit = np.eye(n)
+        fmat = dense_update_reference(a.to_dense(), unit[:, [k]], unit[:, [l]], f)
+        assert report["max_entry_outside_level_set"] == np.abs(fmat[~level]).max()
+        _, rows = read_csv(out / "decay_profile.csv")
+        assert [float(r[2]) for r in rows] == [stieltjes_update_decay(params, s, 0)
+                                               for s in range(61)]
 
     def test_seeded_runs_are_bitwise_reproducible(self, tmp_path):
         outs = []

@@ -179,6 +179,23 @@ class TestMatrixMarket:
 """))
         _assert_same_bits(a.values, np.array([1.0, -0.0]))
 
+    @pytest.mark.parametrize("fmt,size", [("coordinate", "2 2 2"), ("array", "2 2")])
+    def test_size_line_comment_is_skipped(self, tmp_path, fmt, size):
+        body = "1 1 1.0\n2 2 -1.0\n" if fmt == "coordinate" else "1.0\n0\n0\n-1.0\n"
+        a = load_matrix_market(write(tmp_path, f"%%MatrixMarket matrix {fmt} real general\n"
+                                               f"{size} % size\n{body}"))
+        np.testing.assert_array_equal(a.to_dense(), [[1.0, 0.0], [0.0, -1.0]])
+
+    @pytest.mark.parametrize("entry,message", [
+        ("2 x 1.0", "could not convert string 'x' to int64 at line 5, column 2."),
+        ("2 2 1.0 5.0", "requires 3 columns but 4 were found at line 5"),
+    ])
+    def test_malformed_entry_names_its_file_line(self, tmp_path, entry, message):
+        path = write(tmp_path, "%%MatrixMarket matrix coordinate real general\n"
+                               f"2 2 2\n1 1 1.0\n% the bad entry follows\n{entry}\n")
+        with pytest.raises(MatrixMarketError, match=re.escape(message) + "$"):
+            load_matrix_market(path)
+
     @pytest.mark.parametrize("body", ["1 1 2.0 1.0\n2 2 3.0 0.0", "2 2 3.0 0.0\n1 1 2.0 -inf"])
     def test_rejects_non_real_hermitian_diagonal(self, tmp_path, body):
         with pytest.raises(MatrixMarketError, match=re.escape("imaginary part at (1, 1)")):
