@@ -16,11 +16,9 @@ from .densefun import (EigenDecomposition, FunctionSpec, eigen_decompose,
                        is_hermitian, scalar_derivative, scalar_values, spectral_norm)
 from .errors import (DomainError, MatrixMarketError, NonFiniteOperatorError,
                      OracleScaleError)
-from .krylov import (ArnoldiProcess, KrylovDecomposition, LanczosProcess, arnoldi,
-                     as_operator, lanczos)
-from .oracle import block_lemma_check, dense_update_reference, telescope_check
-from .sparse import (Graph, SparseMatrix, check_declared_symmetry, gen_convdiff1d,
-                     gen_laplace2d, graph_distance, graph_distances,
+from .krylov import ArnoldiProcess, LanczosProcess, as_operator
+from .oracle import block_lemma_check, dense_update_reference
+from .sparse import (Graph, SparseMatrix, gen_convdiff1d, gen_laplace2d, graph_distances,
                      load_matrix_market, spmv)
 from .update import (GeneralProblem, HermitianProblem, LowRankModification,
                      SolveOptions, UpdateFactor, error_estimate, extract_diagonal,

@@ -26,8 +26,6 @@ KINDS = ("exp", "invsqrt", "inverse", "invpower", "log1p-over-z", "polynomial", 
 # resolvent's pole is its shift; exp and polynomials have none.
 _SINGULAR_SETS = {"invsqrt": ("cut", 0.0), "invpower": ("cut", 0.0),
                   "log1p-over-z": ("cut", -1.0), "inverse": ("pole", 0.0)}
-# Markov functions: their measure lives on the cut, or at the pole 0 of 1/x.
-_MARKOV_KINDS = ("invsqrt", "invpower", "inverse", "log1p-over-z")
 
 
 @dataclass(frozen=True)
@@ -90,20 +88,11 @@ class FunctionSpec:
         return cls("resolvent", shift=shift)
 
     @property
-    def markov_support(self) -> tuple | None:
-        """(alpha, beta) support interval of the representing measure, or None."""
-        return (-math.inf, self.singular_set[1]) if self.is_markov else None
-
-    @property
     def singular_set(self) -> tuple | None:
         """("cut", c) for the branch cut (-inf, c], ("pole", z), or None."""
         if self.kind == "resolvent":
             return ("pole", self.shift)
         return _SINGULAR_SETS.get(self.kind)
-
-    @property
-    def is_markov(self) -> bool:
-        return self.kind in _MARKOV_KINDS
 
     def label(self) -> str:
         if self.kind == "invpower":

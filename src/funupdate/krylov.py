@@ -10,15 +10,13 @@ vector with one product against the stored basis and runs CGS2 only on
 the steps where that loss exceeds ``_REORTH_TRIGGER``. Above
 ``_DEFER_BYTES`` of basis that measurement is batched: one product per
 block of up to ``_DEFER_BLOCK`` steps, with a rollback to the first
-failing step, which is then replayed probe by probe. Both are exposed as
-single-shot functions and as incrementally extensible processes so that
-callers can grow a decomposition while monitoring convergence.
+failing step, which is then replayed probe by probe. Both grow step by
+step, so that callers can monitor convergence as the basis grows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,29 +76,6 @@ def as_operator(a):
     raise TypeError(f"cannot interpret {type(a).__name__} as an operator")
 
 
-@dataclass
-class KrylovDecomposition:
-    """Outcome of m Krylov steps: A U_m = U_m G_m + next_norm * u_{m+1} e_m^*.
-
-    ``basis`` holds U_m columnwise, ``compressed`` is G_m (tridiagonal for
-    Lanczos, upper Hessenberg for Arnoldi), ``next_norm`` the trailing
-    recurrence norm, ``next_vector`` the would-be next basis vector (None
-    after breakdown) and ``start_norm`` the norm of the starting vector.
-    ``basis`` and ``next_vector`` are read-only views of the process's buffer.
-    """
-
-    basis: np.ndarray
-    compressed: np.ndarray
-    next_norm: float
-    next_vector: np.ndarray | None
-    start_norm: float
-    breakdown: bool = False
-
-    @property
-    def m(self) -> int:
-        return self.compressed.shape[0]
-
-
 class ArnoldiProcess:
     """Arnoldi process for a general operator, and the one process kernel.
 
@@ -110,7 +85,9 @@ class ArnoldiProcess:
     writes column j of the coefficients as (Q^* A u_j, beta), which makes
     the leading m x m block the Hessenberg matrix. Basis accessors return
     read-only views, which never change: growth writes no finished column,
-    and a buffer it replaces stays alive under its views.
+    and a buffer it replaces stays alive under its views. ``advance`` stops
+    at a breakdown, a residual norm at most n eps times the largest
+    coefficient seen, where the Krylov space is invariant.
     """
 
     def __init__(self, apply_a, b):
@@ -187,10 +164,10 @@ class ArnoldiProcess:
         if not self.breakdown:
             r /= beta
 
-    def _checked(self, m, lo=0) -> int:
+    def _checked(self, m) -> int:
         m = self.dimension if m is None else m
-        if not lo <= m <= self.dimension:
-            raise ValueError(f"m = {m} is outside {lo}..{self.dimension}: "
+        if not 0 <= m <= self.dimension:
+            raise ValueError(f"m = {m} is outside 0..{self.dimension}: "
                              f"the {type(self).__name__} has dimension {self.dimension}")
         return m
 
@@ -202,14 +179,6 @@ class ArnoldiProcess:
     def compressed(self, m=None) -> np.ndarray:
         m = self._checked(m)
         return self._h[:m, :m].copy()
-
-    def decomposition(self, m=None) -> KrylovDecomposition:
-        m = self._checked(m, lo=1)
-        broke = self.breakdown and m == self.dimension
-        q = self._q[:, : m + 1]
-        q.flags.writeable = False
-        return KrylovDecomposition(q[:, :m], self.compressed(m), float(np.real(self._h[m, m - 1])),
-                                   None if broke else q[:, m], self.start_norm, broke)
 
 
 class LanczosProcess(ArnoldiProcess):
@@ -307,26 +276,3 @@ class LanczosProcess(ArnoldiProcess):
             off = h.diagonal(-1)[: m - 1].astype(np.float64)
             g += np.diag(off, 1) + np.diag(off, -1)
         return g
-
-
-def lanczos(apply_a, b, m, reorth="full") -> KrylovDecomposition:
-    """Runs m Lanczos steps for a Hermitian operator.
-
-    Returns early with the breakdown flag set when the recurrence norm
-    falls below n*eps times the largest coefficient seen, in which case the
-    Krylov space is invariant and the decomposition exact.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    proc = LanczosProcess(apply_a, b, reorth=reorth)
-    proc.advance(m)
-    return proc.decomposition()
-
-
-def arnoldi(apply_a, b, m) -> KrylovDecomposition:
-    """Runs m Arnoldi steps; Hessenberg compression, breakdown as in lanczos."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    proc = ArnoldiProcess(apply_a, b)
-    proc.advance(m)
-    return proc.decomposition()

@@ -34,33 +34,6 @@ def dense_update_reference(a, b, c, f: FunctionSpec) -> np.ndarray:
     return eval_matrix_function(modified, f) - eval_matrix_function(a, f)
 
 
-def telescope_check(m, n, j) -> float:
-    """Residual of the power-difference identity
-
-        M^j - N^j = sum_{k=0}^{j-1} N^(j-1-k) (M - N) M^k
-
-    which underpins exactness of the projected updates."""
-    m = np.asarray(m)
-    n = np.asarray(n)
-    if m.shape != n.shape or m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("M and N must be square and of equal size")
-    if j < 0:
-        raise ValueError("power must be nonnegative")
-    dim = m.shape[0]
-    dtype = np.result_type(m, n)
-    lhs = np.linalg.matrix_power(m.astype(dtype), j) - np.linalg.matrix_power(n.astype(dtype), j)
-    rhs = np.zeros_like(lhs)
-    diff = (m - n).astype(dtype)
-    m_pow = np.eye(dim, dtype=dtype)
-    n_pows = [np.eye(dim, dtype=dtype)]
-    for _ in range(j - 1):
-        n_pows.append(n_pows[-1] @ n)
-    for k in range(j):
-        rhs += n_pows[j - 1 - k] @ diff @ m_pow
-        m_pow = m_pow @ m
-    return float(np.linalg.norm(lhs - rhs, 2))
-
-
 def block_lemma_check(a, b, c, f: FunctionSpec) -> float:
     """Residual between the (1,2) block of f applied to
 

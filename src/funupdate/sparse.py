@@ -193,18 +193,6 @@ def _stored_as_conjugate_transpose(a: SparseMatrix) -> bool:
                 and np.array_equal(a.values, np.conj(a.values[perm])))
 
 
-def check_declared_symmetry(a: SparseMatrix) -> None:
-    """Verifies that the stored pattern and values satisfy A = A^*.
-
-    Raises ValueError on a violation; a NaN never equals its mirror.
-    ``load_matrix_market`` does not need it: mirroring makes what it loads
-    equal its conjugate transpose, and the one exception, a Hermitian
-    diagonal entry that is not real, it rejects itself.
-    """
-    if not _stored_as_conjugate_transpose(a):
-        raise ValueError("matrix marked symmetric/Hermitian but storage is not")
-
-
 # -----------------------------------------------------------------------------
 # Matrix Market input
 
@@ -273,18 +261,17 @@ def load_matrix_market(path) -> SparseMatrix:
         if fmt == "array" and field == "pattern":
             raise MatrixMarketError("array format cannot use the pattern field")
 
-        try:
-            size_tokens = next(t for t in (ln.partition("%")[0].split() for ln in fh) if t)
-        except StopIteration:
-            raise MatrixMarketError("missing size line") from None
-        if fmt == "coordinate":
-            if len(size_tokens) != 3:
-                raise MatrixMarketError("coordinate size line must be 'rows cols nnz'")
-            nrows, ncols, nnz = (int(t) for t in size_tokens)
-        else:
-            if len(size_tokens) != 2:
-                raise MatrixMarketError("array size line must be 'rows cols'")
-            nrows, ncols = (int(t) for t in size_tokens)
+        size_line = next((ln for ln in fh if ln.partition("%")[0].strip()), None)
+        if size_line is None:
+            raise MatrixMarketError("missing size line")
+        size_tokens = size_line.partition("%")[0].split()
+        if fmt == "coordinate" and len(size_tokens) != 3:
+            raise MatrixMarketError("coordinate size line must be 'rows cols nnz'")
+        if fmt == "array" and len(size_tokens) != 2:
+            raise MatrixMarketError("array size line must be 'rows cols'")
+        if not all(t.isdigit() for t in size_tokens):
+            raise MatrixMarketError(f"size line must hold nonnegative integers: {size_line.strip()!r}")
+        nrows, ncols = (int(t) for t in size_tokens[:2])
         if nrows != ncols:
             raise MatrixMarketError(f"non-square matrix ({nrows}x{ncols}) cannot be used as an operator")
         n = nrows
@@ -311,6 +298,7 @@ def load_matrix_market(path) -> SparseMatrix:
         if bad.size:
             raise MatrixMarketError(f"index out of range in entry {bad[0] + 1}: "
                                     f"({rows[bad[0]] + 1}, {cols[bad[0]] + 1})")
+        nnz = int(size_tokens[2])
         if len(body) != nnz:
             raise MatrixMarketError(f"expected {nnz} entries, found {len(body)}")
     else:
@@ -372,14 +360,6 @@ def graph_distances(a: SparseMatrix, source: int) -> np.ndarray:
                 dist[j] = dist[i] + 1.0
                 queue.append(int(j))
     return dist
-
-
-def graph_distance(a: SparseMatrix, i: int, j: int) -> float:
-    """Shortest-path length between nodes i and j; inf when disconnected."""
-    _check_range("node", (i, j), a.n)
-    if i == j:
-        return 0.0
-    return float(graph_distances(a, i)[j])
 
 
 @dataclass(frozen=True)

@@ -441,7 +441,7 @@ def rank_k_update(apply_a, apply_a_adj, mod: LowRankModification, f: FunctionSpe
     adj = as_operator(apply_a_adj)
     q, s, floor = _compressed(mod)
     w, svals, zh = np.linalg.svd(s)
-    r = int(np.sum(svals > max(mod.k * np.finfo(float).eps * svals[0], floor)))
+    r = int(np.sum(svals > max(mod.k * np.finfo(float).eps * svals.max(initial=0.0), floor)))
     bs = q @ (w[:, :r] * svals[:r])
     cs = q @ zh[:r, :].conj().T
     fwd_pairs: list = []

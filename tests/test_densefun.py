@@ -543,12 +543,6 @@ class TestFunctionSpec:
         with pytest.raises(ValueError):
             FunctionSpec.polynomial([np.inf])
 
-    def test_markov_support(self):
-        assert INVSQRT.markov_support == (-np.inf, 0.0)
-        assert FunctionSpec.scaled_log().markov_support == (-np.inf, -1.0)
-        assert EXP.markov_support is None
-        assert INVSQRT.is_markov and not EXP.is_markov
-
     def test_function_from_name(self):
         assert function_from_name("exp").kind == "exp"
         assert function_from_name("invpower:0.25").power == 0.25

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from funupdate import (FunctionSpec, OracleScaleError, block_lemma_check,
-                       dense_update_reference, expm_dense, spectral_norm,
-                       telescope_check)
+                       dense_update_reference, expm_dense, spectral_norm)
 from funupdate.densefun import eigen_decompose, scalar_values
 from helpers import make_general, make_hermitian, make_spd, unit
 
@@ -52,24 +51,6 @@ class TestDenseUpdateReference:
         via_eig = (dec.eigenvectors * scalar_values(EXP, dec.eigenvalues)) @ dec.eigenvectors.conj().T
         via_pade = expm_dense(m)
         assert spectral_norm(via_eig - via_pade) <= 1e-9 * spectral_norm(via_eig)
-
-
-class TestTelescopeIdentity:
-    def test_trivial_powers(self):
-        rng = np.random.default_rng(5)
-        m, n = make_general(rng, 6), make_general(rng, 6)
-        assert telescope_check(m, n, 0) == 0.0
-        assert telescope_check(m, n, 1) <= 1e-15
-
-    def test_random_pair(self):
-        rng = np.random.default_rng(6)
-        m, n = make_general(rng, 8), make_general(rng, 8)
-        scale = max(spectral_norm(m), spectral_norm(n)) ** 6
-        assert telescope_check(m, n, 6) <= 1e-11 * max(scale, 1.0)
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            telescope_check(np.eye(2), np.eye(3), 2)
 
 
 class TestBlockLemma:

@@ -8,9 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from funupdate import sparse
-from funupdate import (Graph, MatrixMarketError, SparseMatrix, check_declared_symmetry,
-                       gen_convdiff1d, gen_laplace2d, graph_distance, graph_distances,
-                       lanczos, load_matrix_market, spmv)
+from funupdate import (Graph, LanczosProcess, MatrixMarketError, SparseMatrix, gen_convdiff1d,
+                       gen_laplace2d, graph_distances, load_matrix_market, spmv)
 from helpers import MIRRORED_DUPLICATES, random_sparse, tridiag_sparse
 
 
@@ -185,6 +184,14 @@ class TestMatrixMarket:
         a = load_matrix_market(write(tmp_path, f"%%MatrixMarket matrix {fmt} real general\n"
                                                f"{size} % size\n{body}"))
         np.testing.assert_array_equal(a.to_dense(), [[1.0, 0.0], [0.0, -1.0]])
+
+    @pytest.mark.parametrize("fmt,size", [("coordinate", "2 2 2.5"), ("array", "2 x"),
+                                          ("coordinate", "-2 -2 0"), ("array", "2 +2")])
+    def test_size_line_of_nonnegative_integers(self, tmp_path, fmt, size):
+        path = write(tmp_path, f"%%MatrixMarket matrix {fmt} real general\n{size} % size\n1 1 1.0\n")
+        message = f"size line must hold nonnegative integers: '{size} % size'"
+        with pytest.raises(MatrixMarketError, match=re.escape(message) + "$"):
+            load_matrix_market(path)
 
     @pytest.mark.parametrize("entry,message", [
         ("2 x 1.0", "could not convert string 'x' to int64 at line 5, column 2."),
@@ -438,29 +445,23 @@ class TestPaddedLayout:
 class TestGraphDistance:
     def test_same_node(self):
         a = tridiag_sparse(6, -1.0, 3.0, -1.0)
-        assert graph_distance(a, 3, 3) == 0.0
+        assert graph_distances(a, 3)[3] == 0.0
 
     def test_tridiagonal_distance_is_index_gap(self):
         a = tridiag_sparse(12, -1.0, 3.0, -1.0)
-        assert graph_distance(a, 5, 9) == 4.0
         dists = graph_distances(a, 5)
         np.testing.assert_allclose(dists, np.abs(np.arange(12) - 5))
 
     def test_disconnected_blocks(self):
         a = SparseMatrix.from_coo(4, [0, 1, 2, 3], [1, 0, 3, 2], np.ones(4))
-        assert graph_distance(a, 0, 3) == np.inf
+        assert graph_distances(a, 0)[3] == np.inf
 
     def test_symmetry_of_distances(self):
         rng = np.random.default_rng(3)
         a = random_sparse(rng, 30, density=0.06)
         for _ in range(20):
             i, j = rng.integers(0, 30, size=2)
-            assert graph_distance(a, int(i), int(j)) == graph_distance(a, int(j), int(i))
-
-    def test_index_out_of_range(self):
-        a = tridiag_sparse(3, -1.0, 3.0, -1.0)
-        with pytest.raises(ValueError, match=r"node 5 outside 0\.\.2 \(n = 3\)"):
-            graph_distance(a, 0, 5)
+            assert graph_distances(a, int(i))[j] == graph_distances(a, int(j))[i]
 
     def test_source_out_of_range(self):
         a = tridiag_sparse(3, -1.0, 3.0, -1.0)
@@ -504,8 +505,9 @@ class TestGenerators:
     def test_laplace2d_positive_definite_by_lanczos(self):
         a = gen_laplace2d(12)
         rng = np.random.default_rng(0)
-        dec = lanczos(a.matvec, rng.standard_normal(a.n), 20)
-        ritz = np.linalg.eigvalsh(dec.compressed)
+        proc = LanczosProcess(a.matvec, rng.standard_normal(a.n))
+        proc.advance(20)
+        ritz = np.linalg.eigvalsh(proc.compressed())
         assert np.all(ritz > 0)
         assert np.array_equal(a.to_dense(), a.to_dense().T)
 
@@ -692,8 +694,8 @@ def csr_of_entries(n, entries) -> SparseMatrix:
 
 
 def transpose_symmetric(a: SparseMatrix) -> bool:
-    """The former symmetry check of ``Graph`` and ``check_declared_symmetry``:
-    build A^* and compare the stored arrays."""
+    """The former symmetry check of ``Graph``: build A^* and compare the
+    stored arrays."""
     ah = a.conjugate_transpose()
     return (np.array_equal(a.row_ptr, ah.row_ptr) and np.array_equal(a.col_idx, ah.col_idx)
             and np.array_equal(a.values, ah.values))
@@ -761,11 +763,7 @@ def is_adjacency_apart_from_symmetry(a: SparseMatrix) -> bool:
 @example(csr_of_entries(2, [(0, 0, -2.5), (0, 1, -2.5), (1, 0, -2.5)]))  # real symmetric
 def test_symmetry_check_matches_transpose_reference(a):
     symmetric = transpose_symmetric(a)
-    if symmetric:
-        check_declared_symmetry(a)
-    else:
-        with pytest.raises(ValueError, match="marked symmetric/Hermitian but storage is not"):
-            check_declared_symmetry(a)
+    assert sparse._stored_as_conjugate_transpose(a) == symmetric
     if not is_adjacency_apart_from_symmetry(a):
         return
     if symmetric:

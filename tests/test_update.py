@@ -758,6 +758,12 @@ class TestRankK:
         mod = LowRankModification(np.ones((10, 2)), np.zeros((10, 2)))
         assert rank_k_update(lambda x: a @ x, lambda x: a.T @ x, mod, EXP) == []
 
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_rank_zero_modification_gives_no_factors(self, hermitian):
+        a = make_hermitian(np.random.default_rng(33), 6)
+        mod = LowRankModification(np.zeros((6, 0)), np.zeros((6, 0)), hermitian_flag=hermitian)
+        assert rank_k_update(lambda x: a @ x, lambda x: a.T @ x, mod, EXP) == []
+
     def test_cancelling_factors_give_no_factors(self):
         # B C^* = u v^* - u v^* is zero; S holds only the rounding of the QR,
         # which is large next to k eps times its own largest singular value
