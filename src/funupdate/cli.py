@@ -36,7 +36,7 @@ from .errors import (DomainError, MatrixMarketError, NonFiniteOperatorError,
 from .krylov import LanczosProcess
 from .oracle import DENSE_UPDATE_LIMIT, dense_update_reference
 from .sparse import (Graph, SparseMatrix, gen_convdiff1d, gen_laplace2d,
-                     graph_distances, load_matrix_market, loadtxt_quiet)
+                     graph_distances, load_matrix_market, loadtxt_quiet, open_ascii)
 from .update import (LOOKAHEAD, GeneralProblem, HermitianProblem, LowRankModification,
                      SolveOptions, error_estimate, extract_diagonal, general_update,
                      hermitian_update, rank_k_update)
@@ -119,7 +119,8 @@ def parse_vector_spec(text, n, rng) -> np.ndarray:
         v = np.zeros(n)
         v[k - 1] = 1.0
         return v
-    vec = loadtxt_quiet(text, dtype=complex, comments=None, encoding="ascii")
+    with open_ascii(text) as fh:
+        vec = loadtxt_quiet(fh, dtype=complex, comments=None)
     if vec.ndim != 1:
         raise ValueError("vector file must hold one value per line")
     if np.all(vec.imag == 0):
@@ -277,14 +278,21 @@ def edge_modification(op: EdgeOp, n) -> LowRankModification:
 
 
 def read_edits_csv(path) -> list:
+    """Edge edits from CSV rows kind,i,j, skipping blank rows and rows whose
+    first field starts with '#'; a malformed row is an input error that
+    names its file line."""
     edits = []
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        for row in csv.reader(fh):
+    with open_ascii(path, newline="") as fh:
+        rows = csv.reader(fh)
+        for row in rows:
             if not row or row[0].strip().startswith("#"):
                 continue
-            if len(row) != 3:
-                raise ValueError(f"edit rows must be kind,i,j; got {row!r}")
-            edits.append(EdgeOp(row[0].strip(), int(row[1]), int(row[2])))
+            try:
+                if len(row) != 3:
+                    raise ValueError(f"edit rows must be kind,i,j; got {row!r}")
+                edits.append(EdgeOp(row[0].strip(), int(row[1]), int(row[2])))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {rows.line_num}: {exc}") from None
     return edits
 
 
@@ -302,32 +310,23 @@ def subgraph_centrality_baseline(graph: Graph) -> np.ndarray:
     return (q * q) @ scalar_values(_EXP, dec.eigenvalues)
 
 
-def _fold(diag: np.ndarray, deltas: list) -> np.ndarray:
-    """diag + deltas[0] + deltas[1] + ..., summed left to right; empties deltas."""
-    for delta in deltas:
-        diag = diag + delta
-    deltas.clear()
-    return diag
-
-
 def update_subgraph_centrality(graph: Graph, edits, opts: SolveOptions) -> dict:
     """Applies edge edits to the subgraph-centrality vector.
 
     The baseline diag(exp(A)) is computed once, on a worker thread while
     the edits are solved in the calling thread (the dense eigensolver
     releases the interpreter lock). With one usable core the two would
-    only time-slice it, so the edits then wait for the baseline. Every edit contributes its diagonal
-    correction through two signed Hermitian rank-1 solves; corrections made
-    before the baseline is ready are held and then added in edit order, so
-    the sum is the one a sequential run forms. Centralities are
-    renormalized by the updated trace.
+    only time-slice it, so the edits then wait for the baseline. Every edit
+    contributes its diagonal correction through two signed Hermitian rank-1
+    solves. The corrections are summed in edit order and added to the
+    baseline once, so the result does not depend on when the baseline
+    finishes. Centralities are renormalized by the updated trace.
     """
     _check_baseline_scale(graph)
     current = graph
     records = []
     engine_seconds = 0.0
-    diag = None
-    held = []  # per-edit corrections waiting for the baseline
+    correction = np.zeros(graph.n)
     with ThreadPoolExecutor(max_workers=1) as pool:
         pending = pool.submit(subgraph_centrality_baseline, graph)
         if _usable_cores() == 1:
@@ -341,13 +340,9 @@ def update_subgraph_centrality(graph: Graph, edits, opts: SolveOptions) -> dict:
             matvec = current.adjacency.matvec
             t0 = time.perf_counter()
             factors = rank_k_update(matvec, matvec, mod, _EXP, opts)
-            delta = np.zeros(current.n)
             for fac in factors:
-                delta += extract_diagonal(fac).real
+                correction += extract_diagonal(fac).real
             engine_seconds += time.perf_counter() - t0
-            held.append(delta)
-            if pending.done():
-                diag = _fold(pending.result() if diag is None else diag, held)
             current = current.with_edge(op.i, op.j, op.kind == "add")
             records.append({
                 "kind": op.kind,
@@ -358,13 +353,12 @@ def update_subgraph_centrality(graph: Graph, edits, opts: SolveOptions) -> dict:
                 "converged": all(f.converged for f in factors),
             })
         baseline = pending.result()
-    diag = _fold(baseline.copy() if diag is None else diag, held)
+    diag = baseline + correction
     return {
         "baseline_diag": baseline,
         "diag": diag,
         "baseline_centrality": baseline / baseline.sum(),
         "centrality": diag / diag.sum(),
-        "graph": current,
         "edits": records,
         "engine_seconds": engine_seconds,
     }
@@ -481,7 +475,7 @@ def _bounds_rows(spec: _BoundsSpec):
 
 
 def _cmd_bounds(args) -> int:
-    with open(args.spec, "r", encoding="ascii") as fh:
+    with open_ascii(args.spec) as fh:
         spec = json.load(fh)
     if not isinstance(spec, dict):
         raise ValueError(f"bounds spec must be a JSON object, got {type(spec).__name__}")

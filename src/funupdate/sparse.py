@@ -9,9 +9,11 @@ from __future__ import annotations
 import re
 import warnings
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 
@@ -209,6 +211,22 @@ def loadtxt_quiet(source, **kwargs) -> np.ndarray:
         return np.loadtxt(source, ndmin=1, **kwargs)
 
 
+@contextmanager
+def open_ascii(path, error=ValueError, newline=None):
+    """``open(path, "r", encoding="ascii", newline=newline)``, where a byte
+    that is not ASCII, met while the block reads the file, raises ``error``
+    naming the file and the 1-based line of its first such byte. The bytes
+    are searched only once decoding has failed."""
+    try:
+        with open(path, "r", encoding="ascii", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        pos = re.search(rb"[\x80-\xff]", data).start()
+        line = data.count(b"\n", 0, pos) + 1
+        raise error(f"{path}, line {line}: byte 0x{data[pos]:02x} is not ASCII") from None
+
+
 def _at_file_line(path, cause) -> str:
     """numpy's ``loadtxt`` message ``cause``, less its advice on its API,
     with its "at row R" turned into the 1-based line of ``path`` that holds
@@ -235,7 +253,8 @@ def load_matrix_market(path) -> SparseMatrix:
     The body goes through one ``np.loadtxt`` call: ``%`` starts a comment
     anywhere in it, as on the size line, blank lines are skipped, numbers
     parse as Python's ``float`` does, digit-grouping underscores aside, and
-    a malformed entry is reported with its file line. Pattern entries get
+    a malformed entry, like a byte that is not ASCII, is reported with its
+    file line. Pattern entries get
     the value 1.0, and a complex file is stored as complex128 (the others
     as float64). Array bodies are column major, the symmetric ones the
     packed lower triangle, and their zeros are not stored. Symmetric and
@@ -244,7 +263,7 @@ def load_matrix_market(path) -> SparseMatrix:
     Repeated entries are summed in general files and rejected in the
     others, counting mirrors.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    with open_ascii(path, MatrixMarketError) as fh:
         header = fh.readline()
         if not header.startswith("%%MatrixMarket"):
             raise MatrixMarketError("missing %%MatrixMarket header")
@@ -281,6 +300,8 @@ def load_matrix_market(path) -> SparseMatrix:
             field, [("re", np.float64)])
         try:
             body = loadtxt_quiet(fh, dtype=fields, comments="%")
+        except UnicodeDecodeError:
+            raise
         except ValueError as exc:
             raise MatrixMarketError(f"malformed body line: {_at_file_line(path, str(exc))}") from None
 

@@ -319,6 +319,42 @@ class TestVectorFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("spec", ["e0", "e4"])
+    def test_unit_vector_index_out_of_range_is_input_error(self, tmp_path, capsys, spec):
+        (tmp_path / "a.mtx").write_text(IDENTITY3)
+        assert main(["update", "--matrix", str(tmp_path / "a.mtx"), "--function", "exp",
+                     "--b", spec, "--output-dir", str(tmp_path / "o")]) == 2
+        assert f"error: unit vector index {spec[1:]} outside 1..3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestNonAsciiInput:
+    """A byte that is not ASCII in any input file is an input error that
+    names the file and the line of the first such byte."""
+
+    @pytest.mark.parametrize("argv, name, text, line", [
+        (["update", "--matrix", "{bad}", "--function", "exp", "--b", "ones",
+          "--output-dir", "{out}"],
+         "bad.mtx", IDENTITY3.replace("2 2 1.0", "2 2 1.0 % caf\u00e9"), 4),
+        (["centrality", "--graph", "{p3}", "--edits", "{bad}", "--output-dir", "{out}"],
+         "bad.csv", "add,0,2\n# caf\u00e9\n", 2),
+        (["update", "--matrix", "{identity}", "--function", "exp", "--b", "{bad}",
+          "--output-dir", "{out}"],
+         "bad.txt", "1.0\n2.0\n3.0 \u00e9\n", 3),
+        (["bounds", "--spec", "{bad}", "--output", "{out}/b.csv"],
+         "bad.json", '{"kind": "chebyshev",\n "function": "exp\u00e9", "interval": [1, 2]}\n', 2),
+    ], ids=["matrix", "edits", "vector", "spec"])
+    def test_names_the_file_and_line(self, tmp_path, capsys, argv, name, text, line):
+        (tmp_path / "p3.mtx").write_text(P3)
+        (tmp_path / "identity.mtx").write_text(IDENTITY3)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        paths = {k: str(tmp_path / f) for k, f in
+                 (("bad", name), ("p3", "p3.mtx"), ("identity", "identity.mtx"), ("out", "o"))}
+        assert main([a.format(**paths) for a in argv]) == 2
+        assert capsys.readouterr().err == (f"error: {tmp_path / name}, line {line}: "
+                                           "byte 0xc3 is not ASCII\n")
+        assert not (tmp_path / "o").exists()
+
 
 def _general_update(tmp_path, out):
     """``funupdate update`` of exp on a 30x30 nonsymmetric tridiagonal matrix
@@ -580,6 +616,46 @@ class TestCentralityCommand:
         bad = max(int(v) for v in row.split(",")[1:])
         assert f"node {bad} " in capsys.readouterr().err
 
+    def test_comment_and_blank_rows_are_skipped(self, tmp_path):
+        (tmp_path / "g.mtx").write_text(P3)
+        (tmp_path / "plain.csv").write_text("add,0,2\nremove,0,1\n")
+        (tmp_path / "commented.csv").write_text("# kind,i,j\n\nadd,0,2\n  # between\n\n"
+                                                "remove,0,1\n")
+        outputs = []
+        for name in ("plain", "commented"):
+            out = tmp_path / name
+            assert main(["centrality", "--graph", str(tmp_path / "g.mtx"),
+                         "--edits", str(tmp_path / f"{name}.csv"), "--output-dir", str(out)]) == 0
+            outputs.append([(out / f).read_bytes() for f in ("centrality.csv", "edit_report.csv")])
+        assert outputs[0] == outputs[1]
+        _, rows = read_csv(tmp_path / "commented" / "edit_report.csv")
+        assert [r[:3] for r in rows] == [["add", "0", "2"], ["remove", "0", "1"]]
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("add,0,2\n\n# next\nadd,1,2,\n", 4,
+         "edit rows must be kind,i,j; got ['add', '1', '2', '']"),
+        ("add,0\n", 1, "edit rows must be kind,i,j; got ['add', '0']"),
+        ("# header\nadd,x,2\n", 2, "invalid literal for int() with base 10: 'x'"),
+        ("remove,0,1\ntoggle,0,2\n", 2, "unknown edit kind 'toggle'"),
+    ], ids=["extra-field", "missing-field", "non-integer-node", "unknown-kind"])
+    def test_malformed_row_names_its_file_line(self, tmp_path, capsys, text, line, message):
+        (tmp_path / "g.mtx").write_text(P3)
+        (tmp_path / "edits.csv").write_text(text)
+        assert main(["centrality", "--graph", str(tmp_path / "g.mtx"),
+                     "--edits", str(tmp_path / "edits.csv"),
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'edits.csv'}, line {line}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_removing_a_missing_edge_is_input_error(self, tmp_path, capsys):
+        (tmp_path / "g.mtx").write_text(P3)
+        (tmp_path / "edits.csv").write_text("remove,0,2\n")
+        assert main(["centrality", "--graph", str(tmp_path / "g.mtx"),
+                     "--edits", str(tmp_path / "edits.csv"),
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        assert "error: cannot remove missing edge (0, 2)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestCentralityBaseline:
     def test_matches_dense_exponential_diagonal(self):
@@ -605,20 +681,19 @@ class TestCentralityBaseline:
 
 
 def sequential_centrality(graph, edits, opts):
-    """Reference order of work: the whole baseline first, then each edit's
-    correction added to the running diagonal."""
-    diag = subgraph_centrality_baseline(graph)
-    baseline = diag.copy()
+    """Reference order of work: the whole baseline first, then each factor's
+    diagonal correction summed in edit order, and the sum added to the
+    baseline once."""
+    baseline = subgraph_centrality_baseline(graph)
+    correction = np.zeros(graph.n)
     current = graph
     records = []
     for op in edits:
         factors = cli.rank_k_update(current.adjacency.matvec, current.adjacency.matvec,
                                     cli.edge_modification(op, current.n), FunctionSpec.exp(),
                                     opts)
-        delta = np.zeros(current.n)
         for fac in factors:
-            delta += cli.extract_diagonal(fac).real
-        diag = diag + delta
+            correction += cli.extract_diagonal(fac).real
         current = current.with_edge(op.i, op.j, op.kind == "add")
         records.append({
             "kind": op.kind, "i": op.i, "j": op.j,
@@ -627,7 +702,7 @@ def sequential_centrality(graph, edits, opts):
                           for f in factors],
             "converged": all(f.converged for f in factors),
         })
-    return baseline, diag, records
+    return baseline, baseline + correction, records
 
 
 def random_graph_and_edits(n=300, count=20, seed=5):
@@ -792,6 +867,18 @@ def test_edge_op_validation():
         EdgeOp("remove", -1, 2)
 
 
+def _value_or_na(r):
+    """A ``BoundValue`` as the bounds table writes it: (bound or "NA", rate)."""
+    return (r.value if r.applicable else "NA"), r.rate
+
+
+def _markov_ellipse_row(m, region, beta, c_norm):
+    fp = abs(funupdate.scalar_derivative(FunctionSpec.inverse_sqrt(),
+                                         funupdate.leftmost_real_point(region)))
+    return (funupdate.bound_markov(region, beta, fp, m, 1.0, c_norm),
+            funupdate.bounds.markov_rate(region, beta) ** m)
+
+
 class TestBoundsCommand:
     def test_hpd_table_is_geometric(self, tmp_path):
         spec = {"kind": "markov-hpd", "kappa_star": 101.0, "function": "invsqrt",
@@ -825,6 +912,40 @@ class TestBoundsCommand:
                      "--output", str(out)]) == 0
         _, rows = read_csv(out)
         assert all(float(r[1]) <= 1e-12 for r in rows)
+
+    @pytest.mark.parametrize("spec, want", [
+        ({"kind": "exp-superlinear", "psi1": -0.5, "rho": 2.0, "b_norm": 2.0, "c_norm": 0.5,
+          "m_max": 12},
+         lambda m: _value_or_na(funupdate.bound_exp_superlinear(-0.5, 2.0, m, 2.0, 0.5))),
+        ({"kind": "markov", "ellipse": [3.0, 1.0, 2.0], "beta": 0.5, "function": "invsqrt",
+          "c_norm": 3.0, "m_min": 2, "m_max": 9},
+         lambda m: _markov_ellipse_row(m, funupdate.Ellipse(3.0, 1.0, 2.0), 0.5, 3.0)),
+        ({"kind": "markov-hpd", "kappa_star": 50.0, "f_prime": -0.7, "b_norm": 1.5,
+          "m_max": 8},
+         lambda m: (funupdate.bound_markov_hpd(50.0, 0.7, 1.5, m),
+                    funupdate.bounds.cg_rate(50.0) ** m)),
+    ], ids=["exp-superlinear", "markov-ellipse", "markov-hpd-f-prime"])
+    def test_rows_match_the_bound_functions(self, tmp_path, spec, want):
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        out = tmp_path / "b.csv"
+        assert main(["bounds", "--spec", str(tmp_path / "spec.json"),
+                     "--output", str(out)]) == 0
+        _, rows = read_csv(out)
+        m_range = range(spec.get("m_min", 1), spec["m_max"] + 1)
+        assert [int(r[0]) for r in rows] == list(m_range)
+        for m, row in zip(m_range, rows):
+            bound, rate = want(m)
+            assert row[1] == (bound if bound == "NA" else repr(bound))
+            assert row[2] == repr(rate)
+        if spec["kind"] == "exp-superlinear":  # rows on both sides of m + 1 >= e rho
+            assert "NA" in [r[1] for r in rows] and rows[-1][1] != "NA"
+
+    def test_unknown_kind_is_input_error(self, tmp_path, capsys):
+        (tmp_path / "spec.json").write_text(json.dumps({"kind": "cauchy", "m_max": 3}))
+        assert main(["bounds", "--spec", str(tmp_path / "spec.json"),
+                     "--output", str(tmp_path / "b.csv")]) == 2
+        assert capsys.readouterr().err == "error: unknown bound kind 'cauchy'\n"
+        assert not (tmp_path / "b.csv").exists()
 
     @pytest.mark.parametrize("spec,message", [
         ({"kind": "exp-superlinear", "rho": 2.0}, "missing the key 'psi1'"),

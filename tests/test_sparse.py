@@ -203,6 +203,20 @@ class TestMatrixMarket:
         with pytest.raises(MatrixMarketError, match=re.escape(message) + "$"):
             load_matrix_market(path)
 
+    @pytest.mark.parametrize("entries", [2, 3000], ids=["header-block", "body-block"])
+    def test_non_ascii_byte_names_its_file_line(self, tmp_path, entries):
+        """The byte is met while the header is read, or, past the first
+        decoded block, while numpy reads the body."""
+        lines = [f"{k} {k} 1.0" for k in range(1, entries + 1)]
+        lines[-1] += " % caf\u00e9"
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        f"{entries} {entries} {entries}\n" + "\n".join(lines) + "\n",
+                        encoding="utf-8")
+        message = f"{path}, line {entries + 2}: byte 0xc3 is not ASCII"
+        with pytest.raises(MatrixMarketError, match=re.escape(message) + "$"):
+            load_matrix_market(path)
+
     @pytest.mark.parametrize("body", ["1 1 2.0 1.0\n2 2 3.0 0.0", "2 2 3.0 0.0\n1 1 2.0 -inf"])
     def test_rejects_non_real_hermitian_diagonal(self, tmp_path, body):
         with pytest.raises(MatrixMarketError, match=re.escape("imaginary part at (1, 1)")):
