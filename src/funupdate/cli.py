@@ -36,7 +36,7 @@ from .errors import (DomainError, MatrixMarketError, NonFiniteOperatorError,
 from .krylov import LanczosProcess
 from .oracle import DENSE_UPDATE_LIMIT, dense_update_reference
 from .sparse import (Graph, SparseMatrix, gen_convdiff1d, gen_laplace2d,
-                     graph_distances, load_matrix_market, loadtxt_quiet, open_ascii)
+                     graph_distances, load_matrix_market, load_vector, open_ascii)
 from .update import (LOOKAHEAD, GeneralProblem, HermitianProblem, LowRankModification,
                      SolveOptions, error_estimate, extract_diagonal, general_update,
                      hermitian_update, rank_k_update)
@@ -105,8 +105,7 @@ def write_report(path, report: dict) -> None:
 
 def parse_vector_spec(text, n, rng) -> np.ndarray:
     """Vector argument: 'e<k>' (1-based unit vector), 'ones', 'randn', or a
-    path to a file with one value per line, parsed by ``np.loadtxt`` as
-    complex (blank lines skipped; real when every imaginary part is 0)."""
+    path to a file with one value per line (``load_vector``)."""
     text = text.strip()
     if text == "ones":
         return np.ones(n)
@@ -119,19 +118,10 @@ def parse_vector_spec(text, n, rng) -> np.ndarray:
         v = np.zeros(n)
         v[k - 1] = 1.0
         return v
-    with open_ascii(text) as fh:
-        vec = loadtxt_quiet(fh, dtype=complex, comments=None)
-    if vec.ndim != 1:
-        raise ValueError("vector file must hold one value per line")
-    if np.all(vec.imag == 0):
-        vec = vec.real
+    vec = load_vector(text)
     if vec.shape != (n,):
         raise ValueError(f"vector file has length {vec.shape[0]}, expected {n}")
     return vec
-
-
-def _history_json(history):
-    return [{"m": int(m), "estimate": float(e)} for m, e in history]
 
 
 # -----------------------------------------------------------------------------
@@ -231,7 +221,7 @@ def _cmd_update(args) -> int:
         "basis_dimension": int(fac.basis_dimension),
         "converged": bool(fac.converged),
         "wall_time_s": wall,
-        "history": _history_json(fac.estimate_history),
+        "history": [{"m": int(m), "estimate": float(e)} for m, e in fac.estimate_history],
     }
     if args.check:
         b_fac = (sign * b if algorithm == "hermitian" else b).reshape(-1, 1)
@@ -398,15 +388,24 @@ def _cmd_centrality(args) -> int:
 # bounds subcommand
 
 class _BoundsSpec(dict):
-    """A bounds spec whose missing required key, or numeric field of the
-    wrong type or shape, is an input error."""
+    """A bounds spec whose missing required key, numeric field of the wrong
+    type or shape, or key that its kind does not read is an input error.
+    ``read`` collects the keys looked up."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.read = set()
 
     def __missing__(self, key):
         raise ValueError(f"bounds spec is missing the key {key!r}")
 
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
     def num(self, key, default=None, size=None):
         """Field ``key`` as a float, or as a tuple of ``size`` floats."""
-        value = self[key] if default is None else self.get(key, default)
+        value = self[key] if default is None or key in self else default
         items = value if size else [value]
         if not (isinstance(items, list) and len(items) == (size or 1)
                 and all(type(v) in (int, float) for v in items)):
@@ -422,6 +421,10 @@ class _BoundsSpec(dict):
                              f"got {self[key]!r}")
         return int(value)
 
+    def norms(self) -> tuple:
+        """The ``b_norm`` and ``c_norm`` fields, 1 by default."""
+        return self.num("b_norm", 1.0), self.num("c_norm", 1.0)
+
     def function(self) -> FunctionSpec:
         """The ``function`` field, a name as ``--function`` takes it."""
         name = self["function"]
@@ -431,46 +434,51 @@ class _BoundsSpec(dict):
 
 
 def _bounds_rows(spec: _BoundsSpec):
+    """The (m, bound, rate) rows of a spec for m_min <= m <= m_max; a key
+    the spec's kind did not read is rejected once the rows are formed."""
     kind = spec["kind"]
-    m_range = range(spec.count("m_min", 1), spec.count("m_max", 60) + 1)
-    b_norm, c_norm = spec.num("b_norm", 1.0), spec.num("c_norm", 1.0)
-    rows = []
+    m_min, m_max = spec.count("m_min", 1), spec.count("m_max", 60)
+    if not 0 <= m_min <= m_max:
+        raise ValueError(f"bounds spec needs 0 <= m_min <= m_max, got m_min {m_min} "
+                         f"and m_max {m_max}")
+    m_range = range(m_min, m_max + 1)
     if kind == "exp-superlinear":
-        for m in m_range:
-            r = bnd.bound_exp_superlinear(spec.num("psi1"), spec.num("rho"), m, b_norm, c_norm)
-            rows.append((m, r.value if r.applicable else "NA", r.rate))
+        psi1, rho, (b_norm, c_norm) = spec.num("psi1"), spec.num("rho"), spec.norms()
+        rows = [(m, *_bound_cells(bnd.bound_exp_superlinear(psi1, rho, m, b_norm, c_norm)))
+                for m in m_range]
     elif kind == "exp-wedge":
         region = bnd.Wedge(spec.num("psi1"), spec.num("rho"), spec.num("alpha"))
-        for m in m_range:
-            r = bnd.bound_exp_wedge(region, m, b_norm, c_norm)
-            rows.append((m, r.value if r.applicable else "NA", r.rate))
+        b_norm, c_norm = spec.norms()
+        rows = [(m, *_bound_cells(bnd.bound_exp_wedge(region, m, b_norm, c_norm)))
+                for m in m_range]
     elif kind == "markov-hpd":
         if "f_prime" in spec:
             fp = spec.num("f_prime")
         else:
             fp = abs(scalar_derivative(spec.function(), spec.num("omega")))
-        kappa = spec.num("kappa_star")
+        kappa, b_norm = spec.num("kappa_star"), spec.num("b_norm", 1.0)
         rate = bnd.cg_rate(kappa)
-        for m in m_range:
-            rows.append((m, bnd.bound_markov_hpd(kappa, fp, b_norm, m), rate**m))
+        rows = [(m, bnd.bound_markov_hpd(kappa, fp, b_norm, m), rate**m) for m in m_range]
     elif kind == "markov":
         if "interval" in spec:
             region = bnd.Interval(*spec.num("interval", size=2))
         else:
             region = bnd.Ellipse(*spec.num("ellipse", size=3))
-        beta = spec.num("beta")
-        omega = bnd.leftmost_real_point(region)
-        fp = abs(scalar_derivative(spec.function(), omega))
+        beta, (b_norm, c_norm) = spec.num("beta"), spec.norms()
+        fp = abs(scalar_derivative(spec.function(), bnd.leftmost_real_point(region)))
         rate = bnd.markov_rate(region, beta)
-        for m in m_range:
-            rows.append((m, bnd.bound_markov(region, beta, fp, m, b_norm, c_norm), rate**m))
+        rows = [(m, bnd.bound_markov(region, beta, fp, m, b_norm, c_norm), rate**m)
+                for m in m_range]
     elif kind == "chebyshev":
         f = spec.function()
         interval = spec.num("interval", size=2)
-        for m in m_range:
-            rows.append((m, bnd.chebyshev_poly_bound(f, interval, m), "NA"))
+        rows = [(m, bnd.chebyshev_poly_bound(f, interval, m), "NA") for m in m_range]
     else:
         raise ValueError(f"unknown bound kind {kind!r}")
+    unread = [key for key in spec if key not in spec.read]
+    if unread:
+        raise ValueError(f"bounds spec kind {kind!r} does not read the key"
+                         f"{'s' * (len(unread) > 1)} {', '.join(map(repr, unread))}")
     return rows
 
 
@@ -514,6 +522,27 @@ def _norm2_implicit(ref, u, x, v) -> float:
     return float(np.sqrt(top))
 
 
+def _error_curve(problem, ref, m_max) -> list:
+    """Spectral-norm errors against ``ref`` of the problem's factors at
+    m = 1, 2, ... up to ``m_max``, or to its dimension once exhausted."""
+    problem.grow(m_max)
+    return [spectral_norm(ref - problem.factor(m).densify())
+            for m in range(1, problem.dimension + 1)]
+
+
+def _check_demo_flag(flag, value, least) -> None:
+    """A demo flag that is set below the least value the demo can use (for
+    a sweep, the least that writes a row) is an input error."""
+    if value is not None and value < least:
+        raise ValueError(f"{flag} must be at least {least} for this demo, got {value}")
+
+
+def _bound_cells(r: bnd.BoundValue) -> tuple:
+    """A bound's CSV cells: its value, or "NA" outside the formula's window,
+    and its rate."""
+    return (r.value if r.applicable else "NA", r.rate)
+
+
 def _demo_reorth(outdir, rng, size, max_m):
     """Plain vs fully reorthogonalized Lanczos on diagonal spectra that are
     benign (equispaced) and adversarial (logarithmically spaced)."""
@@ -531,9 +560,7 @@ def _demo_reorth(outdir, rng, size, max_m):
         ref = dense_update_reference(np.diag(neg), -b.reshape(-1, 1), b.reshape(-1, 1), _EXP)
         for reorth in ("none", "full"):
             prob = HermitianProblem(lambda x, d=neg: d * x, b, _EXP, sign=-1, reorth=reorth)
-            prob.grow(m_max)
-            columns.append([spectral_norm(ref - prob.factor(m).densify())
-                            for m in range(1, prob.dimension + 1)])
+            columns.append(_error_curve(prob, ref, m_max))
     rows = [[m, *errs] for m, errs in
             enumerate(zip_longest(*columns, fillvalue="NA"), start=1)]
     write_rows_csv(outdir / "reorth_comparison.csv",
@@ -544,6 +571,7 @@ def _demo_reorth(outdir, rng, size, max_m):
 def _demo_estimator_invsqrt(outdir, rng, size, max_m):
     """Lookahead estimates against the true error for the inverse square
     root of a 2-D grid Laplacian under a random rank-1 modification."""
+    _check_demo_flag("--size", size, 3)  # a 2 x 2 grid has a Krylov space of 3
     side = size or 20
     m_cap = max_m or 120
     a = gen_laplace2d(side)
@@ -556,13 +584,10 @@ def _demo_estimator_invsqrt(outdir, rng, size, max_m):
     ref = dense_update_reference(a.to_dense(), b.reshape(-1, 1), c.reshape(-1, 1), f)
     prob = GeneralProblem(a.matvec, a.conjugate_transpose().matvec, b, c, f)
     prob.grow(m_cap + 3)
-    rows = []
-    ahead = [prob.factor(m) for m in (1, 2, 3)]
-    for m in range(4, prob.dimension + 1):
-        ahead.append(prob.factor(m))
-        fac = ahead.pop(0)  # the factor at m - 3; ahead holds the next three
-        true_err = spectral_norm(ref - fac.densify())
-        rows.append([fac.m, true_err] + [error_estimate(fac.X, later.X) for later in ahead])
+    facs = [prob.factor(m) for m in range(1, prob.dimension + 1)]
+    rows = [[fac.m, spectral_norm(ref - fac.densify())]
+            + [error_estimate(fac.X, later.X) for later in facs[i + 1:i + 4]]
+            for i, fac in enumerate(facs[:-3])]
     write_rows_csv(outdir / "estimator_invsqrt.csv",
                    ["m", "true_error", "estimate_d1", "estimate_d2", "estimate_d3"],
                    rows)
@@ -577,15 +602,11 @@ def _demo_exp_interval(outdir, rng, size, max_m):
     b = rng.standard_normal(n)
     b /= np.linalg.norm(b)
     ref = dense_update_reference(np.diag(eigs), -b.reshape(-1, 1), b.reshape(-1, 1), _EXP)
-    prob = HermitianProblem(lambda x: eigs * x, b, _EXP, sign=-1)
-    prob.grow(m_max)
+    errs = _error_curve(HermitianProblem(lambda x: eigs * x, b, _EXP, sign=-1), ref, m_max)
     lo = float(min(eigs.min(), np.linalg.eigvalsh(np.diag(eigs) - np.outer(b, b)).min()))
     rho = (0.0 - lo) / 4.0
-    rows = []
-    for m in range(1, prob.dimension + 1):
-        err = spectral_norm(ref - prob.factor(m).densify())
-        r = bnd.bound_exp_superlinear(0.0, rho, m, 1.0, 1.0)
-        rows.append((m, err, r.value if r.applicable else "NA", r.rate))
+    rows = [(m, err, *_bound_cells(bnd.bound_exp_superlinear(0.0, rho, m, 1.0, 1.0)))
+            for m, err in enumerate(errs, start=1)]
     write_rows_csv(outdir / "exp_interval.csv", ["m", "true_error", "bound", "rate"], rows)
     write_report(outdir / "exp_interval.json", {"n": n, "rho": rho, "psi1": 0.0})
 
@@ -602,8 +623,12 @@ def _wedge_samples(rng, n, alpha, rho):
 def _demo_exp_wedge(outdir, rng, size, max_m):
     """Wedge bound against the measured error for a downdated exponential
     with eigenvalues in a corner region of the left half-plane."""
-    n = size or 1000
     alpha, rho = 1.5, 100.0
+    m_lo = int(np.ceil(alpha * (rho + 1.0) ** (1.0 / alpha) + 4.0 / alpha - 1.0))
+    start = m_lo - 10  # the sweep starts 10 steps before the bound's window
+    _check_demo_flag("--max-m", max_m, start)
+    _check_demo_flag("--size", size, start + 1)
+    n = size or 1000
     eigs = _wedge_samples(rng, n, alpha, rho)
     b = rng.standard_normal(n)
     b /= np.linalg.norm(b)
@@ -611,15 +636,13 @@ def _demo_exp_wedge(outdir, rng, size, max_m):
     ref = dense_update_reference(a_dense, -b.reshape(-1, 1), b.reshape(-1, 1), _EXP)
     prob = GeneralProblem(lambda x: eigs * x, lambda x: np.conj(eigs) * x, -b, b, _EXP)
     region = bnd.Wedge(0.0, rho + 1.0, alpha)
-    m_lo = int(np.ceil(alpha * (rho + 1.0) ** (1.0 / alpha) + 4.0 / alpha - 1.0))
     m_hi = min(max_m or (m_lo + 60), n - 1)
     prob.grow(m_hi)
     rows = []
-    for m in range(max(1, m_lo - 10), min(m_hi, prob.dimension) + 1):
+    for m in range(start, min(m_hi, prob.dimension) + 1):
         fac = prob.factor(m)
         err = _norm2_implicit(ref, fac.U, fac.X, fac.V)
-        r = bnd.bound_exp_wedge(region, m)
-        rows.append((m, err, r.value if r.applicable else "NA", r.rate))
+        rows.append((m, err, *_bound_cells(bnd.bound_exp_wedge(region, m))))
     write_rows_csv(outdir / "exp_wedge.csv", ["m", "true_error", "bound", "rate"], rows)
     write_report(outdir / "exp_wedge.json", {"n": n, "alpha": alpha, "rho": rho + 1.0, "psi1": 0.0})
 
@@ -637,13 +660,9 @@ def _demo_markov_invsqrt(outdir, rng, size, max_m):
     lmax_up = float(np.linalg.eigvalsh(np.diag(eigs) + np.outer(b, b)).max())
     kappa_star = lmax_up / 0.1
     fp = abs(scalar_derivative(f, 0.1))
-    prob = HermitianProblem(lambda x: eigs * x, b, f)
-    prob.grow(m_max)
-    rows = []
-    for m in range(1, prob.dimension + 1):
-        err = spectral_norm(ref - prob.factor(m).densify())
-        rows.append((m, err, bnd.bound_markov_hpd(kappa_star, fp, 1.0, m),
-                     bnd.cg_rate(kappa_star) ** m))
+    errs = _error_curve(HermitianProblem(lambda x: eigs * x, b, f), ref, m_max)
+    rows = [(m, err, bnd.bound_markov_hpd(kappa_star, fp, 1.0, m), bnd.cg_rate(kappa_star) ** m)
+            for m, err in enumerate(errs, start=1)]
     write_rows_csv(outdir / "markov_invsqrt.csv", ["m", "true_error", "bound", "rate"], rows)
     write_report(outdir / "markov_invsqrt.json", {"n": n, "kappa_star": kappa_star})
 
@@ -660,6 +679,7 @@ def _demo_convdiff(outdir, rng, size, max_m):
     which is robust against spurious early dips while the iteration
     stagnates.
     """
+    _check_demo_flag("--size", size, 3)
     n = size or 256
     m_cap = max_m or 60
     pos = n // 2 - 1
@@ -704,6 +724,7 @@ def _demo_convdiff(outdir, rng, size, max_m):
 def _demo_decay(outdir, rng, size, max_m):
     """Entrywise decay of an inverse-square-root update of a tridiagonal
     operator after a single unit-entry modification near the center."""
+    _check_demo_flag("--size", size, 2)
     n = size or 400
     k = n // 2
     l = n // 2 - 1
@@ -720,8 +741,8 @@ def _demo_decay(outdir, rng, size, max_m):
                         for s in range(max(int(dist_sum.max()), 60) + 1)])
     level = profile[dist_sum] > 1e-10
     outside_max = float(np.abs(fmat[~level]).max(initial=0.0))
-    half = 40
-    window = np.abs(fmat[k - half:k + half + 1, l - half:l + half + 1])
+    half = 40  # the window is clipped to the matrix below size 82
+    window = np.abs(fmat[max(k - half, 0):k + half + 1, max(l - half, 0):l + half + 1])
     write_matrix_csv(outdir / "decay_window.csv", window)
     write_rows_csv(outdir / "decay_profile.csv", ["distance_sum", "max_entry", "bound"],
                    [(s, np.abs(fmat[dist_sum == s]).max(initial=0.0), profile[s])
@@ -766,6 +787,17 @@ def _solve_options(args) -> SolveOptions:
     return SolveOptions(tol=args.tol, max_m=args.max_m)
 
 
+def _positive_int(text) -> int:
+    """The argparse type of ``demo --size`` and ``--max-m``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="funupdate",
                                      description="Low-rank updates of matrix functions.")
@@ -803,8 +835,8 @@ def build_parser() -> argparse.ArgumentParser:
     de = sub.add_parser("demo", help="synthetic experiments emitting CSV bundles")
     de.add_argument("--name", required=True, choices=sorted(_DEMOS))
     de.add_argument("--seed", type=int, default=None)
-    de.add_argument("--size", type=int, default=None)
-    de.add_argument("--max-m", type=int, default=None)
+    de.add_argument("--size", type=_positive_int, default=None)
+    de.add_argument("--max-m", type=_positive_int, default=None)
     de.add_argument("--output-dir", default=".")
     de.set_defaults(func=_cmd_demo)
     return parser

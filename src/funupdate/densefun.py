@@ -109,14 +109,8 @@ def function_from_name(text: str) -> FunctionSpec:
     invpower:GAMMA, poly:c0,c1,..., resolvent:SHIFT."""
     name, _, arg = text.partition(":")
     name = name.strip().lower()
-    if name == "exp":
-        return FunctionSpec.exp()
-    if name == "invsqrt":
-        return FunctionSpec.inverse_sqrt()
-    if name == "inverse":
-        return FunctionSpec.inverse()
-    if name == "log1p-over-z":
-        return FunctionSpec.scaled_log()
+    if name in ("exp", "invsqrt", "inverse", "log1p-over-z"):
+        return FunctionSpec(name)
     if name == "invpower":
         return FunctionSpec.inverse_power(float(arg))
     if name == "poly":

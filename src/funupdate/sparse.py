@@ -183,18 +183,6 @@ def spmv(a: SparseMatrix, x) -> np.ndarray:
     return y
 
 
-def _stored_as_conjugate_transpose(a: SparseMatrix) -> bool:
-    """Whether the stored form is that of A^*: entries strictly sorted by
-    (row, col), transposed keys a permutation of the keys, and each value
-    the conjugate of its mirror's. One sort instead of building A^*."""
-    rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr))
-    keys = rows * a.n + a.col_idx
-    mirrored = a.col_idx * a.n + rows
-    perm = np.argsort(mirrored)
-    return bool(np.all(np.diff(keys) > 0) and np.array_equal(keys, mirrored[perm])
-                and np.array_equal(a.values, np.conj(a.values[perm])))
-
-
 # -----------------------------------------------------------------------------
 # Matrix Market input
 
@@ -202,13 +190,13 @@ _MM_FIELDS = {"real", "integer", "complex", "pattern"}
 _MM_SYMMETRIES = {"general", "symmetric", "hermitian"}
 
 
-def loadtxt_quiet(source, **kwargs) -> np.ndarray:
-    """``np.loadtxt(source, ndmin=1, **kwargs)`` without numpy's warning on
-    input that holds no data: an empty body or file is reported by the
+def loadtxt_quiet(source, ndmin=1, **kwargs) -> np.ndarray:
+    """``np.loadtxt(source, ndmin=ndmin, **kwargs)`` without numpy's warning
+    on input that holds no data: an empty body or file is reported by the
     caller's own size checks."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(source, ndmin=1, **kwargs)
+        return np.loadtxt(source, ndmin=ndmin, **kwargs)
 
 
 @contextmanager
@@ -227,21 +215,50 @@ def open_ascii(path, error=ValueError, newline=None):
         raise error(f"{path}, line {line}: byte 0x{data[pos]:02x} is not ASCII") from None
 
 
-def _at_file_line(path, cause) -> str:
+def _content_line(path, index, comments) -> int | None:
+    """The 1-based line of ``path`` that is its line ``index`` (from 0)
+    among the lines with content once ``comments`` (a string, or None for
+    no comments) cuts them; None past the last."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = (k for k, ln in enumerate(fh, 1)
+                 if (ln.partition(comments)[0] if comments else ln).strip())
+        return next(islice(lines, index, None), None)
+
+
+def _at_file_line(path, cause, comments="%", first=1) -> str:
     """numpy's ``loadtxt`` message ``cause``, less its advice on its API,
     with its "at row R" turned into the 1-based line of ``path`` that holds
     the entry. numpy counts entries, the lines with content once comments
     are cut, from 0 in conversion errors and from 1 in the others; in the
-    file, the size line is the first line with content."""
+    file, the first entry is line ``first`` (from 0) with content, after a
+    Matrix Market size line by default."""
     cause = cause.partition("; use `usecols`")[0]
     found = re.search(r"at row (\d+)", cause)
     if found is None:
         return cause
-    entry = int(found[1]) + cause.startswith("could not convert")
-    with open(path, "r", encoding="ascii") as fh:
-        lines = (k for k, ln in enumerate(fh, 1) if ln.partition("%")[0].strip())
-        line = next(islice(lines, entry, None), None)
+    entry = int(found[1]) + cause.startswith("could not convert") - 1 + first
+    line = _content_line(path, entry, comments)
     return cause if line is None else cause.replace(found[0], f"at line {line}", 1)
+
+
+def load_vector(path) -> np.ndarray:
+    """Reads a vector file, one value per line, parsed as complex by
+    ``np.loadtxt`` (blank lines skipped; real when every imaginary part is
+    0). A line that holds no number or more than one is an input error
+    naming its file line."""
+    with open_ascii(path) as fh:
+        try:
+            vec = loadtxt_quiet(fh, ndmin=2, dtype=complex, comments=None)
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:
+            cause = _at_file_line(path, str(exc), comments=None, first=0)
+            raise ValueError(f"{path}: {cause}") from None
+    if vec.shape[1] != 1:  # numpy saw that many values on every line
+        raise ValueError(f"{path}, line {_content_line(path, 0, None)}: {vec.shape[1]} values, "
+                         "but a vector file holds one value per line")
+    vec = vec[:, 0]
+    return vec.real if np.all(vec.imag == 0) else vec
 
 
 def load_matrix_market(path) -> SparseMatrix:
@@ -397,7 +414,9 @@ class Graph:
         rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr))
         if np.any((rows == a.col_idx) & (vals != 0)):
             raise ValueError("adjacency diagonal must be zero")
-        if not _stored_as_conjugate_transpose(a):
+        ah = a.conjugate_transpose()
+        if not (np.array_equal(a.row_ptr, ah.row_ptr) and np.array_equal(a.col_idx, ah.col_idx)
+                and np.array_equal(vals, ah.values)):
             raise ValueError("adjacency must be symmetric")
 
     @property

@@ -420,39 +420,30 @@ def rank_k_update(apply_a, apply_a_adj, mod: LowRankModification, f: FunctionSpe
     modifications (over a Hermitian base) take signed terms from
     ``split_hermitian``; others take (Q w_i sigma_i)(Q z_i)^* from the SVD of
     S, cut at the larger of k eps sigma_0 and the rounding floor of S. Update
-    i runs against the operator already carrying the first i-1 corrections,
-    because those earlier terms change the Krylov spaces the later ones must
-    use. Returns one factor per rank-1 term; their sum approximates
+    i runs against the operator already carrying the first i-1 terms u w^*,
+    (sign v, v) or (b, c), and A^* against their mirrors (c, b), because
+    those earlier terms change the Krylov spaces the later ones must use.
+    Returns one factor per rank-1 term; their sum approximates
     f(A + BC^*) - f(A), and an empty list means the modification was
     numerically zero. Each of the r factors meets at best its own ``tol``
     (the stopping rule's estimate, not a bound), so their sum can err by up
     to r times ``tol``.
     """
     base = as_operator(apply_a)
-    factors: list = []
     if mod.hermitian_flag:
-        pairs: list = []
-        for vec, sign in split_hermitian(mod):
-            op = _corrected_operator(base, pairs)
-            factors.append(hermitian_update(op, vec, f, sign=sign, opts=opts))
-            pairs.append((sign * vec, vec))
-        return factors
+        split = split_hermitian(mod)
+        terms = [(sign * vec, vec) for vec, sign in split]
+        return [hermitian_update(_corrected_operator(base, terms[:i]), vec, f, sign=sign, opts=opts)
+                for i, (vec, sign) in enumerate(split)]
 
     adj = as_operator(apply_a_adj)
     q, s, floor = _compressed(mod)
     w, svals, zh = np.linalg.svd(s)
     r = int(np.sum(svals > max(mod.k * np.finfo(float).eps * svals.max(initial=0.0), floor)))
-    bs = q @ (w[:, :r] * svals[:r])
-    cs = q @ zh[:r, :].conj().T
-    fwd_pairs: list = []
-    adj_pairs: list = []
-    for i in range(r):
-        op = _corrected_operator(base, fwd_pairs)
-        op_adj = _corrected_operator(adj, adj_pairs)
-        factors.append(general_update(op, op_adj, bs[:, i], cs[:, i], f, opts))
-        fwd_pairs.append((bs[:, i], cs[:, i]))
-        adj_pairs.append((cs[:, i], bs[:, i]))
-    return factors
+    terms = list(zip((q @ (w[:, :r] * svals[:r])).T, (q @ zh[:r, :].conj().T).T))
+    return [general_update(_corrected_operator(base, terms[:i]),
+                           _corrected_operator(adj, [(c, b) for b, c in terms[:i]]), b, c, f, opts)
+            for i, (b, c) in enumerate(terms)]
 
 
 # Rows of U and V per block of extract_diagonal: its temporaries are then

@@ -319,6 +319,21 @@ class TestVectorFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("text, where", [
+        ("1.0 2.0 3.0\n", "v.txt, line 1: 3 values, but a vector file holds one value per line"),
+        ("\n1.0\n2.0, 3.0\n3.0\n", "the number of columns changed from 1 to 2 at line 3"),
+        ("1.0\n\n2.0\n3.0,\n", "could not convert string '3.0,' to complex128 at line 4")],
+        ids=["three-on-one-line", "two-on-a-later-line", "trailing-comma"])
+    def test_line_not_holding_one_value_is_named(self, tmp_path, capsys, text, where):
+        (tmp_path / "a.mtx").write_text(IDENTITY3)
+        (tmp_path / "v.txt").write_text(text)
+        assert main(["update", "--matrix", str(tmp_path / "a.mtx"), "--function", "exp",
+                     "--b", str(tmp_path / "v.txt"), "--output-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'v.txt'}") and where in err
+        assert "usecols" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("spec", ["e0", "e4"])
     def test_unit_vector_index_out_of_range_is_input_error(self, tmp_path, capsys, spec):
         (tmp_path / "a.mtx").write_text(IDENTITY3)
@@ -973,6 +988,43 @@ class TestBoundsCommand:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "b.csv").exists()
 
+    @pytest.mark.parametrize("spec,message", [
+        ({"kind": "markov-hpd", "kappa_star": 50.0, "f_prime": 0.7, "c_norm": 100.0},
+         "kind 'markov-hpd' does not read the key 'c_norm'"),
+        ({"kind": "chebyshev", "function": "exp", "interval": [1, 2], "b_norm": 2.0},
+         "kind 'chebyshev' does not read the key 'b_norm'"),
+        ({"kind": "chebyshev", "function": "exp", "interval": [1, 2], "c_norm": 2.0},
+         "kind 'chebyshev' does not read the key 'c_norm'"),
+        ({"kind": "markov", "interval": [0.1, 10.1], "ellipse": [3.0, 1.0, 2.0], "beta": 0.0,
+          "function": "invsqrt"}, "kind 'markov' does not read the key 'ellipse'"),
+        ({"kind": "markov-hpd", "kappa_star": 50.0, "f_prime": 0.7, "function": "invsqrt"},
+         "kind 'markov-hpd' does not read the key 'function'"),
+        ({"kind": "markov-hpd", "kappa_star": 50.0, "f_prime": 0.7, "omega": 0.1},
+         "kind 'markov-hpd' does not read the key 'omega'"),
+        ({"kind": "exp-superlinear", "psi1": 0.0, "rho": 2.0, "m_mx": 5, "bogus_key": 1},
+         "kind 'exp-superlinear' does not read the keys 'm_mx', 'bogus_key'"),
+        ({"kind": "exp-superlinear", "psi1": 0.0, "rho": 2.0, "m_min": 10, "m_max": 3},
+         "needs 0 <= m_min <= m_max, got m_min 10 and m_max 3"),
+        ({"kind": "exp-superlinear", "psi1": 0.0, "rho": 2.0, "m_min": -3},
+         "needs 0 <= m_min <= m_max, got m_min -3 and m_max 60"),
+    ], ids=["c-norm-on-markov-hpd", "b-norm-on-chebyshev", "c-norm-on-chebyshev",
+            "ellipse-beside-interval", "function-beside-f-prime", "omega-beside-f-prime",
+            "misspelled-keys", "m-min-above-m-max", "negative-m-min"])
+    def test_unread_key_or_empty_m_range_is_input_error(self, tmp_path, capsys, spec, message):
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert main(["bounds", "--spec", str(tmp_path / "spec.json"),
+                     "--output", str(tmp_path / "b.csv")]) == 2
+        assert capsys.readouterr().err == f"error: bounds spec {message}\n"
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_m_min_zero_is_a_row(self, tmp_path):
+        spec = {"kind": "markov-hpd", "kappa_star": 50.0, "f_prime": 0.7, "m_min": 0, "m_max": 0}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert main(["bounds", "--spec", str(tmp_path / "spec.json"),
+                     "--output", str(tmp_path / "b.csv")]) == 0
+        bound = funupdate.bound_markov_hpd(50.0, 0.7, 1.0, 0)
+        assert read_csv(tmp_path / "b.csv")[1] == [["0", repr(bound), "1.0"]]
+
 
 def test_update_and_centrality_share_solve_options():
     parser = build_parser()
@@ -1085,3 +1137,43 @@ class TestDemoCommand:
         with pytest.raises(SystemExit) as exc:
             main(["demo", "--name", "nope", "--output-dir", str(tmp_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--name", "reorth-comparison", "--max-m", "-3"],
+        ["--name", "convdiff", "--max-m", "-1"],
+        ["--name", "reorth-comparison", "--size", "10", "--max-m", "0"],
+        ["--name", "decay", "--size", "0"]], ids=["negative", "convdiff", "zero", "zero-size"])
+    def test_flag_that_is_not_positive_is_usage_error(self, tmp_path, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", *flags, "--output-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"argument {flags[-2]}: must be a positive integer, got '{flags[-1]}'" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--name", "exp-wedge", "--size", "10"], "--size must be at least 26"),
+        (["--name", "exp-wedge", "--size", "30", "--max-m", "5"], "--max-m must be at least 25"),
+        (["--name", "estimator-invsqrt", "--size", "2"], "--size must be at least 3"),
+        (["--name", "decay", "--size", "1"], "--size must be at least 2")],
+        ids=["wedge-size", "wedge-max-m", "estimator-size", "decay-size"])
+    def test_sweep_without_rows_is_input_error(self, tmp_path, capsys, flags, message):
+        assert main(["demo", *flags, "--seed", "1", "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message} for this demo, got ")
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("n", [60, 80])
+    def test_decay_window_is_clipped_to_the_matrix(self, tmp_path, n):
+        assert main(["demo", "--name", "decay", "--seed", "1", "--size", str(n),
+                     "--output-dir", str(tmp_path)]) == 0
+        k, l = n // 2, n // 2 - 1
+        a = tridiag_sparse(n, -1.0, 3.0, -1.0).to_dense()
+        unit = np.eye(n)
+        fmat = np.abs(dense_update_reference(a, unit[:, [k]], unit[:, [l]],
+                                             FunctionSpec.inverse_sqrt()))
+        window = np.loadtxt(tmp_path / "decay_window.csv", delimiter=",", skiprows=1, ndmin=2)
+        rows, cols = slice(max(k - 40, 0), k + 41), slice(max(l - 40, 0), l + 41)
+        assert window.shape == fmat[rows, cols].shape
+        np.testing.assert_allclose(window, fmat[rows, cols], rtol=1e-12, atol=0)
+        assert window.max() == pytest.approx(fmat.max(), rel=1e-12)
+        assert window[k - rows.start, l - cols.start] >= 0.1 * window.max()

@@ -551,6 +551,14 @@ class TestFunctionSpec:
         with pytest.raises(ValueError):
             function_from_name("sinh")
 
+    @pytest.mark.parametrize("f", [
+        FunctionSpec.exp(), FunctionSpec.inverse_sqrt(), FunctionSpec.inverse(),
+        FunctionSpec.inverse_power(0.25), FunctionSpec.scaled_log(),
+        FunctionSpec.polynomial([0.5, -1.0, 2.0]), FunctionSpec.resolvent(2.5),
+        FunctionSpec.resolvent(1.0 - 2.0j)], ids=FunctionSpec.label)
+    def test_function_from_name_reads_every_label(self, f):
+        assert function_from_name(f.label()) == f
+
 
 def test_eigen_decompose_residual():
     rng = np.random.default_rng(13)
