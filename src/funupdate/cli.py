@@ -522,45 +522,36 @@ def _norm2_implicit(ref, u, x, v) -> float:
     return float(np.sqrt(top))
 
 
-def _error_curve(problem, ref, m_max) -> list:
-    """Spectral-norm errors against ``ref`` of the problem's factors at
-    m = 1, 2, ... up to ``m_max``, or to its dimension once exhausted."""
-    problem.grow(m_max)
-    return [spectral_norm(ref - problem.factor(m).densify())
-            for m in range(1, problem.dimension + 1)]
-
-
-def _check_demo_flag(flag, value, least) -> None:
-    """A demo flag that is set below the least value the demo can use (for
-    a sweep, the least that writes a row) is an input error."""
-    if value is not None and value < least:
-        raise ValueError(f"{flag} must be at least {least} for this demo, got {value}")
-
-
 def _bound_cells(r: bnd.BoundValue) -> tuple:
     """A bound's CSV cells: its value, or "NA" outside the formula's window,
     and its rate."""
     return (r.value if r.applicable else "NA", r.rate)
 
 
-def _demo_reorth(outdir, rng, size, max_m):
+def _unit_draw(rng, n) -> np.ndarray:
+    """A standard normal draw of length n, scaled to unit norm."""
+    b = rng.standard_normal(n)
+    return b / np.linalg.norm(b)
+
+
+def _diagonal_errors(eigs, b, f, sign, m_max, reorth="full") -> list:
+    """Spectral-norm errors against the dense f(A + sign b b^*) - f(A), for
+    A = diag(eigs), of the Lanczos factors at m = 1, 2, ... up to ``m_max``,
+    or to the Krylov dimension once exhausted."""
+    ref = dense_update_reference(np.diag(eigs), sign * b.reshape(-1, 1), b.reshape(-1, 1), f)
+    prob = HermitianProblem(lambda x: eigs * x, b, f, sign=sign, reorth=reorth)
+    prob.grow(m_max)
+    return [spectral_norm(ref - prob.factor(m).densify()) for m in range(1, prob.dimension + 1)]
+
+
+def _demo_reorth(outdir, rng, n, m_max):
     """Plain vs fully reorthogonalized Lanczos on diagonal spectra that are
     benign (equispaced) and adversarial (logarithmically spaced)."""
-    n = size or 100
-    m_max = max_m or 80
-    specs = {
-        "equispaced": np.linspace(1e-3, 1e3, n),
-        "logspaced": np.logspace(-3, 3, n),
-    }
-    b = rng.standard_normal(n)
-    b /= np.linalg.norm(b)
-    columns = []  # error curves in the order of the header
-    for eigs in specs.values():
-        neg = -np.asarray(eigs)  # evaluate exp(-z) as exp on the negated operator
-        ref = dense_update_reference(np.diag(neg), -b.reshape(-1, 1), b.reshape(-1, 1), _EXP)
-        for reorth in ("none", "full"):
-            prob = HermitianProblem(lambda x, d=neg: d * x, b, _EXP, sign=-1, reorth=reorth)
-            columns.append(_error_curve(prob, ref, m_max))
+    b = _unit_draw(rng, n)
+    # error curves in the order of the header, exp(-z) as exp of -diag(eigs)
+    columns = [_diagonal_errors(-eigs, b, _EXP, -1, m_max, reorth)
+               for eigs in (np.linspace(1e-3, 1e3, n), np.logspace(-3, 3, n))
+               for reorth in ("none", "full")]
     rows = [[m, *errs] for m, errs in
             enumerate(zip_longest(*columns, fillvalue="NA"), start=1)]
     write_rows_csv(outdir / "reorth_comparison.csv",
@@ -568,12 +559,9 @@ def _demo_reorth(outdir, rng, size, max_m):
                     "err_logspaced_plain", "err_logspaced_full"], rows)
 
 
-def _demo_estimator_invsqrt(outdir, rng, size, max_m):
+def _demo_estimator_invsqrt(outdir, rng, side, m_cap):
     """Lookahead estimates against the true error for the inverse square
     root of a 2-D grid Laplacian under a random rank-1 modification."""
-    _check_demo_flag("--size", size, 3)  # a 2 x 2 grid has a Krylov space of 3
-    side = size or 20
-    m_cap = max_m or 120
     a = gen_laplace2d(side)
     n = a.n
     b = rng.standard_normal(n)
@@ -593,16 +581,12 @@ def _demo_estimator_invsqrt(outdir, rng, size, max_m):
                    rows)
 
 
-def _demo_exp_interval(outdir, rng, size, max_m):
+def _demo_exp_interval(outdir, rng, n, m_max):
     """Superlinear bound against the measured error for a downdated
     exponential on a negative real interval."""
-    n = size or 100
-    m_max = max_m or 32
     eigs = np.linspace(-20.0, 0.0, n)
-    b = rng.standard_normal(n)
-    b /= np.linalg.norm(b)
-    ref = dense_update_reference(np.diag(eigs), -b.reshape(-1, 1), b.reshape(-1, 1), _EXP)
-    errs = _error_curve(HermitianProblem(lambda x: eigs * x, b, _EXP, sign=-1), ref, m_max)
+    b = _unit_draw(rng, n)
+    errs = _diagonal_errors(eigs, b, _EXP, -1, m_max)
     lo = float(min(eigs.min(), np.linalg.eigvalsh(np.diag(eigs) - np.outer(b, b)).min()))
     rho = (0.0 - lo) / 4.0
     rows = [(m, err, *_bound_cells(bnd.bound_exp_superlinear(0.0, rho, m, 1.0, 1.0)))
@@ -620,54 +604,50 @@ def _wedge_samples(rng, n, alpha, rho):
     return shrink * rho * w * (1.0 - 1.0 / w) ** alpha
 
 
-def _demo_exp_wedge(outdir, rng, size, max_m):
+# The exp-wedge eigenvalues fill a wedge of angle parameter alpha and size
+# rho (``_wedge_samples``) inside the bound's region of capacity rho + 1.
+# The bound's window starts at m_lo = ceil(alpha (rho + 1)^(1/alpha) +
+# 4/alpha - 1), and the sweep 10 steps before it.
+_WEDGE_ALPHA, _WEDGE_RHO, _WEDGE_M_LO = 1.5, 100.0, 35
+
+
+def _demo_exp_wedge(outdir, rng, n, m_max):
     """Wedge bound against the measured error for a downdated exponential
     with eigenvalues in a corner region of the left half-plane."""
-    alpha, rho = 1.5, 100.0
-    m_lo = int(np.ceil(alpha * (rho + 1.0) ** (1.0 / alpha) + 4.0 / alpha - 1.0))
-    start = m_lo - 10  # the sweep starts 10 steps before the bound's window
-    _check_demo_flag("--max-m", max_m, start)
-    _check_demo_flag("--size", size, start + 1)
-    n = size or 1000
-    eigs = _wedge_samples(rng, n, alpha, rho)
-    b = rng.standard_normal(n)
-    b /= np.linalg.norm(b)
-    a_dense = np.diag(eigs)
-    ref = dense_update_reference(a_dense, -b.reshape(-1, 1), b.reshape(-1, 1), _EXP)
+    eigs = _wedge_samples(rng, n, _WEDGE_ALPHA, _WEDGE_RHO)
+    b = _unit_draw(rng, n)
+    ref = dense_update_reference(np.diag(eigs), -b.reshape(-1, 1), b.reshape(-1, 1), _EXP)
     prob = GeneralProblem(lambda x: eigs * x, lambda x: np.conj(eigs) * x, -b, b, _EXP)
-    region = bnd.Wedge(0.0, rho + 1.0, alpha)
-    m_hi = min(max_m or (m_lo + 60), n - 1)
+    region = bnd.Wedge(0.0, _WEDGE_RHO + 1.0, _WEDGE_ALPHA)
+    m_hi = min(m_max, n - 1)
     prob.grow(m_hi)
     rows = []
-    for m in range(start, min(m_hi, prob.dimension) + 1):
+    for m in range(_WEDGE_M_LO - 10, min(m_hi, prob.dimension) + 1):
         fac = prob.factor(m)
         err = _norm2_implicit(ref, fac.U, fac.X, fac.V)
         rows.append((m, err, *_bound_cells(bnd.bound_exp_wedge(region, m))))
     write_rows_csv(outdir / "exp_wedge.csv", ["m", "true_error", "bound", "rate"], rows)
-    write_report(outdir / "exp_wedge.json", {"n": n, "alpha": alpha, "rho": rho + 1.0, "psi1": 0.0})
+    write_report(outdir / "exp_wedge.json",
+                 {"n": n, "alpha": _WEDGE_ALPHA, "rho": _WEDGE_RHO + 1.0, "psi1": 0.0})
 
 
-def _demo_markov_invsqrt(outdir, rng, size, max_m):
+def _demo_markov_invsqrt(outdir, rng, n, m_max):
     """Conjugate-gradient style bound against the measured error for an
     updated inverse square root on a positive interval."""
-    n = size or 100
-    m_max = max_m or 60
     eigs = np.linspace(0.1, 10.0, n)
-    b = rng.standard_normal(n)
-    b /= np.linalg.norm(b)
+    b = _unit_draw(rng, n)
     f = FunctionSpec.inverse_sqrt()
-    ref = dense_update_reference(np.diag(eigs), b.reshape(-1, 1), b.reshape(-1, 1), f)
     lmax_up = float(np.linalg.eigvalsh(np.diag(eigs) + np.outer(b, b)).max())
     kappa_star = lmax_up / 0.1
     fp = abs(scalar_derivative(f, 0.1))
-    errs = _error_curve(HermitianProblem(lambda x: eigs * x, b, f), ref, m_max)
+    errs = _diagonal_errors(eigs, b, f, 1, m_max)
     rows = [(m, err, bnd.bound_markov_hpd(kappa_star, fp, 1.0, m), bnd.cg_rate(kappa_star) ** m)
             for m, err in enumerate(errs, start=1)]
     write_rows_csv(outdir / "markov_invsqrt.csv", ["m", "true_error", "bound", "rate"], rows)
     write_report(outdir / "markov_invsqrt.json", {"n": n, "kappa_star": kappa_star})
 
 
-def _demo_convdiff(outdir, rng, size, max_m):
+def _demo_convdiff(outdir, rng, n, m_cap):
     """Convergence of the exponential update when the convection coefficient
     of a 1-D convection-diffusion operator changes at one grid point.
 
@@ -679,11 +659,7 @@ def _demo_convdiff(outdir, rng, size, max_m):
     which is robust against spurious early dips while the iteration
     stagnates.
     """
-    _check_demo_flag("--size", size, 3)
-    n = size or 256
-    m_cap = max_m or 60
     pos = n // 2 - 1
-    f = _EXP
     h2 = (1.0 / (n + 1)) ** 2
 
     def last_crossing(estimates):
@@ -691,22 +667,20 @@ def _demo_convdiff(outdir, rng, size, max_m):
         return (max(above) + 1) if above else 1
 
     columns = []  # estimate and error curves, per coefficient in turn
-    counts = {}
-    counts_stiff = {}
+    counts, counts_stiff = {}, {}
     for c_tilde in (20.0, 40.0, 60.0):
         a, b, c_vec = gen_convdiff1d(n, 10.0, c_tilde, pos)
         at = a.conjugate_transpose()
 
-        prob = GeneralProblem(a.matvec, at.matvec, b, c_vec, f)
+        prob = GeneralProblem(a.matvec, at.matvec, b, c_vec, _EXP)
         xs = {m: prob.x(m) for m in range(1, m_cap + LOOKAHEAD + 1)}
         counts_stiff[str(int(c_tilde))] = last_crossing(
             {m: error_estimate(xs[m], xs[m + LOOKAHEAD]) for m in range(1, m_cap + 1)})
 
-        b_s, c_s = b, h2 * c_vec
-        ref = dense_update_reference(h2 * a.to_dense(), b_s.reshape(-1, 1),
-                                     c_s.reshape(-1, 1), f)
+        c_s = h2 * c_vec
+        ref = dense_update_reference(h2 * a.to_dense(), b.reshape(-1, 1), c_s.reshape(-1, 1), _EXP)
         prob = GeneralProblem(lambda x: h2 * a.matvec(x), lambda x: h2 * at.matvec(x),
-                              b_s, c_s, f)
+                              b, c_s, _EXP)
         facs = [prob.factor(m) for m in range(1, m_cap + LOOKAHEAD + 1)]
         ests = [error_estimate(fac.X, ahead.X) for fac, ahead in zip(facs, facs[LOOKAHEAD:])]
         errs = [spectral_norm(ref - fac.densify()) for fac in facs[:m_cap]]
@@ -721,11 +695,9 @@ def _demo_convdiff(outdir, rng, size, max_m):
                                             "steps_to_1e-6_stiff": counts_stiff})
 
 
-def _demo_decay(outdir, rng, size, max_m):
+def _demo_decay(outdir, rng, n, _max_m):
     """Entrywise decay of an inverse-square-root update of a tridiagonal
     operator after a single unit-entry modification near the center."""
-    _check_demo_flag("--size", size, 2)
-    n = size or 400
     k = n // 2
     l = n // 2 - 1
     f = FunctionSpec.inverse_sqrt()
@@ -757,25 +729,44 @@ def _demo_decay(outdir, rng, size, max_m):
     })
 
 
+# Each demo's flag contract: (function, default --size, least --size,
+# default --max-m, least --max-m). A least value is the smallest that builds
+# the demo's operator and, for a sweep, writes a row; a least --max-m of
+# None means the demo reads no --max-m.
 _DEMOS = {
-    "reorth-comparison": _demo_reorth,
-    "estimator-invsqrt": _demo_estimator_invsqrt,
-    "exp-interval": _demo_exp_interval,
-    "exp-wedge": _demo_exp_wedge,
-    "markov-invsqrt": _demo_markov_invsqrt,
-    "convdiff": _demo_convdiff,
-    "decay": _demo_decay,
+    "reorth-comparison": (_demo_reorth, 100, 1, 80, 1),
+    "estimator-invsqrt": (_demo_estimator_invsqrt, 20, 3, 120, 1),  # 2 x 2 grid: Krylov space of 3
+    "exp-interval": (_demo_exp_interval, 100, 1, 32, 1),
+    "exp-wedge": (_demo_exp_wedge, 1000, _WEDGE_M_LO - 9, _WEDGE_M_LO + 60, _WEDGE_M_LO - 10),
+    "markov-invsqrt": (_demo_markov_invsqrt, 100, 1, 60, 1),
+    "convdiff": (_demo_convdiff, 256, 3, 60, 1),
+    "decay": (_demo_decay, 400, 2, None, None),
 }
 
 
+def _demo_flag(flag, value, default, least, name):
+    """The flag's value, or ``default`` when it is not given. A value below
+    ``least``, or any value where ``least`` is None, is an input error."""
+    if value is None:
+        return default
+    if least is None:
+        raise ValueError(f"{flag} is not read by the {name} demo")
+    if value < least:
+        raise ValueError(f"{flag} must be at least {least} for this demo, got {value}")
+    return value
+
+
 def _cmd_demo(args) -> int:
+    demo, size, least_size, max_m, least_max_m = _DEMOS[args.name]
+    size = _demo_flag("--size", args.size, size, least_size, args.name)
+    max_m = _demo_flag("--max-m", args.max_m, max_m, least_max_m, args.name)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else int(np.random.SeedSequence().entropy % (2**32))
     rng = np.random.default_rng(seed)
     write_report(outdir / "meta.json", {"demo": args.name, "seed": seed,
                                         "size": args.size, "max_m": args.max_m})
-    _DEMOS[args.name](outdir, rng, args.size, args.max_m)
+    demo(outdir, rng, size, max_m)
     return 0
 
 

@@ -11,7 +11,6 @@ import warnings
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from pathlib import Path
 
@@ -28,7 +27,8 @@ class SparseMatrix:
     transpose entry by entry in stored form. Instances are immutable and
     safe to share across threads. A float64 matrix whose rows all hold 1
     to _PADDED_MAX_ROW entries also keeps a padded copy for ``spmv``
-    (``_padded_layout``), built here rather than on the first product.
+    (``_padded_layout``). Both layouts are built here, from one count of
+    the entries of each row, rather than on the first product.
     """
 
     n: int
@@ -46,13 +46,19 @@ class SparseMatrix:
             raise ValueError("dimension must be nonnegative")
         if self.row_ptr.shape != (self.n + 1,):
             raise ValueError("row_ptr must have length n+1")
-        if self.row_ptr[0] != 0 or np.any(np.diff(self.row_ptr) < 0):
+        counts = np.diff(self.row_ptr)
+        if self.row_ptr[0] != 0 or np.any(counts < 0):
             raise ValueError("row_ptr must start at 0 and be nondecreasing")
         if self.row_ptr[-1] != len(self.col_idx) or len(self.col_idx) != len(self.values):
             raise ValueError("row_ptr, col_idx and values are inconsistent")
         if len(self.col_idx) and (self.col_idx.min() < 0 or self.col_idx.max() >= self.n):
             raise ValueError("column index out of range")
-        object.__setattr__(self, "_padded", _padded_layout(self))
+        # the CSR sums' layout: (mask of the nonempty rows, or None when every
+        # row is; storage offset of each nonempty row's first entry)
+        nonempty = counts > 0
+        object.__setattr__(self, "_nonempty_rows", (None if nonempty.all() else nonempty,
+                                                    self.row_ptr[:-1][nonempty]))
+        object.__setattr__(self, "_padded", _padded_layout(self, counts))
 
     @property
     def nnz(self) -> int:
@@ -101,13 +107,6 @@ class SparseMatrix:
         rows = np.repeat(np.arange(self.n), np.diff(self.row_ptr))
         return SparseMatrix.from_coo(self.n, self.col_idx, rows, np.conj(self.values), self.symmetry_flag)
 
-    @cached_property
-    def _nonempty_rows(self):
-        """(mask of the nonempty rows, or None when every row is; storage
-        offset of each nonempty row's first entry), the row sums' layout."""
-        nonempty = np.diff(self.row_ptr) > 0
-        return (None if nonempty.all() else nonempty), self.row_ptr[:-1][nonempty]
-
     def matvec(self, x) -> np.ndarray:
         return spmv(self, x)
 
@@ -133,13 +132,12 @@ def _check_range(what, indices, n) -> None:
 _PADDED_MAX_ROW = 8
 
 
-def _padded_layout(a: SparseMatrix):
+def _padded_layout(a: SparseMatrix, counts):
     """Position-major padded copy of a float64 matrix whose rows all hold 1
-    to _PADDED_MAX_ROW entries, or None: w x n column indices and values
-    for the widest row's w entries, entry k of row r at [k, r]. Padding
-    has the value 0 and reads column n, where ``spmv`` puts -0.0, so it
-    adds -0.0, which leaves every sum as it is, signed zeros included."""
-    counts = np.diff(a.row_ptr)
+    to _PADDED_MAX_ROW entries (``counts``), or None: w x n column indices
+    and values for the widest row's w entries, entry k of row r at [k, r].
+    Padding has the value 0 and reads column n, where ``spmv`` puts -0.0,
+    so it adds -0.0, which leaves every sum as it is, signed zeros included."""
     if a.values.dtype != np.float64 or not a.n or counts.min() < 1:
         return None
     width = int(counts.max())

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -47,6 +48,13 @@ P3 = """%%MatrixMarket matrix coordinate pattern symmetric
 2 1
 3 2
 """
+
+
+# The CSV of each demo that holds one row per swept step or distance.
+DEMO_CSVS = {"reorth-comparison": "reorth_comparison.csv",
+             "estimator-invsqrt": "estimator_invsqrt.csv", "exp-interval": "exp_interval.csv",
+             "exp-wedge": "exp_wedge.csv", "markov-invsqrt": "markov_invsqrt.csv",
+             "convdiff": "convdiff.csv", "decay": "decay_profile.csv"}
 
 
 def read_csv(path):
@@ -1161,6 +1169,57 @@ class TestDemoCommand:
         assert main(["demo", *flags, "--seed", "1", "--output-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message} for this demo, got ")
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("name", sorted(cli._DEMOS))
+    def test_least_flags_write_a_row(self, tmp_path, name):
+        _, _, least_size, _, least_max_m = cli._DEMOS[name]
+        flags = ["--size", str(least_size)]
+        if least_max_m is not None:
+            flags += ["--max-m", str(least_max_m)]
+        assert main(["demo", "--name", name, "--seed", "1", *flags,
+                     "--output-dir", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / DEMO_CSVS[name])
+        assert rows
+
+    @pytest.mark.parametrize("name, flag, least, value", [
+        (name, flag, least, value)
+        for name, (_, _, least_size, _, least_max_m) in sorted(cli._DEMOS.items())
+        for flag, least in (("--size", least_size), ("--max-m", least_max_m))
+        if least is not None and least > 1
+        for value in sorted({1, least - 1})])
+    def test_flag_below_its_least_writes_nothing(self, tmp_path, capsys, name, flag, least,
+                                                 value):
+        out = tmp_path / "o"
+        assert main(["demo", "--name", name, "--seed", "1", flag, str(value),
+                     "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} must be at least {least} for this demo, got {value}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("max_m", ["1", "60", "400"])
+    def test_decay_rejects_max_m(self, tmp_path, capsys, max_m):
+        out = tmp_path / "o"
+        assert main(["demo", "--name", "decay", "--seed", "1", "--size", "5",
+                     "--max-m", max_m, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --max-m is not read by the decay demo\n"
+        assert not out.exists()
+
+    def test_readme_table_states_the_least_flags(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n### demo\n", 1)[1].split("\n## ", 1)[0]
+        stated = {name.strip("`"): (size, max_m) for name, size, max_m in re.findall(
+            r"^\| (`[a-z-]+`|the others) +\| (\S+) +\| (\S+) +\|$", section, re.M)}
+        others = stated.pop("the others")
+        assert set(stated) <= set(cli._DEMOS) and len(stated) < len(cli._DEMOS)
+        for name, (_, _, least_size, _, least_max_m) in cli._DEMOS.items():
+            want = (str(least_size), "rejected" if least_max_m is None else str(least_max_m))
+            assert stated.get(name, others) == want, name
+
+    def test_wedge_sweep_starts_ten_steps_before_the_window(self):
+        region = funupdate.Wedge(0.0, cli._WEDGE_RHO + 1.0, cli._WEDGE_ALPHA)
+        assert funupdate.bound_exp_wedge(region, cli._WEDGE_M_LO).applicable
+        assert not funupdate.bound_exp_wedge(region, cli._WEDGE_M_LO - 1).applicable
+        assert cli._DEMOS["exp-wedge"][2:] == (26, 95, 25)
 
     @pytest.mark.parametrize("n", [60, 80])
     def test_decay_window_is_clipped_to_the_matrix(self, tmp_path, n):

@@ -440,6 +440,19 @@ class TestPaddedLayout:
         c = SparseMatrix.from_coo(2, [0, 1], [0, 1], np.complex64([1 + 1j, 2]))
         assert c.values.dtype == np.complex128 and c.values[0] == 1 + 1j
 
+    def test_both_layouts_are_built_at_construction(self):
+        a = SparseMatrix.from_coo(4, [0, 2, 2], [1, 0, 3], np.ones(3))
+        built = dict(vars(a))
+        mask, starts = built["_nonempty_rows"]
+        assert mask.tolist() == [True, False, True, False] and starts.tolist() == [0, 1]
+        assert built["_padded"] is None
+        for x in (np.ones(4), np.ones(4) + 1j):
+            spmv(a, x)
+        assert vars(a).keys() == built.keys()  # no product adds a layout
+        grid = gen_laplace2d(3)
+        assert grid._nonempty_rows[0] is None
+        assert np.array_equal(grid._nonempty_rows[1], grid.row_ptr[:-1])
+
     def test_edit_across_the_row_limit_keeps_the_bits(self):
         # node 0 has 8 neighbours; the edit (0, 9) gives it 9 and back
         g = Graph.from_edges(10, [(0, j) for j in range(1, 9)] + [(1, 9)])

@@ -787,6 +787,29 @@ class TestRankK:
                              SolveOptions(tol=1e-10, max_m=30))
         assert len(facs) == 1
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 2000])
+    def test_one_corrected_pair_is_bitwise_the_rank_one_formula(self, n):
+        # every centrality edit's second solve runs on one corrected pair
+        rng = np.random.default_rng(n)
+        d, u, w, x = rng.standard_normal((4, n))
+        want = d * x + u * np.vdot(w, x)
+        apply = update._corrected_operator(lambda y: d * y, [(u, w)])
+        u[:] = w[:] = 0.0  # the operator keeps its own copies of the pairs
+        assert np.array_equal(apply(x), want)
+
+    def test_corrected_pairs_add_every_term(self):
+        rng = np.random.default_rng(6)
+        n = 40
+        a = make_general(rng, n)
+        pairs = [tuple(rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+                 for _ in range(3)]
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        want = a @ x + sum(u * np.vdot(w, x) for u, w in pairs)
+        base = a.__matmul__
+        got = update._corrected_operator(base, pairs)(x)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        assert update._corrected_operator(base, []) is base
+
     def test_general_rank_three_matches_dense(self):
         rng = np.random.default_rng(30)
         n = 5
