@@ -794,8 +794,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Low-rank updates of matrix functions.")
     sub = parser.add_subparsers(dest="command", required=True)
     solve = argparse.ArgumentParser(add_help=False)
-    solve.add_argument("--tol", type=float, default=1e-6)
-    solve.add_argument("--max-m", type=int, default=200)
+    solve.add_argument("--tol", type=float, default=SolveOptions.tol)
+    solve.add_argument("--max-m", type=int, default=SolveOptions.max_m)
 
     up = sub.add_parser("update", parents=[solve], help="approximate f(A + b c^*) - f(A)")
     up.add_argument("--matrix", required=True)

@@ -7,11 +7,11 @@ Gram-Schmidt applied twice (CGS2). Arnoldi runs CGS2 on every step.
 Lanczos runs the three-term recurrence on the same buffers; with
 ``reorth="full"`` it then measures the loss of orthogonality of the new
 vector with one product against the stored basis and runs CGS2 only on
-the steps where that loss exceeds ``_REORTH_TRIGGER``. Above
-``_DEFER_BYTES`` of basis that measurement is batched: one product per
-block of up to ``_DEFER_BLOCK`` steps, with a rollback to the first
-failing step, which is then replayed probe by probe. Both grow step by
-step, so that callers can monitor convergence as the basis grows.
+the steps where that loss exceeds ``_PROBE_TRIGGER`` (the probe is CGS2's
+first pass). Above ``_DEFER_BYTES`` of basis that measurement is batched:
+one product per block of up to ``_DEFER_BLOCK`` steps, with a rollback to
+the first failing step, which is then replayed probe by probe. Both grow
+step by step, so that callers can monitor convergence as the basis grows.
 """
 
 from __future__ import annotations
@@ -25,10 +25,14 @@ from .errors import NonFiniteOperatorError
 _EPS = np.finfo(np.float64).eps
 
 # Largest cosine |Q^* r| / |r| between a Lanczos residual and the stored
-# basis that full reorthogonalization leaves uncorrected. Each column of
-# U^* U - I then has norm at most this, so the loss after m steps is at
-# most sqrt(2 m) times it: 1e-12 up to m = 555.
+# basis that the deferred block check passes, and that the per-step probe
+# leaves uncorrected. The probe's 10 % margin exceeds the gap between the
+# cosines of its matrix-vector product and the block's matrix product (at
+# most 0.62 % of the trigger over 2,200 near-trigger columns, n <= 300), so
+# deferral reproduces the probed process bit for bit. The loss |U^* U - I|
+# after m steps is at most sqrt(2 m) _PROBE_TRIGGER: 1e-12 up to m = 459.
 _REORTH_TRIGGER = 3e-14
+_PROBE_TRIGGER = 1.1 * _REORTH_TRIGGER
 
 # Above this basis size, n (dimension + 1) itemsize bytes, full
 # reorthogonalization measures a block of up to _DEFER_BLOCK steps with one
@@ -135,16 +139,20 @@ class ArnoldiProcess:
         self._cgs2(j)
         self._close(j)
 
-    def _cgs2(self, j, c=None) -> None:
+    def _cgs2(self, j, probe=False):
         """Classical Gram-Schmidt applied twice (CGS2, "twice is enough":
         Giraud, Langou and Rozloznik, 2005) of basis column j + 1 against
         columns 0..j, as matrix-vector products, adding both passes'
-        coefficients into coefficient column j. ``c`` is the first pass's
-        projection when the caller has computed it already."""
+        coefficients into coefficient column j. A ``probe`` leaves the
+        column alone and returns |r| when the first projection c has
+        |c| <= ``_PROBE_TRIGGER`` |r|; else both passes run (returns None)."""
         q, r, h = self._q[:, : j + 1], self._q[:, j + 1], self._h[: j + 1, j]
         for k in range(2):
-            if c is None or k:
-                c = (r.conj() @ q).conj()
+            c = (r.conj() @ q).conj()
+            if probe and not k:
+                beta = _norm(r)
+                if _norm(c) <= _PROBE_TRIGGER * beta:
+                    return beta
             r -= q @ c
             h += c
 
@@ -186,22 +194,22 @@ class LanczosProcess(ArnoldiProcess):
 
     Every step runs the three-term recurrence, writing alpha_j to (j, j)
     and beta_j to (j + 1, j) of the coefficient buffer. ``reorth="none"``
-    stops there. ``reorth="full"`` then probes the residual r against the
-    stored basis (c = Q^* r, one matrix-vector product) and runs the CGS2
-    step, its first pass reusing c, only when |c| > ``_REORTH_TRIGGER`` |r|;
-    the corrections add into coefficient column j as Arnoldi's do, so
-    the basis stays orthonormal to 1e-12 on spectra where the plain
-    recurrence loses orthogonality.
+    stops there. ``reorth="full"`` then probes the residual r with the
+    first pass of ``_cgs2`` (c = Q^* r, one matrix-vector product) and
+    completes the CGS2 step only when |c| > ``_PROBE_TRIGGER`` |r|; the
+    corrections add into coefficient column j as Arnoldi's do, so the basis
+    stays orthonormal to 1e-12 for up to 459 steps on spectra where the
+    plain recurrence loses orthogonality.
 
     Once the basis outgrows ``_DEFER_BYTES``, the probe is deferred: the
     process runs blocks of up to ``_DEFER_BLOCK`` plain steps, never past
     the end of the running ``advance``, and then measures each new column
     u_k against u_0..u_{k-1} with one product for the whole block. At the
-    first column that fails the probe's test, or at a breakdown in the
-    block, it rolls back to the step that made the column and probes every
-    step from there on. The probe's test is the deferred one up to
-    rounding, so the process ends as the per-step one does, reading the
-    basis once per block instead of once per step.
+    first column whose cosine exceeds ``_REORTH_TRIGGER``, or at a
+    breakdown in the block, it rolls back to the step that made the column
+    and probes every step from there on. Any column the block passes the
+    probe passes too, so the process ends as the per-step one does, bit for
+    bit, reading the basis once per block instead of once per step.
     """
 
     def __init__(self, apply_a, b, reorth="full"):
@@ -255,16 +263,8 @@ class LanczosProcess(ArnoldiProcess):
         w = w - alpha * u
         self._reserve(w.dtype)
         self._h[j, j] = alpha
-        q, r = self._q[:, : j + 1], self._q[:, j + 1]
-        r[:] = w
-        beta = None
-        if probe and self.reorth == "full":
-            c = (r.conj() @ q).conj()
-            beta = _norm(r)
-            if _norm(c) > _REORTH_TRIGGER * beta:
-                self._cgs2(j, c)
-                beta = None  # the correction changed r
-        self._close(j, beta)
+        self._q[:, j + 1] = w
+        self._close(j, self._cgs2(j, probe=True) if probe and self.reorth == "full" else None)
 
     def compressed(self, m=None) -> np.ndarray:
         """The real symmetric tridiagonal, mirrored from the diagonal and

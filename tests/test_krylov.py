@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from funupdate import (DomainError, MatrixMarketError, NonFiniteOperatorError, OracleScaleError,
                        as_operator, gen_laplace2d, krylov, spectral_norm)
-from funupdate.krylov import _DEFER_BLOCK, ArnoldiProcess, LanczosProcess, _norm
+from funupdate.krylov import (_DEFER_BLOCK, _PROBE_TRIGGER, _REORTH_TRIGGER, ArnoldiProcess,
+                              LanczosProcess, _norm)
 from helpers import make_hermitian, tridiag_sparse, unit
 
 NEVER = 1 << 62  # a deferral gate no basis reaches
@@ -276,6 +277,24 @@ class TestBasisKernel:
         assert spectral_norm(np.triu(arn.compressed(), 2)) <= 1e-12
 
 
+def clustered_spectrum(rng, n, centers, spread):
+    """n eigenvalues spread about ``centers`` points drawn from [-1, 1]."""
+    c = rng.uniform(-1.0, 1.0, centers)
+    return c[rng.integers(centers, size=n)] + spread * rng.standard_normal(n)
+
+
+def hermitian_with_start(rng, lam, complex_):
+    """The dense Hermitian operator Q diag(lam) Q^*, Q the unitary factor of
+    a Gaussian matrix, and a Gaussian starting vector."""
+    n = len(lam)
+    z = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_ else 0)
+    q, _ = np.linalg.qr(z)
+    a = (q * lam) @ q.conj().T
+    a = 0.5 * (a + a.conj().T)
+    b = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_ else 0)
+    return a, b
+
+
 @st.composite
 def hermitian_problems(draw):
     """A dense Hermitian operator Q diag(lambda) Q^* with a clustered or a
@@ -286,18 +305,11 @@ def hermitian_problems(draw):
     rng = np.random.default_rng(seed)
     scale = 10.0 ** draw(st.floats(-3, 3))
     if draw(st.booleans()):
-        centers = rng.uniform(-1.0, 1.0, draw(st.integers(1, 6)))
-        spread = 10.0 ** -draw(st.floats(2, 10))
-        lam = centers[rng.integers(len(centers), size=n)] + spread * rng.standard_normal(n)
+        lam = clustered_spectrum(rng, n, draw(st.integers(1, 6)), 10.0 ** -draw(st.floats(2, 10)))
     else:
         lam = np.logspace(-draw(st.floats(1, 10)), 0, n)
         lam *= rng.choice([-1.0, 1.0], n) if draw(st.booleans()) else 1.0
-    z = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_ else 0)
-    q, _ = np.linalg.qr(z)
-    a = (q * (scale * lam)) @ q.conj().T
-    a = 0.5 * (a + a.conj().T)
-    b = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_ else 0)
-    return a, b, draw(st.integers(1, n))
+    return (*hermitian_with_start(rng, scale * lam, complex_), draw(st.integers(1, n)))
 
 
 @pytest.mark.usefixtures("defer_gate")
@@ -346,6 +358,48 @@ class TestDeferredCheck:
         assert deferred.breakdown == probed.breakdown
         assert np.array_equal(deferred.basis_matrix(), probed.basis_matrix())
         assert np.array_equal(deferred.compressed(), probed.compressed())
+
+    @pytest.mark.parametrize("seed,scale,first", [(584, 10.0, 4), (585, 1.0, 7)])
+    def test_near_trigger_draws_equal_probed(self, seed, scale, first):
+        # two hermitian_problems draws (complex, n = 282, one eigenvalue
+        # centre, spread 1e-2) where the block's and the probe's rounding of
+        # a cosine straddled 3e-14 with OpenBLAS on two threads: seed 584's
+        # block check passed column 4 at 2.999e-14, which the probe then
+        # corrected; seed 585's probe corrected the last step, which its
+        # block check had passed
+        rng = np.random.default_rng(seed)
+        a, b = hermitian_with_start(rng, scale * clustered_spectrum(rng, 282, 1, 1e-2), True)
+        deferred, probed = (grown(lambda x: a @ x, b, [first, 1], gate) for gate in (0, NEVER))
+        assert np.array_equal(deferred.basis_matrix(), probed.basis_matrix())
+        assert np.array_equal(deferred.compressed(), probed.compressed())
+
+    @pytest.mark.parametrize("cosine,corrects", [
+        (0.5 * _PROBE_TRIGGER, False),
+        (1.05 * _REORTH_TRIGGER, False),  # the margin: the block check flags it, the probe does not
+        (2.0 * _PROBE_TRIGGER, True),
+    ])
+    def test_probe_is_the_first_cgs2_pass(self, cosine, corrects):
+        # column j + 1 holds a residual r at the given cosine to the basis; a
+        # probe below its threshold leaves r and coefficient column j as
+        # they are and returns |r|, one above it is the plain CGS2 step
+        a = make_hermitian(np.random.default_rng(71), 80)
+        proc, plain = (advanced(LanczosProcess(lambda x: a @ x, np.ones(80)), 8) for _ in range(2))
+        j = proc.dimension
+        q = proc._q[:, : j + 1]  # the basis and its newest column, u_j
+        g = np.random.default_rng(72).standard_normal(80)
+        for _ in range(2):
+            g -= q @ (q.T @ g)
+        r = g / np.linalg.norm(g) + cosine * q[:, 3]
+        for p in (proc, plain):
+            p._reserve(r.dtype)
+            p._q[:, j + 1] = r
+        h = proc._h[:, j].copy()
+        beta = proc._cgs2(j, probe=True)
+        assert plain._cgs2(j) is None
+        assert beta == (None if corrects else _norm(r))
+        want = (plain._q[:, j + 1], plain._h[:, j]) if corrects else (r, h)
+        assert np.array_equal(proc._q[:, j + 1], want[0])
+        assert np.array_equal(proc._h[:, j], want[1])
 
     def test_breakdown_inside_a_block(self):
         # b lies on 7 eigenvectors: the recurrence breaks down at step 7 of
