@@ -108,11 +108,11 @@ def phi_abs(region, z) -> float:
 class BoundValue:
     """A bound evaluation: ``value`` is None outside the validity window of
     the formula; ``rate`` is the constant-free decay factor, defined for
-    every m."""
+    every m, or None for a bound that has none."""
 
     applicable: bool
     value: float | None
-    rate: float
+    rate: float | None
 
 
 def bound_exp_superlinear(psi1, rho, m, b_norm=1.0, c_norm=1.0) -> BoundValue:
@@ -154,11 +154,6 @@ def bound_exp_wedge(region: Wedge, m, b_norm=1.0, c_norm=1.0) -> BoundValue:
     return BoundValue(True, constant * rate * b_norm * c_norm, rate)
 
 
-def markov_rate(region, beta_hi) -> float:
-    """1 / |phi(beta)|, the per-step decay factor of ``bound_markov``."""
-    return 1.0 / phi_abs(region, beta_hi)
-
-
 def cg_rate(kappa) -> float:
     """(sqrt(k) - 1) / (sqrt(k) + 1), the conjugate-gradient style decay
     factor of ``bound_markov_hpd`` and of the decay bounds."""
@@ -166,29 +161,32 @@ def cg_rate(kappa) -> float:
     return (s - 1.0) / (s + 1.0)
 
 
-def bound_markov(region, beta_hi, f_prime_omega, m, b_norm=1.0, c_norm=1.0) -> float:
+def bound_markov(region, beta_hi, f_prime_omega, m, b_norm=1.0, c_norm=1.0) -> BoundValue:
     """Markov-function error bound 8 |f'(omega)| |b| |c| / |phi(beta)|^m for
     a region symmetric to the real axis whose leftmost real point omega lies
-    strictly right of the support endpoint beta."""
+    strictly right of the support endpoint beta; the rate is
+    1 / |phi(beta)|^m."""
     omega = leftmost_real_point(region)
     if not beta_hi < omega:
         raise ValueError("support endpoint must lie strictly left of the region")
-    return 8.0 * abs(f_prime_omega) * b_norm * c_norm * markov_rate(region, beta_hi)**m
+    rate = (1.0 / phi_abs(region, beta_hi))**m
+    return BoundValue(True, 8.0 * abs(f_prime_omega) * b_norm * c_norm * rate, rate)
 
 
-def bound_markov_hpd(kappa_star, f_prime, b_norm, m) -> float:
+def bound_markov_hpd(kappa_star, f_prime, b_norm, m) -> BoundValue:
     """Hermitian positive definite specialization with the rate
     ``cg_rate(k*)``^m, where k* is the ratio of the largest updated
     eigenvalue to the smallest original one and f_prime is |f'| at that
     smallest eigenvalue."""
     if kappa_star < 1.0:
         raise ValueError("kappa_star must be at least 1")
-    return 8.0 * abs(f_prime) * b_norm**2 * cg_rate(kappa_star)**m
+    rate = cg_rate(kappa_star)**m
+    return BoundValue(True, 8.0 * abs(f_prime) * b_norm**2 * rate, rate)
 
 
-def chebyshev_poly_bound(f: FunctionSpec, interval, m) -> float:
+def chebyshev_poly_bound(f: FunctionSpec, interval, m) -> BoundValue:
     """Computable stand-in for four times the best degree-m uniform
-    approximation error of f on a real interval.
+    approximation error of f on a real interval, with no rate.
 
     Interpolates f at m+1 Chebyshev points, samples |f - p| on a 10(m+1)
     point Chebyshev-dense grid, and returns 4 times the maximum. Since the
@@ -209,7 +207,7 @@ def chebyshev_poly_bound(f: FunctionSpec, interval, m) -> float:
     theta = np.pi * (np.arange(10 * (m + 1)) + 0.5) / (10.0 * (m + 1))
     t = np.cos(theta)
     err = np.max(np.abs(mapped(t) - np.polynomial.chebyshev.chebval(t, coeffs)))
-    return 4.0 * float(err)
+    return BoundValue(True, 4.0 * float(err), None)
 
 
 def field_of_values_boundary(m, n_angles) -> np.ndarray:
@@ -268,8 +266,6 @@ def demko_decay(params: DecayParams, dist) -> float:
     C = max(1/lmin, (1+sqrt(k))^2 / (2 lmax))."""
     if dist < 0:
         raise ValueError("distance must be nonnegative")
-    if params.lmin <= 0:
-        raise ValueError("lmin must be positive")
     s = math.sqrt(params.kappa)
     c = max(1.0 / params.lmin, (1.0 + s) ** 2 / (2.0 * params.lmax))
     q = params.decay_rate

@@ -22,6 +22,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import zip_longest
 from pathlib import Path
 
@@ -300,10 +301,26 @@ def subgraph_centrality_baseline(graph: Graph) -> np.ndarray:
     return (q * q) @ scalar_values(_EXP, dec.eigenvalues)
 
 
+def _check_edits(graph: Graph, edits) -> None:
+    """Replays the edits on the graph's edge set and rejects the first that
+    adds an existing edge, removes a missing one or names a node outside
+    the graph."""
+    toggled = set()
+    for op in edits:
+        edge = frozenset((op.i, op.j))
+        present = graph.has_edge(op.i, op.j) != (edge in toggled)
+        if op.kind == "add" and present:
+            raise ValueError(f"cannot add existing edge ({op.i}, {op.j})")
+        if op.kind == "remove" and not present:
+            raise ValueError(f"cannot remove missing edge ({op.i}, {op.j})")
+        toggled ^= {edge}
+
+
 def update_subgraph_centrality(graph: Graph, edits, opts: SolveOptions) -> dict:
     """Applies edge edits to the subgraph-centrality vector.
 
-    The baseline diag(exp(A)) is computed once, on a worker thread while
+    The whole edit sequence is checked (``_check_edits``) before any dense
+    or Krylov work starts. The baseline diag(exp(A)) is computed once, on a worker thread while
     the edits are solved in the calling thread (the dense eigensolver
     releases the interpreter lock). With one usable core the two would
     only time-slice it, so the edits then wait for the baseline. Every edit
@@ -313,6 +330,7 @@ def update_subgraph_centrality(graph: Graph, edits, opts: SolveOptions) -> dict:
     finishes. Centralities are renormalized by the updated trace.
     """
     _check_baseline_scale(graph)
+    _check_edits(graph, edits)
     current = graph
     records = []
     engine_seconds = 0.0
@@ -322,10 +340,6 @@ def update_subgraph_centrality(graph: Graph, edits, opts: SolveOptions) -> dict:
         if _usable_cores() == 1:
             pending.result()
         for op in edits:
-            if op.kind == "add" and current.has_edge(op.i, op.j):
-                raise ValueError(f"cannot add existing edge ({op.i}, {op.j})")
-            if op.kind == "remove" and not current.has_edge(op.i, op.j):
-                raise ValueError(f"cannot remove missing edge ({op.i}, {op.j})")
             mod = edge_modification(op, current.n)
             matvec = current.adjacency.matvec
             t0 = time.perf_counter()
@@ -433,6 +447,12 @@ class _BoundsSpec(dict):
         return function_from_name(name)
 
 
+def _bound_cells(r: bnd.BoundValue) -> tuple:
+    """A bound's CSV cells: its value, or "NA" outside the formula's window,
+    and its rate, or "NA" for a bound without one."""
+    return (r.value if r.applicable else "NA", "NA" if r.rate is None else r.rate)
+
+
 def _bounds_rows(spec: _BoundsSpec):
     """The (m, bound, rate) rows of a spec for m_min <= m <= m_max; a key
     the spec's kind did not read is rejected once the rows are formed."""
@@ -441,24 +461,19 @@ def _bounds_rows(spec: _BoundsSpec):
     if not 0 <= m_min <= m_max:
         raise ValueError(f"bounds spec needs 0 <= m_min <= m_max, got m_min {m_min} "
                          f"and m_max {m_max}")
-    m_range = range(m_min, m_max + 1)
     if kind == "exp-superlinear":
         psi1, rho, (b_norm, c_norm) = spec.num("psi1"), spec.num("rho"), spec.norms()
-        rows = [(m, *_bound_cells(bnd.bound_exp_superlinear(psi1, rho, m, b_norm, c_norm)))
-                for m in m_range]
+        bound = partial(bnd.bound_exp_superlinear, psi1, rho, b_norm=b_norm, c_norm=c_norm)
     elif kind == "exp-wedge":
         region = bnd.Wedge(spec.num("psi1"), spec.num("rho"), spec.num("alpha"))
         b_norm, c_norm = spec.norms()
-        rows = [(m, *_bound_cells(bnd.bound_exp_wedge(region, m, b_norm, c_norm)))
-                for m in m_range]
+        bound = partial(bnd.bound_exp_wedge, region, b_norm=b_norm, c_norm=c_norm)
     elif kind == "markov-hpd":
         if "f_prime" in spec:
             fp = spec.num("f_prime")
         else:
             fp = abs(scalar_derivative(spec.function(), spec.num("omega")))
-        kappa, b_norm = spec.num("kappa_star"), spec.num("b_norm", 1.0)
-        rate = bnd.cg_rate(kappa)
-        rows = [(m, bnd.bound_markov_hpd(kappa, fp, b_norm, m), rate**m) for m in m_range]
+        bound = partial(bnd.bound_markov_hpd, spec.num("kappa_star"), fp, spec.num("b_norm", 1.0))
     elif kind == "markov":
         if "interval" in spec:
             region = bnd.Interval(*spec.num("interval", size=2))
@@ -466,15 +481,12 @@ def _bounds_rows(spec: _BoundsSpec):
             region = bnd.Ellipse(*spec.num("ellipse", size=3))
         beta, (b_norm, c_norm) = spec.num("beta"), spec.norms()
         fp = abs(scalar_derivative(spec.function(), bnd.leftmost_real_point(region)))
-        rate = bnd.markov_rate(region, beta)
-        rows = [(m, bnd.bound_markov(region, beta, fp, m, b_norm, c_norm), rate**m)
-                for m in m_range]
+        bound = partial(bnd.bound_markov, region, beta, fp, b_norm=b_norm, c_norm=c_norm)
     elif kind == "chebyshev":
-        f = spec.function()
-        interval = spec.num("interval", size=2)
-        rows = [(m, bnd.chebyshev_poly_bound(f, interval, m), "NA") for m in m_range]
+        bound = partial(bnd.chebyshev_poly_bound, spec.function(), spec.num("interval", size=2))
     else:
         raise ValueError(f"unknown bound kind {kind!r}")
+    rows = [(m, *_bound_cells(bound(m))) for m in range(m_min, m_max + 1)]
     unread = [key for key in spec if key not in spec.read]
     if unread:
         raise ValueError(f"bounds spec kind {kind!r} does not read the key"
@@ -520,12 +532,6 @@ def _norm2_implicit(ref, u, x, v) -> float:
             break
         top = ritz
     return float(np.sqrt(top))
-
-
-def _bound_cells(r: bnd.BoundValue) -> tuple:
-    """A bound's CSV cells: its value, or "NA" outside the formula's window,
-    and its rate."""
-    return (r.value if r.applicable else "NA", r.rate)
 
 
 def _unit_draw(rng, n) -> np.ndarray:
@@ -641,7 +647,7 @@ def _demo_markov_invsqrt(outdir, rng, n, m_max):
     kappa_star = lmax_up / 0.1
     fp = abs(scalar_derivative(f, 0.1))
     errs = _diagonal_errors(eigs, b, f, 1, m_max)
-    rows = [(m, err, bnd.bound_markov_hpd(kappa_star, fp, 1.0, m), bnd.cg_rate(kappa_star) ** m)
+    rows = [(m, err, *_bound_cells(bnd.bound_markov_hpd(kappa_star, fp, 1.0, m)))
             for m, err in enumerate(errs, start=1)]
     write_rows_csv(outdir / "markov_invsqrt.csv", ["m", "true_error", "bound", "rate"], rows)
     write_report(outdir / "markov_invsqrt.json", {"n": n, "kappa_star": kappa_star})

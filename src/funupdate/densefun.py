@@ -18,6 +18,7 @@ _EIGVEC_COND_LIMIT = 1e8   # reject the diagonalization path beyond this
 # square root has an iteration that does not, and switches to it once the
 # loss could exceed ~1e-10.
 _INVSQRT_COND_LIMIT = 1e6
+_DB_MAX_ITER, _DB_RTOL = 100, 1e-14  # Denman-Beavers step cap and relative step size to stop at
 _HERMITIAN_RTOL = 1e-12
 
 KINDS = ("exp", "invsqrt", "inverse", "invpower", "log1p-over-z", "polynomial", "resolvent")
@@ -55,8 +56,8 @@ class FunctionSpec:
             if not all(np.isfinite(c) for c in coeffs):
                 raise ValueError("polynomial coefficients must be finite")
             object.__setattr__(self, "coefficients", coeffs)
-        if self.kind == "resolvent" and self.shift is None:
-            raise ValueError("resolvent needs a shift")
+        if self.kind == "resolvent" and (self.shift is None or not np.isfinite(self.shift)):
+            raise ValueError(f"resolvent needs a finite shift, got {self.shift!r}")
 
     @classmethod
     def exp(cls):
@@ -105,18 +106,24 @@ class FunctionSpec:
 
 
 def function_from_name(text: str) -> FunctionSpec:
-    """Parses CLI-style names: exp, invsqrt, inverse, log1p-over-z,
-    invpower:GAMMA, poly:c0,c1,..., resolvent:SHIFT."""
-    name, _, arg = text.partition(":")
+    """Parses CLI-style names: exp, invsqrt, inverse, log1p-over-z (no
+    ``:`` after any of these), invpower:GAMMA, poly:c0,c1,...,
+    resolvent:SHIFT. A name it cannot parse is a ValueError naming it."""
+    name, colon, arg = text.partition(":")
     name = name.strip().lower()
     if name in ("exp", "invsqrt", "inverse", "log1p-over-z"):
+        if colon:
+            raise ValueError(f"function {name!r} takes no parameter, got {text!r}")
         return FunctionSpec(name)
-    if name == "invpower":
-        return FunctionSpec.inverse_power(float(arg))
-    if name == "poly":
-        return FunctionSpec.polynomial(float(c) for c in arg.split(","))
-    if name == "resolvent":
-        return FunctionSpec.resolvent(complex(arg))
+    try:
+        if name == "invpower":
+            return FunctionSpec.inverse_power(float(arg))
+        if name == "poly":
+            return FunctionSpec.polynomial(float(c) for c in arg.split(","))
+        if name == "resolvent":
+            return FunctionSpec.resolvent(complex(arg))
+    except ValueError as exc:
+        raise ValueError(f"invalid function {text!r}: {exc}") from None
     raise ValueError(f"unknown function {text!r}")
 
 
@@ -321,10 +328,9 @@ def is_hermitian(m: np.ndarray) -> bool:
     return np.linalg.norm(m - m.conj().T, np.inf) <= _HERMITIAN_RTOL * scale
 
 
-def eigen_decompose(m, hermitian: bool | None = None) -> EigenDecomposition:
+def eigen_decompose(m, hermitian: bool) -> EigenDecomposition:
+    """M = Q diag(w) Q^{-1}: ``eigh`` where the caller declares M Hermitian, else ``eig``."""
     m = np.asarray(m)
-    if hermitian is None:
-        hermitian = is_hermitian(m)
     if hermitian:
         w, q = np.linalg.eigh(m)
         return EigenDecomposition(w, q, q.conj().T, 1.0)
@@ -420,7 +426,7 @@ def _polyval_matrix(coefficients, m) -> np.ndarray:
     return acc
 
 
-def _inv_sqrt_denman_beavers(m, max_iter=100, rtol=1e-14) -> np.ndarray:
+def _inv_sqrt_denman_beavers(m) -> np.ndarray:
     """Coupled Newton iteration converging to M**(-1/2); requires the
     spectrum off the closed nonpositive real axis."""
     a = np.asarray(m, dtype=np.result_type(m, np.float64))
@@ -428,14 +434,14 @@ def _inv_sqrt_denman_beavers(m, max_iter=100, rtol=1e-14) -> np.ndarray:
     y = a.copy()
     z = np.eye(n, dtype=a.dtype)
     last = np.inf
-    for _ in range(max_iter):
+    for _ in range(_DB_MAX_ITER):
         y_next = 0.5 * (y + np.linalg.inv(z))
         z_next = 0.5 * (z + np.linalg.inv(y))
         step = np.linalg.norm(y_next - y, "fro")
         y, z = y_next, z_next
         ref = np.linalg.norm(y, "fro")
         stagnating = step >= 0.9 * last and step <= 1e-10 * ref
-        if step <= rtol * ref or stagnating:
+        if step <= _DB_RTOL * ref or stagnating:
             break
         last = step
     return z

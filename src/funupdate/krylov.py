@@ -123,13 +123,13 @@ class ArnoldiProcess:
             self._q, self._h = q, h
 
     def advance(self, steps: int) -> None:
-        self._advance(max(0, int(steps)))
+        end = self.dimension + max(0, int(steps))
+        while self.dimension < end and not self.breakdown:
+            self._next(end)
 
-    def _advance(self, steps) -> None:
-        for _ in range(steps):
-            if self.breakdown:
-                return
-            self._step()
+    def _next(self, end) -> None:
+        """One iteration of an ``advance`` that ends at dimension ``end``."""
+        self._step()
 
     def _step(self) -> None:
         j = self.dimension
@@ -162,11 +162,12 @@ class ArnoldiProcess:
         breakdown and normalizes."""
         r, col = self._q[:, j + 1], self._h[: j + 2, j]
         col[j + 1] = beta = _norm(r) if beta is None else beta
-        # every entry of the operator output reaches the residual norm, so
-        # this O(j) check catches any NaN or inf it holds
-        if not np.isfinite(col).all():
+        # every operator output entry reaches this column: its largest modulus is
+        # not finite iff the output held a NaN or inf or a modulus overflows
+        top = float(np.abs(col).max())
+        if not math.isfinite(top):
             raise NonFiniteOperatorError(type(self).__name__, j + 1)
-        self._scale = max(self._scale, float(np.abs(col).max()))
+        self._scale = max(self._scale, top)
         self.dimension += 1
         self.breakdown = beta <= self.n * _EPS * max(self._scale, 1e-300)
         if not self.breakdown:
@@ -219,13 +220,11 @@ class LanczosProcess(ArnoldiProcess):
         self.reorth = reorth
         self._defer = reorth == "full"  # cleared for good by a rollback
 
-    def _advance(self, steps) -> None:
-        end = self.dimension + steps
-        while self.dimension < end and not self.breakdown:
-            if self._defer and self.n * (self.dimension + 1) * self._q.itemsize > _DEFER_BYTES:
-                self._block(min(_DEFER_BLOCK, end - self.dimension))
-            else:
-                self._step()
+    def _next(self, end) -> None:
+        if self._defer and self.n * (self.dimension + 1) * self._q.itemsize > _DEFER_BYTES:
+            self._block(min(_DEFER_BLOCK, end - self.dimension))
+        else:
+            self._step()
 
     def _block(self, steps) -> None:
         """Runs up to ``steps`` unprobed steps, then tests the normalized

@@ -15,22 +15,14 @@ DENSE_UPDATE_LIMIT = 2000
 BLOCK_LEMMA_LIMIT = 500
 
 
-def _as_dense(a) -> np.ndarray:
-    to_dense = getattr(a, "to_dense", None)
-    if to_dense is not None:
-        return to_dense()
-    return np.asarray(a)
-
-
 def dense_update_reference(a, b, c, f: FunctionSpec) -> np.ndarray:
-    """Ground truth f(A + B C^*) - f(A) by two dense evaluations."""
-    a = _as_dense(a)
+    """Ground truth f(A + B C^*) - f(A) by two dense evaluations, for a
+    dense array A and n x k arrays, or length-n vectors, B and C."""
+    a = np.asarray(a)
     n = a.shape[0]
     if n > DENSE_UPDATE_LIMIT:
         raise OracleScaleError(f"dense reference limited to n <= {DENSE_UPDATE_LIMIT}")
-    b = np.atleast_2d(np.asarray(b).T).T if np.asarray(b).ndim == 1 else np.asarray(b)
-    c = np.atleast_2d(np.asarray(c).T).T if np.asarray(c).ndim == 1 else np.asarray(c)
-    modified = a + b @ c.conj().T
+    modified = a + np.asarray(b).reshape(n, -1) @ np.asarray(c).reshape(n, -1).conj().T
     return eval_matrix_function(modified, f) - eval_matrix_function(a, f)
 
 
@@ -40,20 +32,18 @@ def block_lemma_check(a, b, c, f: FunctionSpec) -> float:
         [ A   b c^* ]
         [ 0   A + b c^* ]
 
-    and the directly computed dense update; the two agree exactly for any f
-    analytic on both spectra."""
-    a = _as_dense(a)
+    and the directly computed dense update, for a dense array A and
+    vectors b and c; the two agree exactly for any f analytic on both
+    spectra."""
+    a = np.asarray(a)
     n = a.shape[0]
     if n > BLOCK_LEMMA_LIMIT:
         raise OracleScaleError(f"block check limited to n <= {BLOCK_LEMMA_LIMIT}")
-    b = np.asarray(b)
-    c = np.asarray(c)
-    outer = np.outer(b, c.conj())
+    outer = np.outer(b, np.conj(c))
     dtype = np.result_type(a, outer)
     big = np.zeros((2 * n, 2 * n), dtype=dtype)
     big[:n, :n] = a
     big[:n, n:] = outer
     big[n:, n:] = a + outer
     f_big = eval_matrix_function(big, f)
-    reference = dense_update_reference(a, b.reshape(-1, 1), c.reshape(-1, 1), f)
-    return float(np.linalg.norm(f_big[:n, n:] - reference, 2))
+    return float(np.linalg.norm(f_big[:n, n:] - dense_update_reference(a, b, c, f), 2))

@@ -122,6 +122,8 @@ class SparseMatrix:
 
 def _check_range(what, indices, n) -> None:
     for k in indices:
+        if not isinstance(k, (int, np.integer)):
+            raise ValueError(f"{what} {k!r} is not an integer")
         if not 0 <= k < n:
             raise ValueError(f"{what} {k} outside 0..{n - 1} (n = {n})")
 

@@ -1,14 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from funupdate import (DecayParams, Ellipse, FunctionSpec, Interval, Wedge,
+from funupdate import (BoundValue, DecayParams, Ellipse, FunctionSpec, Interval, Wedge,
                        bound_exp_superlinear, bound_exp_wedge, bound_markov,
-                       bound_markov_hpd, chebyshev_poly_bound, demko_decay,
-                       field_of_values_boundary, leftmost_real_point, phi_abs,
-                       scalar_derivative, stieltjes_k_constant,
-                       stieltjes_update_decay)
+                       bound_markov_hpd, chebyshev_poly_bound, decay_params_from_matrix,
+                       demko_decay, field_of_values_boundary, leftmost_real_point, phi_abs,
+                       scalar_derivative, stieltjes_k_constant, stieltjes_update_decay)
 from funupdate.errors import DomainError
 from helpers import make_hermitian, tridiag_sparse
 
@@ -126,7 +126,8 @@ class TestExpWedge:
 class TestMarkov:
     def test_m0_is_pure_constant(self):
         got = bound_markov(Interval(0.1, 10.1), 0.0, -15.8114, 0, 2.0, 3.0)
-        assert got == pytest.approx(8.0 * 15.8114 * 6.0)
+        assert got.value == pytest.approx(8.0 * 15.8114 * 6.0)
+        assert got.applicable and got.rate == 1.0
 
     def test_consistency_with_hpd_form(self):
         f = FunctionSpec.inverse_sqrt()
@@ -134,7 +135,10 @@ class TestMarkov:
         for m in (1, 5, 17):
             via_region = bound_markov(Interval(0.1, 10.1), 0.0, fp, m)
             via_hpd = bound_markov_hpd(101.0, fp, 1.0, m)
-            assert via_region == pytest.approx(via_hpd, rel=1e-12)
+            assert via_region.value == pytest.approx(via_hpd.value, rel=1e-12)
+            assert via_region.rate == pytest.approx(via_hpd.rate, rel=1e-12)
+            assert via_region.rate == pytest.approx(phi_abs(Interval(0.1, 10.1), 0.0) ** -m,
+                                                    rel=1e-12)
 
     def test_rate_strictly_below_one(self):
         assert 1.0 / phi_abs(Interval(0.5, 2.0), 0.2) < 1.0
@@ -146,20 +150,23 @@ class TestMarkov:
 
 class TestMarkovHpd:
     def test_unit_condition_number(self):
-        assert bound_markov_hpd(1.0, 3.0, 1.0, 1) == 0.0
-        assert bound_markov_hpd(1.0, 3.0, 1.0, 0) == pytest.approx(24.0)
+        assert bound_markov_hpd(1.0, 3.0, 1.0, 1) == BoundValue(True, 0.0, 0.0)
+        assert bound_markov_hpd(1.0, 3.0, 1.0, 0).value == pytest.approx(24.0)
+        assert bound_markov_hpd(1.0, 3.0, 1.0, 0).rate == 1.0
 
     def test_rate_value(self):
         s = math.sqrt(101.0)
         rate = (s - 1.0) / (s + 1.0)
         assert rate == pytest.approx(0.8197, abs=1e-3)
         got = bound_markov_hpd(101.0, 1.0, 1.0, 1)
-        assert got == pytest.approx(8.0 * rate)
+        assert got.value == pytest.approx(8.0 * rate)
+        assert got.rate == pytest.approx(rate)
 
     def test_doubling_m_squares_the_rate_factor(self):
         b1 = bound_markov_hpd(101.0, 1.0, 1.0, 7)
         b2 = bound_markov_hpd(101.0, 1.0, 1.0, 14)
-        assert b2 / 8.0 == pytest.approx((b1 / 8.0) ** 2, rel=1e-12)
+        assert b2.value / 8.0 == pytest.approx((b1.value / 8.0) ** 2, rel=1e-12)
+        assert b2.rate == pytest.approx(b1.rate ** 2, rel=1e-12)
 
     def test_invalid_kappa(self):
         with pytest.raises(ValueError):
@@ -186,20 +193,21 @@ def _best_polynomial_error_lp(f, degree, a, b, points=2001):
 class TestChebyshevBound:
     def test_polynomial_is_reproduced(self):
         f = FunctionSpec.polynomial([1.0, -2.0, 3.0, 0.5])
-        assert chebyshev_poly_bound(f, (-1.0, 1.0), 3) <= 1e-12
-        assert chebyshev_poly_bound(f, (-1.0, 1.0), 7) <= 1e-12
+        for m in (3, 7):
+            got = chebyshev_poly_bound(f, (-1.0, 1.0), m)
+            assert got.applicable and got.value <= 1e-12 and got.rate is None
 
     def test_sandwiched_by_minimax_oracle(self):
         # the surrogate can never undercut four times the true best error
         # and, the interpolant being near-best, stays within a small factor
         eps5 = _best_polynomial_error_lp(math.exp, 5, -1.0, 1.0)
-        got = chebyshev_poly_bound(FunctionSpec.exp(), (-1.0, 1.0), 5)
+        got = chebyshev_poly_bound(FunctionSpec.exp(), (-1.0, 1.0), 5).value
         assert got >= 4.0 * eps5 * (1.0 - 1e-6)
         assert got <= 4.0 * eps5 * 1.5
 
     def test_monotone_in_degree(self):
         f = FunctionSpec.exp()
-        vals = [chebyshev_poly_bound(f, (-1.0, 1.0), m) for m in range(1, 12)]
+        vals = [chebyshev_poly_bound(f, (-1.0, 1.0), m).value for m in range(1, 12)]
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-14
 
@@ -209,7 +217,8 @@ class TestChebyshevBound:
 
     def test_inverse_away_from_zero(self):
         # 1/x is analytic on [-2, -1]: only an interval holding 0 is rejected
-        vals = [chebyshev_poly_bound(FunctionSpec.inverse(), (-2.0, -1.0), m) for m in range(1, 12)]
+        vals = [chebyshev_poly_bound(FunctionSpec.inverse(), (-2.0, -1.0), m).value
+                for m in range(1, 12)]
         assert all(np.isfinite(vals))
         assert all(b <= a for a, b in zip(vals, vals[1:]))
         with pytest.raises(DomainError, match="inverse"):
@@ -300,3 +309,18 @@ class TestKConstant:
         assert k <= direct + 1e-12
         assert k < 1.0
         assert k == pytest.approx(direct, rel=1e-6)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: bound_exp_superlinear(0.0, 0.0, 3), "capacity must be positive"),
+    (lambda: chebyshev_poly_bound(FunctionSpec.exp(), (1.0, 1.0), 3), "interval needs a < b"),
+    (lambda: stieltjes_update_decay(DecayParams(1.0, 2.0, 1.0, 1.0), 0, -1),
+     "distances must be nonnegative"),
+    (lambda: decay_params_from_matrix(np.diag([-1.0, 2.0]), FunctionSpec.inverse_sqrt(), 0, 1),
+     "matrix must be positive definite"),
+    (lambda: phi_abs(Ellipse(0.0, 1.0, 2.0), 0.0), "point 0.0 lies inside the region"),
+], ids=["superlinear-capacity", "chebyshev-interval", "negative-distance", "non-definite",
+        "inside-ellipse"])
+def test_typed_input_errors(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()

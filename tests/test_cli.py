@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 import threading
-import time
 import warnings
 from pathlib import Path
 
@@ -85,6 +84,17 @@ class TestUpdateCommand:
             main(["update", "--matrix", str(tmp_path / "a.mtx"), "--function", "sinh",
                   "--b", "e1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("name", ["exp:5", "invsqrt:abc", "inverse:", "log1p-over-z:2",
+                                      "resolvent:nan", "resolvent:inf"])
+    def test_function_name_with_a_bad_parameter_is_usage_error(self, tmp_path, capsys, name):
+        (tmp_path / "a.mtx").write_text(IDENTITY3)
+        with pytest.raises(SystemExit) as exc:
+            main(["update", "--matrix", str(tmp_path / "a.mtx"), "--function", name,
+                  "--b", "e1", "--output-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert repr(name) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unreachable_tolerance_exits_3_but_writes_factor(self, tmp_path):
         n = 12
@@ -670,6 +680,24 @@ class TestCentralityCommand:
         assert capsys.readouterr().err == f"error: {tmp_path / 'edits.csv'}, line {line}: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("add,0,2\nremove,0,2\nremove,0,2\n", "cannot remove missing edge (0, 2)"),
+        ("remove,0,1\nadd,1,0\nadd,0,1\n", "cannot add existing edge (0, 1)"),
+        ("add,0,2\nadd,0,5\n", "node 5 outside 0..2 (n = 3)"),
+    ], ids=["remove-after-add-and-remove", "add-after-remove-and-add", "node-out-of-range"])
+    def test_invalid_edit_is_reported_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                      text, message):
+        (tmp_path / "g.mtx").write_text(P3)
+        (tmp_path / "edits.csv").write_text(text)
+        ran = []
+        monkeypatch.setattr(cli, "subgraph_centrality_baseline", lambda g: ran.append("baseline"))
+        monkeypatch.setattr(cli, "rank_k_update", lambda *args: ran.append("solve"))
+        assert main(["centrality", "--graph", str(tmp_path / "g.mtx"),
+                     "--edits", str(tmp_path / "edits.csv"),
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert ran == [] and not (tmp_path / "o").exists()
+
     def test_removing_a_missing_edge_is_input_error(self, tmp_path, capsys):
         (tmp_path / "g.mtx").write_text(P3)
         (tmp_path / "edits.csv").write_text("remove,0,2\n")
@@ -826,21 +854,20 @@ class TestCentralityOverlap:
         rows = [f"{op.kind},{op.i},{op.j}" for op in edits[:3]]
         rows.insert(2, f"add,{bad.i},{bad.j}")
         (tmp_path / "edits.csv").write_text("\n".join(rows) + "\n")
-        real_baseline = cli.subgraph_centrality_baseline
-        finished = []
+        ran = []
 
-        def slow_baseline(g):
-            time.sleep(0.5)
-            finished.append(1)
-            return real_baseline(g)
+        def recorded(name):
+            return lambda *args: ran.append(name)
 
-        monkeypatch.setattr(cli, "subgraph_centrality_baseline", slow_baseline)
+        # the whole sequence is checked before the baseline or any solve starts
+        monkeypatch.setattr(cli, "subgraph_centrality_baseline", recorded("baseline"))
+        monkeypatch.setattr(cli, "rank_k_update", recorded("solve"))
         start = threading.active_count()
         assert main(["centrality", "--graph", str(tmp_path / "g.mtx"),
                      "--edits", str(tmp_path / "edits.csv"),
                      "--output-dir", str(tmp_path / "o")]) == 2
         assert threading.active_count() == start
-        assert finished  # the worker was joined, not abandoned
+        assert ran == []
         assert f"error: cannot add existing edge ({bad.i}, {bad.j})" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -898,8 +925,7 @@ def _value_or_na(r):
 def _markov_ellipse_row(m, region, beta, c_norm):
     fp = abs(funupdate.scalar_derivative(FunctionSpec.inverse_sqrt(),
                                          funupdate.leftmost_real_point(region)))
-    return (funupdate.bound_markov(region, beta, fp, m, 1.0, c_norm),
-            funupdate.bounds.markov_rate(region, beta) ** m)
+    return _value_or_na(funupdate.bound_markov(region, beta, fp, m, 1.0, c_norm))
 
 
 class TestBoundsCommand:
@@ -945,8 +971,7 @@ class TestBoundsCommand:
          lambda m: _markov_ellipse_row(m, funupdate.Ellipse(3.0, 1.0, 2.0), 0.5, 3.0)),
         ({"kind": "markov-hpd", "kappa_star": 50.0, "f_prime": -0.7, "b_norm": 1.5,
           "m_max": 8},
-         lambda m: (funupdate.bound_markov_hpd(50.0, 0.7, 1.5, m),
-                    funupdate.bounds.cg_rate(50.0) ** m)),
+         lambda m: _value_or_na(funupdate.bound_markov_hpd(50.0, 0.7, 1.5, m))),
     ], ids=["exp-superlinear", "markov-ellipse", "markov-hpd-f-prime"])
     def test_rows_match_the_bound_functions(self, tmp_path, spec, want):
         (tmp_path / "spec.json").write_text(json.dumps(spec))
@@ -985,8 +1010,17 @@ class TestBoundsCommand:
          "key 'm_max' must be a finite integer"),
         ({"kind": "exp-superlinear", "psi1": 0.0, "rho": 2.0, "m_min": 2.5},
          "key 'm_min' must be a finite integer"),
+        ({"kind": "chebyshev", "function": "exp:5", "interval": [1, 2]},
+         "function 'exp' takes no parameter, got 'exp:5'"),
+        ({"kind": "markov", "interval": [0.1, 10.1], "beta": 0.0, "function": "resolvent:inf"},
+         "invalid function 'resolvent:inf'"),
+        ({"kind": "markov", "interval": [0.1, 10.1], "beta": 5.0, "function": "invsqrt"},
+         "support endpoint must lie strictly left of the region"),
+        ({"kind": "markov-hpd", "kappa_star": -2.0, "f_prime": 0.7},
+         "kappa_star must be at least 1"),
     ], ids=["missing-key", "array", "short-interval", "list-for-number", "number-for-interval",
-            "number-for-function", "infinite-m-max", "fractional-m-min"])
+            "number-for-function", "infinite-m-max", "fractional-m-min", "exp-parameter",
+            "infinite-resolvent-shift", "beta-inside-region", "negative-kappa"])
     def test_bad_spec_is_input_error(self, tmp_path, capsys, spec, message):
         text = spec if isinstance(spec, str) else json.dumps(spec)
         (tmp_path / "spec.json").write_text(text)
@@ -1031,7 +1065,8 @@ class TestBoundsCommand:
         assert main(["bounds", "--spec", str(tmp_path / "spec.json"),
                      "--output", str(tmp_path / "b.csv")]) == 0
         bound = funupdate.bound_markov_hpd(50.0, 0.7, 1.0, 0)
-        assert read_csv(tmp_path / "b.csv")[1] == [["0", repr(bound), "1.0"]]
+        assert read_csv(tmp_path / "b.csv")[1] == [["0", repr(bound.value), repr(bound.rate)]]
+        assert bound.rate == 1.0
 
 
 def test_update_and_centrality_share_solve_options():
@@ -1150,7 +1185,8 @@ class TestDemoCommand:
         ["--name", "reorth-comparison", "--max-m", "-3"],
         ["--name", "convdiff", "--max-m", "-1"],
         ["--name", "reorth-comparison", "--size", "10", "--max-m", "0"],
-        ["--name", "decay", "--size", "0"]], ids=["negative", "convdiff", "zero", "zero-size"])
+        ["--name", "decay", "--size", "0"], ["--name", "decay", "--size", "abc"]],
+        ids=["negative", "convdiff", "zero", "zero-size", "not-a-number"])
     def test_flag_that_is_not_positive_is_usage_error(self, tmp_path, capsys, flags):
         with pytest.raises(SystemExit) as exc:
             main(["demo", *flags, "--output-dir", str(tmp_path / "o")])

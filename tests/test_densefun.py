@@ -1,3 +1,4 @@
+import re
 import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -383,7 +384,7 @@ class TestTriangularBlockFunction:
         lam = rng.uniform(1.0, 4.0, 6) + (0.5j * rng.standard_normal(6) if complex_ else 0.0)
         g, k = _similar(rng, lam), _similar(rng, lam + 1e-9)
         m = _triangular(g, k, 0.4)
-        assert eigen_decompose(m).conditioning > densefun._INVSQRT_COND_LIMIT
+        assert eigen_decompose(m, hermitian=False).conditioning > densefun._INVSQRT_COND_LIMIT
         block = eval_matrix_function(m, INVSQRT)  # Denman-Beavers
         x = triangular_block_function(g, k, 0.4, INVSQRT)
         assert x.dtype == block.dtype
@@ -551,6 +552,30 @@ class TestFunctionSpec:
         with pytest.raises(ValueError):
             function_from_name("sinh")
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: FunctionSpec("resolvent"), "resolvent needs a finite shift, got None"),
+        (lambda: FunctionSpec.resolvent(complex("nan")),
+         "resolvent needs a finite shift, got (nan+0j)"),
+        (lambda: function_from_name("exp:5"), "function 'exp' takes no parameter, got 'exp:5'"),
+        (lambda: function_from_name("invsqrt:abc"),
+         "function 'invsqrt' takes no parameter, got 'invsqrt:abc'"),
+        (lambda: function_from_name("inverse:"),
+         "function 'inverse' takes no parameter, got 'inverse:'"),
+        (lambda: function_from_name("log1p-over-z:2"),
+         "function 'log1p-over-z' takes no parameter, got 'log1p-over-z:2'"),
+        (lambda: function_from_name("resolvent:nan"),
+         "invalid function 'resolvent:nan': resolvent needs a finite shift, got (nan+0j)"),
+        (lambda: function_from_name("resolvent:inf"),
+         "invalid function 'resolvent:inf': resolvent needs a finite shift, got (inf+0j)"),
+        (lambda: function_from_name("invpower:abc"),
+         "invalid function 'invpower:abc': could not convert string to float: 'abc'"),
+    ], ids=["resolvent-without-shift", "resolvent-nan-shift", "exp-parameter",
+            "invsqrt-parameter", "inverse-empty-parameter", "log1p-over-z-parameter",
+            "resolvent-nan-name", "resolvent-inf-name", "invpower-not-a-number"])
+    def test_typed_input_errors(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
     @pytest.mark.parametrize("f", [
         FunctionSpec.exp(), FunctionSpec.inverse_sqrt(), FunctionSpec.inverse(),
         FunctionSpec.inverse_power(0.25), FunctionSpec.scaled_log(),
@@ -564,7 +589,7 @@ def test_eigen_decompose_residual():
     rng = np.random.default_rng(13)
     for hermitian in (True, False):
         m = make_hermitian(rng, 12) if hermitian else make_general(rng, 12)
-        dec = eigen_decompose(m)
+        dec = eigen_decompose(m, hermitian)
         q, q_inv = dec.eigenvectors, dec.inverse
         recon = (q * dec.eigenvalues) @ q_inv
         assert spectral_norm(recon - m) <= 1e-10 * max(spectral_norm(m), 1.0)

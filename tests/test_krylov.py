@@ -1,4 +1,5 @@
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -525,6 +526,16 @@ class TestNonFiniteOperator:
         np.testing.assert_allclose(u.T @ u, np.eye(2), atol=1e-15)
 
 
+    def test_finite_coefficient_whose_modulus_overflows(self):
+        # both parts of Q^* A u_0 are finite, its modulus is not; the residual
+        # norm is 1, so this is no breakdown
+        a = np.array([[1.5e308 + 1.5e308j, 1.0], [1.0, 1.0]])
+        proc = ArnoldiProcess(a, np.array([1.0, 0.0]))
+        with pytest.raises(NonFiniteOperatorError) as info:
+            proc.advance(2)
+        assert info.value.step == 1
+        assert proc.dimension == 0 and not proc.breakdown and proc._scale == 0.0
+
     @pytest.mark.parametrize("error", [
         NonFiniteOperatorError("LanczosProcess", 3), DomainError("exp overflows"),
         MatrixMarketError("bad header"), OracleScaleError("n is too large"),
@@ -568,3 +579,16 @@ class TestOperatorAdapter:
             as_operator("nope")
         with pytest.raises(ValueError):
             as_operator(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: LanczosProcess(np.eye(2), np.ones(2), reorth="partial"),
+     "reorth must be 'full' or 'none'"),
+    (lambda: ArnoldiProcess(np.eye(2), np.ones((2, 1))),
+     "starting vector must be one-dimensional"),
+    (lambda: LanczosProcess(np.eye(2), np.ones((2, 1))),
+     "starting vector must be one-dimensional"),
+], ids=["lanczos-reorth", "arnoldi-2d-start", "lanczos-2d-start"])
+def test_typed_input_errors(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()

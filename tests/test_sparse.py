@@ -806,3 +806,51 @@ def test_from_coo_sums_duplicates():
 def test_conjugate_transpose_complex():
     a = SparseMatrix.from_coo(2, [0], [1], [1.0 + 2.0j])
     np.testing.assert_allclose(a.conjugate_transpose().to_dense(), [[0, 0], [1.0 - 2.0j, 0]])
+
+
+def _read_mm(text):
+    return lambda tmp_path: load_matrix_market(write(tmp_path, text))
+
+
+_MM = "%%MatrixMarket matrix "
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (_read_mm(_MM + "coordinate real\n1 1 1\n1 1 1.0\n"), MatrixMarketError,
+     "malformed header: '%%MatrixMarket matrix coordinate real'"),
+    (_read_mm(_MM + "sparse real general\n1 1 1\n1 1 1.0\n"), MatrixMarketError,
+     "unsupported format 'sparse'"),
+    (_read_mm(_MM + "coordinate double general\n1 1 1\n1 1 1.0\n"), MatrixMarketError,
+     "unsupported field 'double'"),
+    (_read_mm(_MM + "array pattern general\n1 1\n1.0\n"), MatrixMarketError,
+     "array format cannot use the pattern field"),
+    (_read_mm(_MM + "coordinate real general\n% no size line\n\n"), MatrixMarketError,
+     "missing size line"),
+    (_read_mm(_MM + "coordinate real general\n2 2\n"), MatrixMarketError,
+     "coordinate size line must be 'rows cols nnz'"),
+    (_read_mm(_MM + "array real general\n2 2 4\n"), MatrixMarketError,
+     "array size line must be 'rows cols'"),
+    (lambda _: SparseMatrix(-1, [0], [], []), ValueError, "dimension must be nonnegative"),
+    (lambda _: SparseMatrix(2, [0, 1], [0], [1.0]), ValueError, "row_ptr must have length n+1"),
+    (lambda _: SparseMatrix(2, [0, 2, 1], [0], [1.0]), ValueError,
+     "row_ptr must start at 0 and be nondecreasing"),
+    (lambda _: SparseMatrix(2, [0, 1, 2], [0], [1.0]), ValueError,
+     "row_ptr, col_idx and values are inconsistent"),
+    (lambda _: SparseMatrix(2, [0, 1, 2], [0, 2], [1.0, 1.0]), ValueError,
+     "column index out of range"),
+    (lambda _: SparseMatrix.from_coo(2, [0], [2], [1.0]), ValueError, "index out of range"),
+    (lambda _: SparseMatrix.from_dense(np.ones((2, 3))), ValueError, "square matrix required"),
+    (lambda _: Graph.from_edges(3, [(0, 1)]).with_edge(1, 1, True), ValueError,
+     "self loops are not allowed"),
+    (lambda _: Graph.from_edges(3, [(0, 1)]).has_edge(0.5, 1), ValueError,
+     "node 0.5 is not an integer"),
+    (lambda _: Graph.from_edges(3, [(0, 1)]).has_edge(1, 2.0), ValueError,
+     "node 2.0 is not an integer"),
+    (lambda _: gen_convdiff1d(2, 1.0, 2.0, 0), ValueError, "need at least 3 interior points"),
+], ids=["malformed-header", "format", "field", "array-pattern", "missing-size-line",
+        "coordinate-size-arity", "array-size-arity", "negative-n", "row-ptr-length",
+        "row-ptr-order", "inconsistent-lengths", "column-range", "coo-range", "non-square-dense",
+        "self-loop-edit", "fractional-node", "float-node", "convdiff-too-small"])
+def test_typed_input_errors(tmp_path, make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make(tmp_path)

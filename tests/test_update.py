@@ -652,7 +652,7 @@ def test_divided_difference_x_matches_the_block_path(n, m, gamma, spread, comple
     problem = _small_general_problem(np.random.default_rng(seed), n, f, spread, complex_)
     x = problem.x(m)
     blk, mu = _whole_block(problem, m)
-    cond = eigen_decompose(blk).conditioning
+    cond = eigen_decompose(blk, hermitian=False).conditioning
     limit = densefun._INVSQRT_COND_LIMIT if gamma is None else densefun._EIGVEC_COND_LIMIT
     assume(gamma is None or cond <= limit)  # no block path to compare with
     f_blk = eval_matrix_function(blk, f)
@@ -1121,3 +1121,12 @@ class TestOptions:
         assert LowRankModification(np.ones(5), np.ones(5)).B.shape == (5, 1)
         with pytest.raises(ValueError, match="equal shape"):
             LowRankModification(np.ones(5), np.ones(4))
+
+
+@pytest.mark.parametrize("make", [
+    lambda a, b: HermitianProblem(lambda x: a @ x, b, EXP),
+    lambda a, b: GeneralProblem(lambda x: a @ x, lambda x: a.T @ x, b, b, EXP),
+], ids=["hermitian", "general"])
+def test_x_of_no_steps_is_input_error(make):
+    with pytest.raises(ValueError, match=r"^m must be at least 1$"):
+        make(np.diag([1.0, 2.0, 3.0]), np.ones(3)).x(0)
