@@ -795,6 +795,16 @@ def _positive_int(text) -> int:
     return value
 
 
+def _function_name(text) -> FunctionSpec:
+    """The argparse type of ``update --function``: ``function_from_name``,
+    whose reason argparse would replace with "invalid value" were it left a
+    ValueError."""
+    try:
+        return function_from_name(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="funupdate",
                                      description="Low-rank updates of matrix functions.")
@@ -805,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     up = sub.add_parser("update", parents=[solve], help="approximate f(A + b c^*) - f(A)")
     up.add_argument("--matrix", required=True)
-    up.add_argument("--function", required=True, type=function_from_name,
+    up.add_argument("--function", required=True, type=_function_name,
                     help="exp | invsqrt | inverse | log1p-over-z | invpower:G | poly:c0,c1,... | resolvent:Z")
     up.add_argument("--b", required=True, help="e<k> | ones | randn | path")
     up.add_argument("--c", default=None,

@@ -96,6 +96,17 @@ class TestUpdateCommand:
         assert repr(name) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("name,reason", [
+        ("exp:5", "function 'exp' takes no parameter, got 'exp:5'"),
+        ("resolvent:nan", "resolvent needs a finite shift"),
+    ])
+    def test_rejected_function_name_states_the_reason(self, tmp_path, capsys, name, reason):
+        (tmp_path / "a.mtx").write_text(IDENTITY3)
+        with pytest.raises(SystemExit) as exc:
+            main(["update", "--matrix", str(tmp_path / "a.mtx"), "--function", name, "--b", "e1"])
+        assert exc.value.code == 2
+        assert reason in capsys.readouterr().err
+
     def test_unreachable_tolerance_exits_3_but_writes_factor(self, tmp_path):
         n = 12
         lines = [f"%%MatrixMarket matrix coordinate real general", f"{n} {n} {3 * n - 2}"]

@@ -435,6 +435,29 @@ class TestDeferredCheck:
         assert np.array_equal(proc.basis_matrix(), probed.basis_matrix())
         assert np.array_equal(proc.compressed(), probed.compressed())
 
+    def test_flagged_columns_the_probe_passes_roll_nothing_back(self, monkeypatch):
+        # with the block trigger below every cosine the block check flags
+        # each column; measured again as the probe measures them, all pass
+        # (the probe first corrects at step 23), so no step repeats and the
+        # process stays deferred and equal to the probed one
+        a = gen_laplace2d(10).to_dense()
+        b = np.cos(np.arange(100))
+        apply, calls = counted(a)
+        remeasured, remeasure = [], LanczosProcess._remeasured
+
+        def spy(proc, k):
+            remeasured.append(k)
+            return remeasure(proc, k)
+
+        monkeypatch.setattr(LanczosProcess, "_remeasured", spy)
+        monkeypatch.setattr(krylov, "_REORTH_TRIGGER", 1e-30)
+        proc = grown(apply, b, [20, 1], 0)
+        assert remeasured == list(range(1, 22))
+        assert proc._defer and calls[0] == proc.dimension == 21
+        probed = grown(lambda x: a @ x, b, [20, 1], NEVER)
+        assert np.array_equal(proc.basis_matrix(), probed.basis_matrix())
+        assert np.array_equal(proc.compressed(), probed.compressed())
+
     def test_small_basis_keeps_the_probe(self):
         # 100 x 61 doubles is below the gate: no block, so no rollback
         # repeats a step although the probe corrects from step 23 on
